@@ -105,7 +105,6 @@ def main() -> int:
     print(f"  mixed-solver runs  : {mixed_runs} ({wave_checks} wave cross-checks)")
     print(f"  augmentations      : {trace.augmentations}")
     print(f"  extensions         : {trace.extensions}")
-    print(f"  chordless repairs  : {trace.repairs}")
     print(f"  stuck/extension err: {stuck}")
     print(f"  disagreements      : {disagreements}")
     print(f"  elapsed            : {elapsed:.1f}s")

@@ -45,7 +45,6 @@ from .intersect import (
     ExchangeDigraph,
     FeasibleState,
     IntersectionCertificate,
-    MixedContext,
     SplitInput,
     Trace,
     augment,

@@ -44,7 +44,6 @@ class Trace:
     events: list = field(default_factory=list)
     augmentations: int = 0
     extensions: int = 0
-    repairs: int = 0
 
     def record(self, kind: str, **data) -> None:
         self.events.append({"kind": kind, **data})
@@ -53,7 +52,6 @@ class Trace:
         return {
             "augmentations": self.augmentations,
             "extensions": self.extensions,
-            "repairs": self.repairs,
             "events": self.events,
         }
 
@@ -188,39 +186,12 @@ def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | 
     return path
 
 
-def _strip_jumps(
-    dg: ExchangeDigraph, path: list[int], trace: Trace | None
-) -> list[int]:
-    """Remove forward chords so no arc skips ahead along the path."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(path)):
-            for ell in range(len(path) - 1, k + 1, -1):
-                if dg.has_arc(path[k], path[ell]):
-                    path = path[: k + 1] + path[ell:]
-                    if trace is not None:
-                        trace.repairs += 1
-                        trace.record("repair", kept=tuple(path))
-                    changed = True
-                    break
-            if changed:
-                break
-    return path
-
-
-def _reach(dg: ExchangeDigraph, seeds: list[int]) -> int:
-    seen = 0
-    stack = list(seeds)
-    for s in seeds:
-        seen |= 1 << s
-    while stack:
-        u = stack.pop()
-        for v in dg.out_neighbors(u):
-            if not seen >> v & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen
+def _check_chordless(dg: ExchangeDigraph, path: list[int]) -> None:
+    """A shortest path has no arc that skips ahead along it."""
+    for k in range(len(path)):
+        for ell in range(k + 2, len(path)):
+            if dg.has_arc(path[k], path[ell]):
+                raise PostconditionFailed(f"shortest path has a jumping arc {k}->{ell}")
 
 
 def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
@@ -236,14 +207,23 @@ def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# classic solver
+# the exchange rules
 
 
-def _classic_arcs(m: Matroid, n: Matroid, imask: int) -> list[tuple[int, int, str]]:
-    """Two-rule exchange digraph of the classic augmenting-path method."""
+def _exchange_arcs(
+    m: Matroid, n: Matroid, imask: int, e1: int = 0, safe: int = 0
+) -> list[tuple[int, int, str]]:
+    """Arcs of the exchange digraph at the common independent set ``imask``.
+
+    M-rule: an M-spanned x outside I points into its M-circuit.  N-rule:
+    an element of I in E0 points to each N-spanned x outside I whose
+    N-circuit holds it.  N*-rule: an element of I in E1 points into its
+    fundamental circuit in the dual of N against ``safe``, the E1 part of
+    the M-span outside I.  With E1 empty this is the classic digraph.
+    """
     arcs: list[tuple[int, int, str]] = []
-    outside = m.universe_mask & ~imask
-    for x in bit_indices(outside):
+    e0 = m.universe_mask & ~e1
+    for x in bit_indices(m.universe_mask & ~imask):
         bx = 1 << x
         if not m._indep(imask | bx):
             circ = m._fund_circuit(x, imask)
@@ -251,50 +231,51 @@ def _classic_arcs(m: Matroid, n: Matroid, imask: int) -> list[tuple[int, int, st
                 arcs.append((x, y, RULE_M))
         if not n._indep(imask | bx):
             circ = n._fund_circuit(x, imask)
-            for y in bit_indices(circ ^ bx):
+            for y in bit_indices(circ & imask & e0):
                 arcs.append((y, x, RULE_N))
+    for x in bit_indices(imask & e1):
+        circ = n.dual()._fund_circuit(x, safe)
+        for y in bit_indices(circ ^ (1 << x)):
+            arcs.append((x, y, RULE_NSTAR))
     return arcs
 
 
-@dataclass(frozen=True)
-class _ClassicRun:
-    imask: int
-    reach_mask: int
-    coreach_mask: int
-    digraph: ExchangeDigraph
+# ---------------------------------------------------------------------------
+# classic solver
 
 
-def _classic_run(m: Matroid, n: Matroid, trace: Trace | None = None) -> _ClassicRun:
-    """Run the classic solver to completion from the empty set."""
+def _classic_run(
+    m: Matroid, n: Matroid, trace: Trace | None = None
+) -> IntersectionCertificate:
+    """Run the classic solver to completion from the empty set; unverified."""
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
     universe = m.universe_mask
     imask = 0
     for _ in range(universe.bit_count() + 1):
-        step = _classic_step(m, n, imask, trace)
-        if isinstance(step, _ClassicRun):
+        step = _classic_step(m, n, imask)
+        if isinstance(step, IntersectionCertificate):
             return step
         imask = _apply_classic_path(m, n, imask, step, trace)
     raise Stuck("classic solver exceeded its augmentation budget")
 
 
-def _classic_step(
-    m: Matroid, n: Matroid, imask: int, trace: Trace | None
-) -> "list[int] | _ClassicRun":
-    """Find a shortest augmenting path, or report the final reachability split."""
+def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | IntersectionCertificate":
+    """A shortest augmenting path, or the reachability certificate when there is none."""
     universe = m.universe_mask
-    dg = ExchangeDigraph(m.ground, _classic_arcs(m, n, imask))
+    dg = ExchangeDigraph(m.ground, _exchange_arcs(m, n, imask))
     span_n = n._span(imask)
-    span_m = m._span(imask)
-    sources = list(bit_indices(universe & ~span_n))
-    sinks_mask = universe & ~span_m
-    for s in sources:
+    sinks_mask = universe & ~m._span(imask)
+    for s in bit_indices(universe & ~span_n):
         path = _bfs_path(dg, s, sinks_mask)
         if path is not None:
-            return _strip_jumps(dg, path, trace)
-    reach = _reach(dg, sources)
-    coreach = _coreach(dg, sinks_mask)
-    return _ClassicRun(imask, reach, coreach, dg)
+            _check_chordless(dg, path)
+            return path
+    ground = m.ground
+    e_m = universe & ~_coreach(dg, sinks_mask)
+    return IntersectionCertificate(
+        ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
+    )
 
 
 def _apply_classic_path(
@@ -316,22 +297,14 @@ def _apply_classic_path(
     return new
 
 
-def edmonds_step(
-    ctx: PairContext, independent: ElementSet, trace: Trace | None = None
-) -> IntersectionCertificate | AugPath:
+def edmonds_step(ctx: PairContext, independent: ElementSet) -> IntersectionCertificate | AugPath:
     """One classic step: an augmenting path, or the reachability certificate."""
     imask = ctx.M._check_subset(independent)
     if not (ctx.M._indep(imask) and ctx.N._indep(imask)):
         raise NotCommonIndependent("starting set is not common independent")
-    step = _classic_step(ctx.M, ctx.N, imask, trace)
-    if isinstance(step, _ClassicRun):
-        ground = ctx.ground
-        e_m = ctx.universe_mask & ~step.coreach_mask
-        return IntersectionCertificate(
-            ElementSet(ground, imask),
-            ElementSet(ground, e_m),
-            ElementSet(ground, ctx.universe_mask & ~e_m),
-        )
+    step = _classic_step(ctx.M, ctx.N, imask)
+    if isinstance(step, IntersectionCertificate):
+        return step
     return AugPath(tuple(step))
 
 
@@ -342,14 +315,7 @@ def edmonds_solve(ctx: PairContext, trace: Trace | None = None) -> IntersectionC
     M-unspanned element in the final exchange digraph; this is the
     largest valid choice and coincides with the union of all waves.
     """
-    run = _classic_run(ctx.M, ctx.N, trace)
-    ground = ctx.ground
-    e_m = ctx.universe_mask & ~run.coreach_mask
-    cert = IntersectionCertificate(
-        ElementSet(ground, run.imask),
-        ElementSet(ground, e_m),
-        ElementSet(ground, ctx.universe_mask & ~e_m),
-    )
+    cert = _classic_run(ctx.M, ctx.N, trace)
     if not verify_certificate(ctx.M, ctx.N, cert):
         raise PostconditionFailed("classic certificate failed raw verification")
     return cert
@@ -385,105 +351,47 @@ class SplitInput:
 
 
 @dataclass(frozen=True)
-class MixedContext:
-    """Solver-internal pair with the split restricted to its universe."""
-
-    M: Matroid
-    N: Matroid
-    E0: ElementSet
-    E1: ElementSet
-
-    def __post_init__(self) -> None:
-        if self.M.universe_mask != self.N.universe_mask:
-            raise UniverseMismatch("mixed context needs a shared universe")
-        if (self.E0.mask | self.E1.mask) != self.M.universe_mask or (
-            self.E0.mask & self.E1.mask
-        ):
-            raise PreconditionViolated("split must partition the context universe")
-
-    @property
-    def ground(self) -> GroundSet:
-        return self.M.ground
-
-    @property
-    def universe_mask(self) -> int:
-        return self.M.universe_mask
-
-    @property
-    def n_dual(self) -> Matroid:
-        return self.N.dual()
-
-
-@dataclass(frozen=True)
 class FeasibleState:
-    """Current common independent set with cached spans and safety data.
+    """A common independent set of the context that is dually safe on E1.
 
     ``ring`` is the set of elements spanned by I in M but outside I;
     ``safe_base`` is its E1 part, which stays a dual base of the E1 part
-    of the M-span while the state is dually safe.
+    of the M-span while the state is dually safe.  Construction checks
+    these invariants and raises StateInvariantBroken when one fails.
     """
 
-    ctx: MixedContext
+    ctx: PairContext
     I: ElementSet
-    span_m: ElementSet
-    ring: ElementSet
-    safe_base: ElementSet
 
-    @classmethod
-    def create(cls, ctx: MixedContext, independent: ElementSet) -> "FeasibleState":
-        imask = ctx.M._check_subset(independent)
-        span_m = ctx.M._span(imask)
-        ring = span_m & ~imask
-        state = cls(
-            ctx,
-            ElementSet(ctx.ground, imask),
-            ElementSet(ctx.ground, span_m),
-            ElementSet(ctx.ground, ring),
-            ElementSet(ctx.ground, ring & ctx.E1.mask),
-        )
-        state.validate()
-        return state
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         ctx = self.ctx
-        imask = self.I.mask
+        imask = ctx.M._check_subset(self.I)
         if not (ctx.M._indep(imask) and ctx.N._indep(imask)):
             raise StateInvariantBroken("state set is not common independent")
-        span_m = ctx.M._span(imask)
-        if self.span_m.mask != span_m or self.ring.mask != span_m & ~imask:
-            raise StateInvariantBroken("cached spans are stale")
-        if self.safe_base.mask != self.ring.mask & ctx.E1.mask:
-            raise StateInvariantBroken("cached safe base is stale")
-        nd = ctx.n_dual
-        if not nd._indep(self.safe_base.mask):
+        nd = ctx.N.dual()
+        safe = self.safe_base.mask
+        if not nd._indep(safe):
             raise StateInvariantBroken("safe base is dependent in the dual")
-        if imask & ctx.E1.mask & ~nd._span(self.safe_base.mask):
+        if imask & ctx.E1.mask & ~nd._span(safe):
             raise StateInvariantBroken("state is not dually safe")
+
+    @property
+    def span_m(self) -> ElementSet:
+        return ElementSet(self.ctx.ground, self.ctx.M._span(self.I.mask))
+
+    @property
+    def ring(self) -> ElementSet:
+        return self.span_m - self.I
+
+    @property
+    def safe_base(self) -> ElementSet:
+        return self.ring & self.ctx.E1
 
 
 def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
     """The three-rule exchange digraph of the mixed method."""
-    state.validate()
     ctx = state.ctx
-    m, n, nd = ctx.M, ctx.N, ctx.n_dual
-    imask = state.I.mask
-    e0, e1 = ctx.E0.mask, ctx.E1.mask
-    arcs: list[tuple[int, int, str]] = []
-    for x in bit_indices(ctx.universe_mask & ~imask):
-        bx = 1 << x
-        if not m._indep(imask | bx):
-            circ = m._fund_circuit(x, imask)
-            for y in bit_indices(circ ^ bx):
-                arcs.append((x, y, RULE_M))
-        if not n._indep(imask | bx):
-            circ = n._fund_circuit(x, imask)
-            for y in bit_indices(circ & imask & e0):
-                arcs.append((y, x, RULE_N))
-    safe = state.safe_base.mask
-    for x in bit_indices(imask & e1):
-        circ = nd._fund_circuit(x, safe)
-        for y in bit_indices(circ ^ (1 << x)):
-            arcs.append((x, y, RULE_NSTAR))
+    arcs = _exchange_arcs(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
     return ExchangeDigraph(ctx.ground, arcs)
 
 
@@ -502,7 +410,7 @@ def _has_arc(state: FeasibleState, x: int, y: int) -> bool:
         if ctx.N._indep(imask | by):
             return False
         return bool(ctx.N._fund_circuit(y, imask) & bx)
-    circ = ctx.n_dual._fund_circuit(x, state.safe_base.mask)
+    circ = ctx.N.dual()._fund_circuit(x, state.safe_base.mask)
     return bool(circ & by) and x != y
 
 
@@ -524,11 +432,7 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
                 raise PreconditionViolated(f"jumping arc {k}->{ell} present")
 
 
-def find_aug_path(
-    state: FeasibleState,
-    prec: list[int] | None = None,
-    trace: Trace | None = None,
-) -> AugPath | None:
+def find_aug_path(state: FeasibleState, prec: list[int] | None = None) -> AugPath | None:
     """Shortest augmenting path from the precedence-least possible source."""
     ctx = state.ctx
     dg = build_exchange_digraph(state)
@@ -542,7 +446,6 @@ def find_aug_path(
         path = _bfs_path(dg, s, sinks_mask)
         if path is None:
             continue
-        path = _strip_jumps(dg, path, trace)
         out = AugPath(tuple(path))
         _validate_path(state, out.elements)
         return out
@@ -553,7 +456,7 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
     """Apply one augmenting path; all guaranteed properties are asserted."""
     _validate_path(state, path.elements)
     ctx = state.ctx
-    m, n, nd = ctx.M, ctx.N, ctx.n_dual
+    m, n, nd = ctx.M, ctx.N, ctx.N.dual()
     imask = state.I.mask
     pmask = path.mask
     new = imask ^ pmask
@@ -571,7 +474,7 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
     if nd._span(safe) != nd._span(safe2):
         raise PostconditionFailed("dual span was not preserved by the augmentation")
     try:
-        out = FeasibleState.create(ctx, ElementSet(ctx.ground, new))
+        out = FeasibleState(ctx, ElementSet(ctx.ground, new))
     except StateInvariantBroken as exc:
         raise PostconditionFailed(f"augmented state invalid: {exc}") from exc
     if trace is not None:
@@ -581,21 +484,20 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
 
 
 def extend_to_nice(
-    ctx: MixedContext, state: FeasibleState, trace: Trace | None = None
+    ctx: PairContext, state: FeasibleState, trace: Trace | None = None
 ) -> FeasibleState:
     """Adjoin a common base of the quotient's largest wave.
 
     Raises ExtensionFailed when no common base exists, which a valid
     augmentation never allows.
     """
-    pair = PairContext(ctx.M.contract(state.I), ctx.N.contract(state.I))
+    pair = ctx.quotient(state.I.mask)
     wave = largest_wave(pair)
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
-    new = FeasibleState.create(ctx, state.I | base)
-    after = PairContext(ctx.M.contract(new.I), ctx.N.contract(new.I))
-    if not check_cond_plus(after):
+    new = FeasibleState(ctx, state.I | base)
+    if not check_cond_plus(ctx.quotient(new.I.mask)):
         raise PostconditionFailed("extension did not reach a nice state")
     if trace is not None:
         trace.extensions += 1
@@ -606,7 +508,7 @@ def extend_to_nice(
 
 
 def key_step(
-    ctx: MixedContext,
+    ctx: PairContext,
     state: FeasibleState,
     e: int,
     trace: Trace | None = None,
@@ -622,7 +524,7 @@ def key_step(
         rounds += 1
         if rounds > cap:
             raise Stuck(f"iteration cap {cap} reached while element {e} unspanned")
-        path = find_aug_path(state, prec=prec, trace=trace)
+        path = find_aug_path(state, prec=prec)
         if path is None:
             raise Stuck(f"no augmenting path while element {e} is unspanned")
         before0 = ctx.N._span(state.I.mask) & ctx.E0.mask
@@ -639,11 +541,8 @@ def mixed_solve(
     """Wave removal plus the mixed augmenting loop, with a verified certificate."""
     split.validate()
     n = split.N
-    if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
-        raise UniverseMismatch("pair members need a shared universe")
     ground = m.ground
-    pair = PairContext(m, n)
-    wave = largest_wave(pair)
+    wave = largest_wave(PairContext(m, n))
     e_m = wave.W
     e_n = ElementSet(ground, m.universe_mask & ~e_m.mask)
     if trace is not None:
@@ -654,13 +553,8 @@ def mixed_solve(
     if not check_cond_plus(PairContext(mq, nq)):
         raise PostconditionFailed("quotient after wave removal is not clean")
 
-    ctx = MixedContext(
-        mq,
-        nq,
-        ElementSet(ground, split.E0.mask & e_n.mask),
-        ElementSet(ground, split.E1.mask & e_n.mask),
-    )
-    state = FeasibleState.create(ctx, ElementSet(ground, 0))
+    ctx = PairContext(mq, nq, split.E1 & e_n)
+    state = FeasibleState(ctx, ElementSet(ground, 0))
     for e in bit_indices(ctx.E0.mask):
         if not ctx.N._span(state.I.mask) >> e & 1:
             state = key_step(ctx, state, e, trace)

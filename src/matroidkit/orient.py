@@ -227,9 +227,9 @@ def verify_outcome(g: DemandGraph, out: OrientationOutcome) -> bool:
     vset = set(out.v_prime)
     if not vset <= set(g.vertices):
         return False
-    if not all(below_at(g, indeg, v) for v in vset):
+    if not all(below_at(g, indeg, v) for v in out.v_prime):
         return False
-    if not any(indeg[v] < effective_lower_bound(g, v) for v in vset):
+    if not any(indeg[v] < effective_lower_bound(g, v) for v in out.v_prime):
         return False
     for u, v, label in g.edges:
         if (u in vset) != (v in vset) and orientation[label] not in vset:

@@ -10,6 +10,7 @@ the mixed intersection solver leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     ElementSet,
@@ -25,16 +26,25 @@ from .core import (
 
 @dataclass(frozen=True)
 class PairContext:
-    """Two matroids on one ground set and one universe."""
+    """Two matroids on one ground set and one universe, with a split of it.
+
+    ``E1`` is the cofinitary part of the universe, which the mixed solver
+    walks through cocircuits of N; the finitary rest ``E0`` goes through
+    circuits of N.  E1 defaults to empty, which is the classic pair.
+    """
 
     M: Matroid
     N: Matroid
+    E1: ElementSet | None = None
 
     def __post_init__(self) -> None:
         if self.M.ground.labels != self.N.ground.labels:
             raise UniverseMismatch("pair members live on different ground sets")
         if self.M.universe_mask != self.N.universe_mask:
             raise UniverseMismatch("pair members have different universes")
+        if self.E1 is None:
+            object.__setattr__(self, "E1", ElementSet(self.ground, 0))
+        self.M._check_subset(self.E1)
 
     @property
     def ground(self):
@@ -44,18 +54,15 @@ class PairContext:
     def universe_mask(self) -> int:
         return self.M.universe_mask
 
+    @cached_property
+    def E0(self) -> ElementSet:
+        return ElementSet(self.ground, self.universe_mask & ~self.E1.mask)
+
     def quotient(self, imask: int) -> "PairContext":
         """Contract a common independent set in both members."""
         s = ElementSet(self.ground, imask)
-        return PairContext(self.M.contract(s), self.N.contract(s))
-
-
-def _solve_masks(m: Matroid, n: Matroid) -> tuple[int, int, int]:
-    """Classic solve returning (max common set, reach side, sink-coreach side)."""
-    from .intersect import _classic_run
-
-    run = _classic_run(m, n)
-    return run.imask, run.reach_mask, run.coreach_mask
+        e1 = ElementSet(self.ground, self.E1.mask & ~imask)
+        return PairContext(self.M.contract(s), self.N.contract(s), e1)
 
 
 def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
@@ -65,12 +72,14 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
     N contracted onto ``w``; it is found by solving the intersection of
     those two minors and testing for M-spanningness.
     """
+    from .intersect import _classic_run
+
     wmask = ctx.M._check_subset(w)
     mw = ctx.M.restrict(w)
     nw = ctx.N.onto(w)
-    imask, _, _ = _solve_masks(mw, nw)
-    if imask.bit_count() == mw._rank(wmask):
-        return ElementSet(ctx.ground, imask)
+    common = _classic_run(mw, nw).I
+    if len(common) == mw._rank(wmask):
+        return common
     return None
 
 
@@ -81,6 +90,8 @@ def largest_wave(ctx: PairContext) -> "Wave":
     the classic solver on successive quotients until only the empty wave
     remains, then verifies the witness directly against the oracles.
     """
+    from .intersect import _classic_run
+
     m, n = ctx.M, ctx.N
     ground = ctx.ground
     acc = 0
@@ -88,11 +99,11 @@ def largest_wave(ctx: PairContext) -> "Wave":
     while True:
         mq = m.contract(ElementSet(ground, acc))
         nq = n.delete(ElementSet(ground, acc))
-        imask, _, coreach = _solve_masks(mq, nq)
-        step = mq.universe_mask & ~coreach
+        cert = _classic_run(mq, nq)
+        step = cert.E_M.mask
         if step == 0:
             break
-        wit |= imask & step
+        wit |= cert.I.mask & step
         acc |= step
     wave = Wave(ElementSet(ground, acc), ElementSet(ground, wit))
     _verify_wave(ctx, wave)
@@ -132,13 +143,14 @@ def check_cond(ctx: PairContext, bound: int | None = None) -> bool:
     size = ctx.universe_mask.bit_count()
     if size > limit:
         raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")
+    from .intersect import _classic_run
+
     m, n = ctx.M, ctx.N
     for wmask in iter_submasks(ctx.universe_mask):
         w = ElementSet(ctx.ground, wmask)
         mw = m.restrict(w)
         nw = n.onto(w)
-        common, _, _ = _solve_masks(mw, nw)
-        s = common.bit_count()
+        s = len(_classic_run(mw, nw).I)
         if s == mw._rank(wmask) and s < nw._rank(wmask):
             return False
     return True
@@ -177,11 +189,12 @@ def common_base_B(ctx: PairContext, x: ElementSet) -> ElementSet | None:
     Deterministic smallest-index choice among solver outputs; None when
     the two minors have no common base.
     """
+    from .intersect import _classic_run
+
     xmask = ctx.M._check_subset(x)
     mx = ctx.M.restrict(x)
     nx = ctx.N.onto(x)
-    imask, _, _ = _solve_masks(mx, nx)
-    s = imask.bit_count()
-    if s == mx._rank(xmask) == nx._rank(xmask):
-        return ElementSet(ctx.ground, imask)
+    common = _classic_run(mx, nx).I
+    if len(common) == mx._rank(xmask) == nx._rank(xmask):
+        return common
     return None

@@ -171,7 +171,6 @@ def drive_mixed(m: C.Matroid, split, trace=None):
     """
     from matroidkit.intersect import (
         FeasibleState,
-        MixedContext,
         augment,
         extend_to_nice,
         find_aug_path,
@@ -184,17 +183,12 @@ def drive_mixed(m: C.Matroid, split, trace=None):
     e_n = m.universe_mask & ~wave.W.mask
     mq = m.contract(wave.W)
     nq = split.N.delete(wave.W)
-    ctx = MixedContext(
-        mq,
-        nq,
-        ElementSet(ground, split.E0.mask & e_n),
-        ElementSet(ground, split.E1.mask & e_n),
-    )
-    state = FeasibleState.create(ctx, ground.empty())
+    ctx = PairContext(mq, nq, ElementSet(ground, split.E1.mask & e_n))
+    state = FeasibleState(ctx, ground.empty())
     records = []
     for e in bit_indices(ctx.E0.mask):
         while not ctx.N._span(state.I.mask) >> e & 1:
-            path = find_aug_path(state, trace=trace)
+            path = find_aug_path(state)
             assert path is not None
             augmented = augment(state, path, trace=trace)
             extended = extend_to_nice(ctx, augmented, trace=trace)

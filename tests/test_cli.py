@@ -71,7 +71,7 @@ def test_intersect_mixed_with_split_and_trace(files, capsys):
     assert code == 0
     assert json.loads(out)["output"]["certificate"]["size"] == 2
     trace = json.loads(trace_path.read_text())
-    assert set(trace) == {"augmentations", "extensions", "repairs", "events"}
+    assert set(trace) == {"augmentations", "extensions", "events"}
 
 
 def test_output_is_byte_identical(files, capsys):

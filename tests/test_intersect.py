@@ -11,12 +11,13 @@ from matroidkit.intersect import (
     RULE_N,
     RULE_NSTAR,
     AugPath,
+    ExchangeDigraph,
     FeasibleState,
     IntersectionCertificate,
-    MixedContext,
     SplitInput,
     Trace,
-    _classic_arcs,
+    _check_chordless,
+    _has_arc,
     augment,
     build_exchange_digraph,
     edmonds_solve,
@@ -78,8 +79,8 @@ def five_element_split():
     # concat_sum reorders labels: bring N onto the same ground as M
     mapping = {i: ground.index(n.ground.label(i)) for i in bit_indices(n.universe_mask)}
     n = C.RelabelMatroid(ground, n, mapping)
-    ctx = MixedContext(m, n, ground.subset("sxt"), ground.subset("de"))
-    state = FeasibleState.create(ctx, ground.subset("xd"))
+    ctx = PairContext(m, n, ground.subset("de"))
+    state = FeasibleState(ctx, ground.subset("xd"))
     return ground, ctx, state
 
 
@@ -159,25 +160,26 @@ def test_digraph_empty_state_has_no_arcs():
     ground = G4
     m = C.uniform(ground, 2)
     n = C.uniform(ground, 0)  # all N-loops; their circuits are singletons
-    ctx = MixedContext(m, n, ground.full(), ground.empty())
-    state = FeasibleState.create(ctx, ground.empty())
+    state = FeasibleState(PairContext(m, n), ground.empty())
     assert build_exchange_digraph(state).arcs == ()
 
 
-def test_digraph_equals_classic_when_e1_empty(corpus):
+def assert_arcs_match_rules(state):
+    universe = list(bit_indices(state.ctx.universe_mask))
+    expected = {(x, y) for x in universe for y in universe if _has_arc(state, x, y)}
+    assert {(x, y) for x, y, _r in build_exchange_digraph(state).arcs} == expected
+
+
+def test_digraph_arcs_match_rule_by_rule_test(corpus):
+    _ground, _ctx, state = five_element_split()
+    assert_arcs_match_rules(state)
     count = 0
     for inst in corpus.pairs:
         m, n = inst.M, inst.N
         imask = m._max_indep(n._max_indep(m.universe_mask))
         if not (m._indep(imask) and n._indep(imask)):
             continue
-        ctx = MixedContext(
-            m, n, ElementSet(m.ground, m.universe_mask), m.ground.empty()
-        )
-        state = FeasibleState.create(ctx, ElementSet(m.ground, imask))
-        mixed_arcs = {(x, y) for x, y, _r in build_exchange_digraph(state).arcs}
-        classic_arcs = {(x, y) for x, y, _r in _classic_arcs(m, n, imask)}
-        assert mixed_arcs == classic_arcs, inst.name
+        assert_arcs_match_rules(FeasibleState(PairContext(m, n), ElementSet(m.ground, imask)))
         count += 1
         if count == 25:
             break
@@ -209,7 +211,7 @@ def test_augment_rule3_hop_updates_dual_base():
     path = find_aug_path(state)
     out = augment(state, path)
     assert out.I == ground.subset("set")
-    nd = ctx.n_dual
+    nd = ctx.N.dual()
     # the dual base swapped d in for e while keeping its span
     assert out.safe_base == ground.subset("d")
     assert nd._span(ground.subset("d").mask) == nd._span(ground.subset("e").mask)
@@ -219,16 +221,14 @@ def test_find_aug_path_none_without_sources():
     # every element is an N-loop, so no E0 element is N-unspanned
     m = C.free(G3)
     n = C.zero(G3)
-    ctx = MixedContext(m, n, G3.full(), G3.empty())
-    state = FeasibleState.create(ctx, G3.empty())
+    state = FeasibleState(PairContext(m, n), G3.empty())
     assert find_aug_path(state) is None
 
 
 def test_singleton_path_when_unspanned_both_sides():
     m = C.free(G3)
     n = C.free(G3)
-    ctx = MixedContext(m, n, G3.full(), G3.empty())
-    state = FeasibleState.create(ctx, G3.empty())
+    state = FeasibleState(PairContext(m, n), G3.empty())
     path = find_aug_path(state)
     assert path is not None and len(path) == 1 and path.first == 0
 
@@ -236,8 +236,7 @@ def test_singleton_path_when_unspanned_both_sides():
 def test_find_aug_path_honors_precedence_order():
     m = C.free(G3)
     n = C.free(G3)
-    ctx = MixedContext(m, n, G3.full(), G3.empty())
-    state = FeasibleState.create(ctx, G3.empty())
+    state = FeasibleState(PairContext(m, n), G3.empty())
     path = find_aug_path(state, prec=[2, 1, 0])
     assert path is not None and path.first == 2
 
@@ -248,25 +247,43 @@ def test_augment_rejects_invalid_path():
         augment(state, AugPath((ground.index("s"),)))
 
 
+def test_augment_rejects_path_with_jumping_arc():
+    # I = {b, d}: a, b, c, d, e is a path, but the M-circuit of a also
+    # holds d, so the arc a -> d skips ahead along it
+    g = GroundSet(tuple("abcde"))
+    m = C.PartitionMatroid(g, ((g.subset("abcd").mask, 2), (g.subset("e").mask, 1)))
+    n = C.PartitionMatroid(
+        g, ((g.subset("a").mask, 1), (g.subset("bc").mask, 1), (g.subset("de").mask, 1))
+    )
+    state = FeasibleState(PairContext(m, n), g.subset("bd"))
+    assert find_aug_path(state).elements == tuple(g.index(x) for x in "ade")
+    with pytest.raises(C.PreconditionViolated, match="jumping arc"):
+        augment(state, AugPath(tuple(g.index(x) for x in "abcde")))
+
+
+def test_classic_chord_check_rejects_path_with_jumping_arc():
+    dg = ExchangeDigraph(G4, [(0, 1, RULE_M), (1, 2, RULE_N), (2, 3, RULE_M), (0, 3, RULE_M)])
+    _check_chordless(dg, [0, 1, 2])
+    with pytest.raises(C.PostconditionFailed, match="jumping arc 0->3"):
+        _check_chordless(dg, [0, 1, 2, 3])
+
+
 def test_mixed_path_search_matches_classic_augmentations(corpus):
     # with an empty E1 the mixed search must find the same paths the
     # classic stepper does, state by state
     count = 0
     for inst in corpus.pairs:
         m, n = inst.M, inst.N
-        ctx = MixedContext(
-            m, n, ElementSet(m.ground, m.universe_mask), m.ground.empty()
-        )
-        state = FeasibleState.create(ctx, m.ground.empty())
-        pctx = PairContext(m, n)
+        ctx = PairContext(m, n)
+        state = FeasibleState(ctx, m.ground.empty())
         while True:
-            step = edmonds_step(pctx, state.I)
+            step = edmonds_step(ctx, state.I)
             path = find_aug_path(state)
             if isinstance(step, IntersectionCertificate):
                 assert path is None, inst.name
                 break
             assert path is not None and path.elements == step.elements, inst.name
-            state = FeasibleState.create(ctx, state.I ^ ElementSet(m.ground, path.mask))
+            state = FeasibleState(ctx, state.I ^ ElementSet(m.ground, path.mask))
         count += 1
         if count == 15:
             break
@@ -294,9 +311,7 @@ def test_extend_to_nice_reaches_nice_state(corpus):
         split = SplitInput(inst.N, inst.N.elements(), inst.N.ground.empty())
         _wave, ctx, _state, records = drive_mixed(inst.M, split)
         for _before, _path, _augmented, extended in records:
-            assert nice_feasible(
-                PairContext(ctx.M, ctx.N), extended.I
-            ), inst.name
+            assert nice_feasible(ctx, extended.I), inst.name
             checked += 1
         if checked >= 10:
             break
@@ -358,12 +373,10 @@ def test_split_validation_requires_partition():
 
 
 def test_state_invariant_broken_detected():
-    ground, ctx, state = five_element_split()
-    stale = FeasibleState(
-        ctx, state.I, state.span_m, state.ring, ground.subset("e").remove(ground.index("e"))
-    )
+    ground, ctx, _state = five_element_split()
+    # s and d share an M-block of capacity 1
     with pytest.raises(C.StateInvariantBroken):
-        stale.validate()
+        FeasibleState(ctx, ground.subset("sxd"))
 
 
 # ---------------------------------------------------------------------------
@@ -401,5 +414,4 @@ def test_trace_counters():
     mixed_solve(m, SplitInput(n, G4.full(), G4.empty()), trace)
     assert trace.augmentations > 0
     assert trace.extensions == trace.augmentations
-    assert trace.repairs == 0
     assert any(ev["kind"] == "augment" for ev in trace.events)
