@@ -411,52 +411,32 @@ class Matroid:
     def components(self) -> list[ElementSet]:
         """Partition of the universe into circuit-connectivity classes.
 
-        Elements lying in no circuit (coloops) and loops come out as
-        singleton classes.
+        Two elements share a class exactly when the fundamental circuits
+        of one greedy base link them (Krogdahl, "The dependence graph for
+        bases in matroids", 1977), so this costs O(n*r) oracle calls.
+        Loops and coloops come out as singleton classes.
         """
-        masks = self._component_masks()
-        masks.sort(key=lambda m: m & -m)
-        return [ElementSet(self.ground, m) for m in masks]
-
-    def _component_masks(self) -> list[int]:
-        return _brute_component_masks(self)
+        base = self._max_indep(self.universe_mask)
+        classes: list[int] = []
+        for x in bit_indices(self.universe_mask & ~base):
+            merged = self._fund_circuit(x, base)
+            keep = []
+            for c in classes:
+                if c & merged:
+                    merged |= c
+                else:
+                    keep.append(c)
+            keep.append(merged)
+            classes = keep
+        covered = 0
+        for c in classes:
+            covered |= c
+        classes.extend(1 << e for e in bit_indices(self.universe_mask & ~covered))
+        classes.sort(key=lambda m: m & -m)
+        return [ElementSet(self.ground, m) for m in classes]
 
     def _json_doc(self) -> dict:
         raise MatroidKitError(f"{self.kind} handle has no JSON form")
-
-
-def _brute_component_masks(m: Matroid) -> list[int]:
-    idxs = list(bit_indices(m.universe_mask))
-    n = len(idxs)
-    if n > exhaustive_bound(16):
-        raise TooLarge(f"component enumeration over {n} elements exceeds the bound")
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    pos = {e: i for i, e in enumerate(idxs)}
-    for compact in range(1, 1 << n):
-        mask = 0
-        mm = compact
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            mask |= 1 << idxs[low.bit_length() - 1]
-        if m._is_circuit(mask):
-            elems = list(bit_indices(mask))
-            for other in elems[1:]:
-                ra, rb = find(pos[elems[0]]), find(pos[other])
-                if ra != rb:
-                    parent[rb] = ra
-    classes: dict[int, int] = {}
-    for i, e in enumerate(idxs):
-        root = find(i)
-        classes[root] = classes.get(root, 0) | (1 << e)
-    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +454,6 @@ class UniformMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return mask.bit_count() <= self.r
-
-    def _component_masks(self) -> list[int]:
-        n = self.universe_mask.bit_count()
-        if 0 < self.r < n:
-            return [self.universe_mask]
-        return [1 << e for e in bit_indices(self.universe_mask)]
 
     def _json_doc(self) -> dict:
         return {
@@ -558,18 +532,6 @@ class PartitionMatroid(Matroid):
     def _indep_raw(self, mask: int) -> bool:
         return all((mask & bmask).bit_count() <= cap for bmask, cap in self.blocks)
 
-    def _component_masks(self) -> list[int]:
-        out = []
-        covered = 0
-        for bmask, cap in self.blocks:
-            covered |= bmask
-            if 0 < cap < bmask.bit_count():
-                out.append(bmask)
-            else:
-                out.extend(1 << e for e in bit_indices(bmask))
-        out.extend(1 << e for e in bit_indices(self.universe_mask & ~covered))
-        return out
-
     def _json_doc(self) -> dict:
         return {
             "kind": "partition",
@@ -624,10 +586,6 @@ class DualMatroid(Matroid):
     def _indep_raw(self, mask: int) -> bool:
         u = self.universe_mask
         return self.child._rank(u & ~mask) == self.child._rank(u)
-
-    def _component_masks(self) -> list[int]:
-        # A matroid and its dual have identical components.
-        return self.child._component_masks()
 
     def _json_doc(self) -> dict:
         return {"kind": "dual", "of": self.child._json_doc()}
@@ -697,12 +655,6 @@ class DirectSumMatroid(Matroid):
     def _indep_raw(self, mask: int) -> bool:
         return all(p._indep(mask & p.universe_mask) for p in self.parts)
 
-    def _component_masks(self) -> list[int]:
-        out: list[int] = []
-        for p in self.parts:
-            out.extend(p._component_masks())
-        return out
-
     def _json_doc(self) -> dict:
         return {"kind": "sum", "parts": [p._json_doc() for p in self.parts]}
 
@@ -736,15 +688,6 @@ class RelabelMatroid(Matroid):
         for e in bit_indices(mask):
             cmask |= 1 << self._to_child[e]
         return self.child._indep(cmask)
-
-    def _map_mask(self, cmask: int) -> int:
-        out = 0
-        for c in bit_indices(cmask):
-            out |= 1 << self.mapping[c]
-        return out
-
-    def _component_masks(self) -> list[int]:
-        return [self._map_mask(m) for m in self.child._component_masks()]
 
     def _json_doc(self) -> dict:
         # Only label-preserving relabelings (as produced by concat_sum)

@@ -483,14 +483,13 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
     return out
 
 
-def extend_to_nice(
-    ctx: PairContext, state: FeasibleState, trace: Trace | None = None
-) -> FeasibleState:
+def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> FeasibleState:
     """Adjoin a common base of the quotient's largest wave.
 
     Raises ExtensionFailed when no common base exists, which a valid
     augmentation never allows.
     """
+    ctx = state.ctx
     pair = ctx.quotient(state.I.mask)
     wave = largest_wave(pair)
     base = common_base_B(pair, wave.W)
@@ -508,13 +507,13 @@ def extend_to_nice(
 
 
 def key_step(
-    ctx: PairContext,
     state: FeasibleState,
     e: int,
     trace: Trace | None = None,
     prec: list[int] | None = None,
 ) -> FeasibleState:
     """Grow the state until element ``e`` of E0 is spanned in N."""
+    ctx = state.ctx
     if not (1 << e) & ctx.E0.mask:
         raise PreconditionViolated("target element must lie in E0")
     size = ctx.universe_mask.bit_count()
@@ -529,7 +528,7 @@ def key_step(
             raise Stuck(f"no augmenting path while element {e} is unspanned")
         before0 = ctx.N._span(state.I.mask) & ctx.E0.mask
         state = augment(state, path, trace)
-        state = extend_to_nice(ctx, state, trace)
+        state = extend_to_nice(state, trace)
         if before0 & ~(ctx.N._span(state.I.mask) & ctx.E0.mask):
             raise PostconditionFailed("N-span on E0 stopped being ascending")
     return state
@@ -557,7 +556,7 @@ def mixed_solve(
     state = FeasibleState(ctx, ElementSet(ground, 0))
     for e in bit_indices(ctx.E0.mask):
         if not ctx.N._span(state.I.mask) >> e & 1:
-            state = key_step(ctx, state, e, trace)
+            state = key_step(state, e, trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)
     tail_m = mq.contract(state.I).restrict(rest)

@@ -2,7 +2,8 @@
 
 Everything here is definition-level enumeration: maximum common
 independent sets by scanning all subsets, the min-max value over all
-partitions, the largest wave as the union of all witnessed waves, and
+partitions, the largest wave as the union of all witnessed waves,
+components as the classes linked by circuits over all subsets, and
 orientation feasibility over all edge-direction vectors.  These routines
 feed every acceptance test and stay independent of the solvers.
 """
@@ -16,6 +17,7 @@ from .core import (
     ElementSet,
     GroundSet,
     Matroid,
+    PostconditionFailed,
     TooLarge,
     bit_indices,
     exhaustive_bound,
@@ -27,6 +29,7 @@ from .orient import DemandGraph, effective_lower_bound
 from .packcov import MatroidFamily
 
 MAX_COMMON_BOUND = 16
+COMPONENTS_BOUND = 16
 WAVE_BOUND = 10
 ORIENT_BOUND = 14
 
@@ -79,6 +82,26 @@ def brute_minmax(m: Matroid, n: Matroid) -> int:
     return best if best is not None else 0
 
 
+def brute_components(m: Matroid) -> list[ElementSet]:
+    """Classes of elements linked by chains of circuits, over every subset.
+
+    Loops and coloops come out as singletons; classes are ordered by
+    their lowest element.
+    """
+    size = m.universe_mask.bit_count()
+    if size > exhaustive_bound(COMPONENTS_BOUND):
+        raise TooLarge(f"component enumeration over {size} elements")
+    classes = [1 << e for e in bit_indices(m.universe_mask)]
+    for mask in _compact_masks(m.universe_mask):
+        if m._is_circuit(mask):
+            linked = [c for c in classes if c & mask]
+            if len(linked) > 1:
+                # The classes are disjoint, so their sum is their union.
+                classes = [c for c in classes if not c & mask] + [sum(linked)]
+    classes.sort(key=lambda c: c & -c)
+    return [ElementSet(m.ground, c) for c in classes]
+
+
 def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     """Union of all waves, found by scanning every (set, witness) pair.
 
@@ -119,7 +142,7 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
         if wmask & ~union and is_wave_mask(wmask):
             union |= wmask
     if not is_wave_mask(union):
-        raise TooLarge("union of waves failed its own wave test")  # pragma: no cover
+        raise PostconditionFailed("union of waves failed its own wave test")  # pragma: no cover
     return ElementSet(m.ground, union)
 
 

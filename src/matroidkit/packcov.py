@@ -20,11 +20,9 @@ from .core import (
     PartitionMatroid,
     PostconditionFailed,
     RelabelMatroid,
-    TooLarge,
     UniverseMismatch,
     bit_indices,
     direct_sum,
-    exhaustive_bound,
 )
 from .intersect import (
     IntersectionCertificate,
@@ -35,8 +33,6 @@ from .intersect import (
     verify_certificate,
 )
 from .waves import PairContext
-
-LIFT_BOUND = 24
 
 
 @dataclass(frozen=True)
@@ -80,14 +76,10 @@ class LiftedFamily:
         return divmod(idx, self.k)
 
 
-def lift_family(fam: MatroidFamily, bound: int | None = None) -> LiftedFamily:
+def lift_family(fam: MatroidFamily) -> LiftedFamily:
     """Copies of the members on disjoint slices, against per-element blocks."""
     k = fam.k
     base = fam.ground
-    total = k * base.size
-    limit = bound if bound is not None else exhaustive_bound(LIFT_BOUND)
-    if total > limit:
-        raise TooLarge(f"lifted universe of {total} elements exceeds {limit}")
     labels = tuple(
         f"{base.label(e)}@{i}" for e in range(base.size) for i in range(k)
     )

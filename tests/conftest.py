@@ -191,7 +191,7 @@ def drive_mixed(m: C.Matroid, split, trace=None):
             path = find_aug_path(state)
             assert path is not None
             augmented = augment(state, path, trace=trace)
-            extended = extend_to_nice(ctx, augmented, trace=trace)
+            extended = extend_to_nice(augmented, trace=trace)
             records.append((state, path, augmented, extended))
             state = extended
     return wave, ctx, state, records

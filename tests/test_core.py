@@ -280,8 +280,8 @@ def test_components_examples():
     ]
 
 
-def test_components_structural_matches_brute():
-    from matroidkit.core import _brute_component_masks
+def test_components_structural_matches_brute(corpus):
+    from matroidkit.oracle import brute_components
 
     cases = [
         C.uniform(G4, 2),
@@ -291,10 +291,15 @@ def test_components_structural_matches_brute():
         C.PartitionMatroid(G4, ((0b0011, 1), (0b1100, 2))),
         C.concat_sum([C.uniform(GroundSet(tuple("uv")), 1), triangle()]),
     ]
+    for inst in corpus.pairs:
+        # Every other element: a contraction of M and a restriction of N.
+        half = ElementSet(inst.M.ground, inst.M.universe_mask & 0x5555)
+        cases += [inst.M, inst.N, inst.M.dual(), inst.N.dual()]
+        cases += [inst.M.contract(half), inst.N.restrict(half)]
     for m in cases:
-        structural = sorted(c.mask for c in m.components())
-        brute = sorted(_brute_component_masks(m), key=lambda x: x & -x)
-        assert structural == sorted(brute)
+        assert m.size <= 10
+        want = [c.mask for c in brute_components(m)]
+        assert [c.mask for c in m.components()] == want, m.kind
 
 
 # ---------------------------------------------------------------------------

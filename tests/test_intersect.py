@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from matroidkit import core as C
@@ -298,8 +300,8 @@ def test_extend_to_nice_keeps_already_extended_state():
     ground, ctx, state = five_element_split()
     path = find_aug_path(state)
     augmented = augment(state, path)
-    extended = extend_to_nice(ctx, augmented)
-    again = extend_to_nice(ctx, extended)
+    extended = extend_to_nice(augmented)
+    again = extend_to_nice(extended)
     assert again.I == extended.I
 
 
@@ -321,14 +323,14 @@ def test_extend_to_nice_reaches_nice_state(corpus):
 def test_key_step_noop_when_already_spanned():
     ground, ctx, state = five_element_split()
     spanned = next(iter(bit_indices(ctx.N._span(state.I.mask) & ctx.E0.mask)))
-    out = key_step(ctx, state, spanned)
+    out = key_step(state, spanned)
     assert out.I == state.I
 
 
 def test_key_step_requires_e0_target():
     ground, ctx, state = five_element_split()
     with pytest.raises(C.PreconditionViolated):
-        key_step(ctx, state, ground.index("d"))
+        key_step(state, ground.index("d"))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +362,30 @@ def test_mixed_all_component_splits(corpus):
             assert verify_certificate(inst.M, inst.N, cert)
 
 
+@pytest.mark.parametrize("size", [32, 48])
+def test_mixed_matches_classic_past_enumeration_sizes(size):
+    # N: two 2-connected graphs on disjoint 8-vertex sets, so exactly two
+    # components; M: shuffled pairs of edges, at most one of each pair.
+    edges = []
+    for side in "ab":
+        for k in range(size // 2):
+            i, step = k % 8, 1 + k // 8
+            edges.append((f"{side}{i}", f"{side}{(i + step) % 8}", f"{side}{k}"))
+    n = C.graphic([f"{side}{i}" for side in "ab" for i in range(8)], edges)
+    order = list(range(size))
+    random.Random(size).shuffle(order)
+    pairs = tuple(((1 << order[j]) | (1 << order[j + 1]), 1) for j in range(0, size, 2))
+    m = C.PartitionMatroid(n.ground, pairs)
+    comps = n.components()
+    assert len(comps) == 2
+    classic = edmonds_solve(PairContext(m, n))
+    assert verify_certificate(m, n, classic)
+    for e1 in (n.ground.empty(), comps[0]):
+        cert = mixed_solve(m, SplitInput(n, n.elements() - e1, e1))
+        assert len(cert.I) == len(classic.I), e1.labels()
+        assert verify_certificate(m, n, cert)
+
+
 def test_split_validation_rejects_crossing_component():
     n = C.uniform(G3, 1)  # one component: the whole set
     with pytest.raises(C.PreconditionViolated):
@@ -387,7 +413,7 @@ def test_arc_persistence_on_hand_built_instance():
     ground, ctx, state = five_element_split()
     path = find_aug_path(state)
     augmented = augment(state, path)
-    extended = extend_to_nice(ctx, augmented)
+    extended = extend_to_nice(augmented)
     replay_arc_persistence((state, path, augmented, extended))
 
 

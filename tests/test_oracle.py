@@ -8,6 +8,7 @@ from matroidkit import core as C
 from matroidkit.core import GroundSet, matroid_to_json
 from matroidkit.oracle import (
     CorpusSpec,
+    brute_components,
     brute_largest_wave,
     brute_max_common,
     brute_minmax,
@@ -94,6 +95,8 @@ def test_too_large_guards():
         brute_max_common(C.free(big), C.free(big))
     with pytest.raises(C.TooLarge):
         brute_minmax(C.free(big), C.free(big))
+    with pytest.raises(C.TooLarge):
+        brute_components(C.free(big))
     med = GroundSet(tuple(f"e{i}" for i in range(11)))
     with pytest.raises(C.TooLarge):
         brute_largest_wave(C.free(med), C.free(med))

@@ -77,11 +77,18 @@ def test_lift_independence_is_slicewise():
         assert lifted.M._indep(mask) == expect
 
 
-def test_lift_too_large():
-    big = GroundSet(tuple(f"e{i}" for i in range(9)))
-    fam = MatroidFamily(big, (C.free(big), C.free(big), C.free(big)))
-    with pytest.raises(C.TooLarge):
-        lift_family(fam)
+def test_lift_past_enumeration_sizes_solves():
+    # A 6-cycle with 6 chords: 12 edges, lifted to 36 elements.
+    edges = [(f"v{i}", f"v{(i + 1) % 6}", f"c{i}") for i in range(6)]
+    edges += [(f"v{i}", f"v{(i + 2) % 6}", f"d{i}") for i in range(6)]
+    g = C.graphic([f"v{i}" for i in range(6)], edges)
+    fam = MatroidFamily(g.ground, (g, g, g))
+    assert lift_family(fam).ground.size == 36
+    total = lambda r: sum(len(x) for x in r.J)
+    results = [packcov_solve(fam, solver=s) for s in ("classic", "mixed")]
+    for res in results:
+        assert verify_packcov(fam, res)
+    assert total(results[0]) == total(results[1])
 
 
 # ---------------------------------------------------------------------------
