@@ -38,7 +38,7 @@ from .oracle import (
     fuzz_corpus,
 )
 from .orient import DemandGraph, build_instance, orient_solve, verify_outcome
-from .packcov import MatroidFamily, packcov_solve, verify_packcov
+from .packcov import MatroidFamily, lift_family, packcov_solve, verify_packcov
 from .waves import PairContext, check_cond_plus, largest_wave
 
 INTERNAL_ERRORS = (Stuck, PostconditionFailed, ExtensionFailed, CertificateInvalid)
@@ -75,6 +75,15 @@ def _set_from_labels(ground: GroundSet, labels) -> ElementSet:
     return ground.subset(labels)
 
 
+def _e1_from_args(args, ground_of) -> ElementSet | None:
+    """The ``--e1`` labels on the solved ground set ``ground_of()``; mixed solver only."""
+    if not args.e1:
+        return None
+    if args.solver != "mixed":
+        raise InvalidDocument("--e1 needs --solver mixed")
+    return _set_from_labels(ground_of(), _load(args.e1))
+
+
 def _pair_from_args(args) -> tuple[Matroid, Matroid, dict]:
     m_doc = _load(args.m)
     n_doc = _load(args.n)
@@ -99,15 +108,12 @@ def _result(subcommand: str, inputs: dict, output: dict, verification, telemetry
 
 def _cmd_intersect(args) -> tuple[dict, int]:
     m, n, digests = _pair_from_args(args)
+    e1 = _e1_from_args(args, lambda: n.ground)
     trace = Trace()
     if args.solver == "classic":
         cert = edmonds_solve(PairContext(m, n), trace)
     else:
-        e1 = (
-            _set_from_labels(n.ground, _load(args.e1))
-            if args.e1
-            else n.ground.empty()
-        )
+        e1 = e1 if e1 is not None else n.ground.empty()
         e0 = ElementSet(n.ground, n.universe_mask & ~e1.mask)
         cert = mixed_solve(m, SplitInput(n, e0, e1), trace)
     output = {
@@ -175,11 +181,7 @@ def _cmd_packcov(args) -> tuple[dict, int]:
         members.append(member)
     fam = MatroidFamily(ground, tuple(members))
     trace = Trace()
-    e1 = None
-    if args.e1:
-        from .packcov import lift_family
-
-        e1 = _set_from_labels(lift_family(fam).ground, _load(args.e1))
+    e1 = _e1_from_args(args, lambda: lift_family(fam).ground)
     res = packcov_solve(fam, solver=args.solver, e1=e1, trace=trace)
     output = {
         "E_p": _labels(res.E_p),
@@ -205,10 +207,7 @@ def _cmd_orient(args) -> tuple[dict, int]:
     except (KeyError, TypeError) as exc:
         raise InvalidDocument(f"graph document needs vertices and edges: {exc}")
     trace = Trace()
-    e1 = None
-    if args.e1:
-        inst = build_instance(graph)
-        e1 = _set_from_labels(inst.ground, _load(args.e1))
+    e1 = _e1_from_args(args, lambda: build_instance(graph).ground)
     out = orient_solve(graph, solver=args.solver, e1=e1, trace=trace)
     output = {
         "verdict": out.verdict,

@@ -23,7 +23,14 @@ def exhaustive_bound(default: int) -> int:
     overrides every built-in default.
     """
     value = os.environ.get(ENV_MAX_EXHAUSTIVE)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise MatroidKitError(
+            f"{ENV_MAX_EXHAUSTIVE} must be an integer, not {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -904,24 +911,13 @@ def axiom_check(m: Matroid, bound: int | None = None) -> bool:
     downward closed, and that every non-maximal independent set extends
     into every maximal one.
     """
-    idxs = list(bit_indices(m.universe_mask))
-    n = len(idxs)
+    expand = [1 << e for e in bit_indices(m.universe_mask)]
+    n = len(expand)
     limit = bound if bound is not None else exhaustive_bound(12)
     if n > limit:
         raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
 
-    expand = [1 << e for e in idxs]
-    masks = []
-    for compact in range(1 << n):
-        mask = 0
-        mm = compact
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            mask |= expand[low.bit_length() - 1]
-        masks.append(mask)
-
-    indep = [s for s in masks if m._indep(s)]
+    indep = [s for s in iter_submasks(m.universe_mask) if m._indep(s)]
     if 0 not in indep:
         return False
     indep_set = set(indep)

@@ -22,6 +22,7 @@ from .core import (
     bit_indices,
     exhaustive_bound,
     graphic,
+    iter_submasks,
     partition,
     uniform,
 )
@@ -34,24 +35,9 @@ WAVE_BOUND = 10
 ORIENT_BOUND = 14
 
 
-def _compact_masks(universe_mask: int) -> list[int]:
-    idxs = list(bit_indices(universe_mask))
-    expand = [1 << e for e in idxs]
-    masks = []
-    for compact in range(1 << len(idxs)):
-        mask = 0
-        mm = compact
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            mask |= expand[low.bit_length() - 1]
-        masks.append(mask)
-    return masks
-
-
 def rank_table(m: Matroid) -> dict[int, int]:
     """Rank of every subset of the universe, by greedy completion."""
-    return {mask: m._rank(mask) for mask in _compact_masks(m.universe_mask)}
+    return {mask: m._rank(mask) for mask in iter_submasks(m.universe_mask)}
 
 
 def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
@@ -61,7 +47,7 @@ def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
         raise TooLarge(f"brute max-common over {size} elements")
     best = 0
     best_mask = 0
-    for mask in _compact_masks(m.universe_mask):
+    for mask in iter_submasks(m.universe_mask):
         if mask.bit_count() > best and m._indep(mask) and n._indep(mask):
             best = mask.bit_count()
             best_mask = mask
@@ -75,7 +61,7 @@ def brute_minmax(m: Matroid, n: Matroid) -> int:
         raise TooLarge(f"brute min-max over {size} elements")
     universe = m.universe_mask
     best = None
-    for mask in _compact_masks(universe):
+    for mask in iter_submasks(universe):
         value = m._rank(mask) + n._rank(universe & ~mask)
         if best is None or value < best:
             best = value
@@ -92,7 +78,7 @@ def brute_components(m: Matroid) -> list[ElementSet]:
     if size > exhaustive_bound(COMPONENTS_BOUND):
         raise TooLarge(f"component enumeration over {size} elements")
     classes = [1 << e for e in bit_indices(m.universe_mask)]
-    for mask in _compact_masks(m.universe_mask):
+    for mask in iter_submasks(m.universe_mask):
         if m._is_circuit(mask):
             linked = [c for c in classes if c & mask]
             if len(linked) > 1:
@@ -121,24 +107,15 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
 
     def is_wave_mask(wmask: int) -> bool:
         target = rm[wmask]
-        sub = 0
-        while True:
-            b = sub
+        for b in iter_submasks(wmask):
             if rm[b] == b.bit_count() == target:
                 rest = wmask & ~b
-                ok = True
-                for x in bit_indices(b):
-                    if dual_rank(rest | (1 << x)) != dual_rank(rest):
-                        ok = False
-                        break
-                if ok:
+                if all(dual_rank(rest | (1 << x)) == dual_rank(rest) for x in bit_indices(b)):
                     return True
-            if sub == wmask:
-                return False
-            sub = (sub - wmask) & wmask
+        return False
 
     union = 0
-    for wmask in _compact_masks(universe):
+    for wmask in iter_submasks(universe):
         if wmask & ~union and is_wave_mask(wmask):
             union |= wmask
     if not is_wave_mask(union):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -76,14 +77,25 @@ class DemandGraph:
                 )
         return graph
 
+    @cached_property
+    def _demand(self) -> dict[str, int]:
+        return dict(self.demands)
+
+    @cached_property
+    def _degree(self) -> dict[str, int]:
+        deg: dict[str, int] = {}
+        for u, w, _ in self.edges:
+            deg[u] = deg.get(u, 0) + 1
+            deg[w] = deg.get(w, 0) + 1
+        return deg
+
     def o(self, v: str) -> int:
-        for name, value in self.demands:
-            if name == v:
-                return value
-        raise MatroidKitError(f"unknown vertex {v!r}")
+        if v not in self._demand:
+            raise MatroidKitError(f"unknown vertex {v!r}")
+        return self._demand[v]
 
     def degree(self, v: str) -> int:
-        return sum((u == v) + (w == v) for u, w, _ in self.edges)
+        return self._degree.get(v, 0)
 
 
 def effective_lower_bound(g: DemandGraph, v: str, demands=None) -> int:
@@ -119,39 +131,30 @@ class OrientInstance:
     ground: GroundSet
     M: Matroid
     N: Matroid
-    head: tuple[str, ...]
     vertex_blocks: tuple[tuple[str, Matroid, int], ...]
 
 
 def build_instance(g: DemandGraph) -> OrientInstance:
     """Two arcs per edge; per-vertex in-degree matroids against edge blocks."""
     labels = []
-    head = []
-    for u, v, label in g.edges:
-        labels.append(f"{label}>")
-        head.append(v)
-        labels.append(f"{label}<")
-        head.append(u)
+    in_arcs = dict.fromkeys(g.vertices, 0)
+    for i, (u, v, label) in enumerate(g.edges):
+        labels += [f"{label}>", f"{label}<"]
+        in_arcs[v] |= 1 << (2 * i)
+        in_arcs[u] |= 2 << (2 * i)
     ground = GroundSet(tuple(labels))
-    in_arcs = {v: 0 for v in g.vertices}
-    for i, h in enumerate(head):
-        in_arcs[h] |= 1 << i
 
     blocks = []
     for v in g.vertices:
-        o = g.o(v)
         delta = ElementSet(ground, in_arcs[v])
-        if o >= 0:
-            mv = uniform(ground, o).restrict(delta)
-        else:
-            mv = uniform(ground, -o).restrict(delta).dual()
+        mv = uniform(ground, effective_lower_bound(g, v)).restrict(delta)
         blocks.append((v, mv, in_arcs[v]))
     m = direct_sum([mv for _v, mv, _mask in blocks])
     n = PartitionMatroid(
         ground,
         tuple((0b11 << (2 * i), 1) for i in range(len(g.edges))),
     )
-    return OrientInstance(g, ground, m, n, tuple(head), tuple(blocks))
+    return OrientInstance(g, ground, m, n, tuple(blocks))
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,42 @@ def test_input_errors_exit_2(files, capsys):
     assert json.loads(err)["error"]["type"] == "UniverseMismatch"
 
 
+def test_e1_without_mixed_solver_exits_2(files, capsys):
+    tmp, write = files
+    m = write("m.json", UNIFORM)
+    n = write("n.json", PARTITION)
+    member = {"kind": "uniform", "n": 2, "r": 1, "labels": ["a", "b"]}
+    fam = write("fam.json", {"universe": ["a", "b"], "members": [member]})
+    graph = write("g.json", {"vertices": ["a", "b"], "edges": [["a", "b", "e0"]]})
+    demands = write("o.json", {"a": 1})
+    missing = str(tmp / "missing.json")
+    for argv in (
+        ["intersect", "--m", m, "--n", n],
+        ["intersect", "--m", m, "--n", n, "--solver", "classic"],
+        ["packcov", "--family", fam],
+        ["orient", "--graph", graph, "--demands", demands],
+    ):
+        code, out, err = run(capsys, argv + ["--e1", missing])
+        assert code == 2 and not out, argv
+        assert "--e1 needs --solver mixed" in json.loads(err)["error"]["message"]
+
+    # with the mixed solver the same flag is read on the solved ground set
+    mixed = ["orient", "--graph", graph, "--demands", demands, "--solver", "mixed"]
+    code, out, _ = run(capsys, mixed + ["--e1", write("e1.json", ["e0>", "e0<"])])
+    assert code == 0 and json.loads(out)["output"]["verdict"] == "above"
+    code, _, err = run(capsys, mixed + ["--e1", missing])
+    assert code == 2 and json.loads(err)["error"]["type"] == "InvalidDocument"
+
+
+def test_malformed_exhaustive_bound_exits_2(files, capsys, monkeypatch):
+    tmp, write = files
+    good = write("good.json", PARTITION)
+    monkeypatch.setenv("MATROIDKIT_MAX_EXHAUSTIVE", "abc")
+    code, out, err = run(capsys, ["check", "--m", good])
+    assert code == 2 and not out
+    assert "MATROIDKIT_MAX_EXHAUSTIVE" in json.loads(err)["error"]["message"]
+
+
 def test_internal_failures_exit_3(files, capsys, monkeypatch):
     tmp, write = files
     m = write("m.json", UNIFORM)

@@ -59,6 +59,9 @@ def test_effective_lower_bound():
     assert effective_lower_bound(g, "v0") == 1
     assert effective_lower_bound(g, "v1") == 1  # degree 2, demand -1
     assert effective_lower_bound(g, "v2") == 0
+    assert [g.degree(v) for v in g.vertices] == [1, 2, 1]
+    with pytest.raises(C.MatroidKitError):
+        g.o("x")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +79,7 @@ def test_negative_full_demand_gives_rank_zero_block():
     g = DemandGraph.build(["u", "v"], [("u", "v", "e")], {"u": -1, "v": 0})
     inst = build_instance(g)
     mv = dict((v, m) for v, m, _ in inst.vertex_blocks)["u"]
-    # demand -degree forces the dual of a free block: rank zero
+    # demand -degree leaves a lower bound of 0 on the in-arcs: rank zero
     assert mv.rank() == 0
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
+from matroidkit.intersect import edmonds_solve
 from matroidkit.waves import (
     PairContext,
     check_cond,
@@ -101,13 +104,44 @@ def test_largest_wave_matches_brute(corpus):
         assert wave.W.mask == brute_largest_wave_mask(inst.M, inst.N), inst.name
 
 
+def graphic_partition_pair(size):
+    """Graphic M, half on a dense 6-vertex graph and half a tree, against
+    a partition N of shuffled pairs; the largest wave is a proper part."""
+    rng = random.Random(size)
+    half = size // 2
+    edges = []
+    for k in range(half):
+        u, v = rng.sample(range(6), 2)
+        edges.append((f"a{u}", f"a{v}", f"e{k}"))
+    for k in range(half, size):
+        j = k - half + 1
+        edges.append((f"b{rng.randrange(j)}", f"b{j}", f"e{k}"))
+    m = C.graphic([f"a{i}" for i in range(6)] + [f"b{i}" for i in range(half + 1)], edges)
+    order = list(range(size))
+    rng.shuffle(order)
+    pairs = tuple(((1 << order[j]) | (1 << order[j + 1]), 1) for j in range(0, size, 2))
+    return m, C.PartitionMatroid(m.ground, pairs)
+
+
 def test_quotient_after_removal_has_empty_wave(corpus):
-    for inst in small_pairs(corpus, limit=20):
-        wave = largest_wave(PairContext(inst.M, inst.N))
-        mq = inst.M.contract(wave.W)
-        nq = inst.N.delete(wave.W)
+    # the corpus pairs, then pairs past brute-force sizes, where the
+    # certificate's min-max equality stands in for the brute wave
+    pairs = [(inst.M, inst.N) for inst in small_pairs(corpus, limit=20)]
+    pairs += [graphic_partition_pair(size) for size in (32, 48)]
+    waves = []
+    for m, n in pairs:
+        ctx = PairContext(m, n)
+        wave = largest_wave(ctx)
+        cert = edmonds_solve(ctx)
+        assert wave.W == cert.E_M
+        w = wave.W.mask
+        assert m._rank(w) + n._rank(m.universe_mask & ~w) == len(cert.I)
+        mq = m.contract(wave.W)
+        nq = n.delete(wave.W)
         assert largest_wave(PairContext(mq, nq)).W.mask == 0
         assert check_cond_plus(PairContext(mq, nq))
+        waves.append((w, m.universe_mask))
+    assert all(0 < w < universe for w, universe in waves[-2:])
 
 
 # ---------------------------------------------------------------------------
