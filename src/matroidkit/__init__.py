@@ -55,6 +55,7 @@ from .intersect import (
     find_aug_path,
     key_step,
     mixed_solve,
+    solve,
     verify_certificate,
 )
 from .orient import (

@@ -29,7 +29,7 @@ from .core import (
     matroid_from_json,
     matroid_to_json,
 )
-from .intersect import SplitInput, Trace, edmonds_solve, mixed_solve, verify_certificate
+from .intersect import Trace, solve, verify_certificate
 from .oracle import (
     CorpusSpec,
     brute_largest_wave,
@@ -110,12 +110,7 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     m, n, digests = _pair_from_args(args)
     e1 = _e1_from_args(args, lambda: n.ground)
     trace = Trace()
-    if args.solver == "classic":
-        cert = edmonds_solve(PairContext(m, n), trace)
-    else:
-        e1 = e1 if e1 is not None else n.ground.empty()
-        e0 = ElementSet(n.ground, n.universe_mask & ~e1.mask)
-        cert = mixed_solve(m, SplitInput(n, e0, e1), trace)
+    cert = solve(m, n, args.solver, e1, trace)
     output = {
         "certificate": {
             "I": _labels(cert.I),
@@ -166,6 +161,8 @@ def _cmd_packcov(args) -> tuple[dict, int]:
         member_docs = doc["members"]
     except (KeyError, TypeError) as exc:
         raise InvalidDocument(f"family document needs universe and members: {exc}")
+    if not isinstance(member_docs, list):
+        raise InvalidDocument("family members must be a JSON list")
     ground = GroundSet(universe)
     members = []
     for mdoc in member_docs:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 ENV_MAX_EXHAUSTIVE = "MATROIDKIT_MAX_EXHAUSTIVE"
+# most elements whose subsets axiom_check enumerates by default
+AXIOM_CHECK_BOUND = 12
 
 
 def exhaustive_bound(default: int) -> int:
@@ -250,7 +252,6 @@ class Matroid:
         self._memo_indep: dict[int, bool] = {}
         self._memo_base: dict[int, int] = {}
         self._memo_span: dict[int, int] = {}
-        self._loops_cache: int | None = None
         self._dual_cache: "Matroid | None" = None
 
     # -- low-level mask oracle ------------------------------------------
@@ -301,13 +302,7 @@ class Matroid:
         return out
 
     def _loops_mask(self) -> int:
-        if self._loops_cache is None:
-            loops = 0
-            for e in bit_indices(self.universe_mask):
-                if not self._indep(1 << e):
-                    loops |= 1 << e
-            self._loops_cache = loops
-        return self._loops_cache
+        return self._span(0)
 
     def _fund_circuit(self, e: int, imask: int) -> int:
         be = 1 << e
@@ -913,7 +908,7 @@ def axiom_check(m: Matroid, bound: int | None = None) -> bool:
     """
     expand = [1 << e for e in bit_indices(m.universe_mask)]
     n = len(expand)
-    limit = bound if bound is not None else exhaustive_bound(12)
+    limit = bound if bound is not None else exhaustive_bound(AXIOM_CHECK_BOUND)
     if n > limit:
         raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
 

@@ -12,6 +12,7 @@ properties, and every certificate is re-verified from raw oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from .core import (
     ElementSet,
@@ -27,10 +28,6 @@ from .core import (
     bit_indices,
 )
 from .waves import PairContext, check_cond_plus, common_base_B, largest_wave
-
-RULE_M = "M-circuit"
-RULE_N = "N-circuit"
-RULE_NSTAR = "N*-cocircuit"
 
 
 # ---------------------------------------------------------------------------
@@ -61,30 +58,27 @@ class Trace:
 
 
 class ExchangeDigraph:
-    """Arc list over the universe with a rule tag per arc."""
+    """One bitmask of heads per tail, with the bitmasks of tails derived once.
 
-    def __init__(self, ground: GroundSet, arcs: list[tuple[int, int, str]]) -> None:
+    An arc's rule is fixed by its tail: a tail outside I uses the
+    M-rule, a tail in I & E0 the N-rule and a tail in I & E1 the N*-rule.
+    """
+
+    def __init__(self, ground: GroundSet, out: dict[int, int]) -> None:
         self.ground = ground
-        self.arcs = tuple(arcs)
-        out: dict[int, list[int]] = {}
-        inn: dict[int, list[int]] = {}
-        pairs = set()
-        for x, y, _rule in arcs:
-            pairs.add((x, y))
-            out.setdefault(x, []).append(y)
-            inn.setdefault(y, []).append(x)
-        self._out = {x: tuple(sorted(set(ys))) for x, ys in out.items()}
-        self._in = {y: tuple(sorted(set(xs))) for y, xs in inn.items()}
-        self._pairs = pairs
+        self.out = out
+        into: dict[int, int] = {}
+        for x, heads in out.items():
+            for y in bit_indices(heads):
+                into[y] = into.get(y, 0) | 1 << x
+        self.into = into
 
-    def out_neighbors(self, x: int) -> tuple[int, ...]:
-        return self._out.get(x, ())
-
-    def in_neighbors(self, y: int) -> tuple[int, ...]:
-        return self._in.get(y, ())
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((x, y) for x in sorted(self.out) for y in bit_indices(self.out[x]))
 
     def has_arc(self, x: int, y: int) -> bool:
-        return (x, y) in self._pairs
+        return bool(self.out.get(x, 0) >> y & 1)
 
 
 @dataclass(frozen=True)
@@ -142,47 +136,39 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 # shortest-path machinery
 
 
+def _union(masks: dict[int, int], elements: int) -> int:
+    """Union of ``masks`` over the elements of the bitmask ``elements``."""
+    out = 0
+    for u in bit_indices(elements):
+        out |= masks.get(u, 0)
+    return out
+
+
 def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | None:
-    """Shortest path from ``source`` to the nearest sink, lexicographically least."""
-    if sinks_mask >> source & 1:
-        return [source]
-    dist = {source: 0}
-    frontier = [source]
-    found: list[int] = []
-    while frontier and not found:
-        nxt = []
-        for u in frontier:
-            for v in dg.out_neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-                    if sinks_mask >> v & 1:
-                        found.append(v)
-        frontier = nxt
-    if not found:
-        return None
-    t = min(found)
-    dist_t = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in dg.in_neighbors(u):
-                if w not in dist_t:
-                    dist_t[w] = dist_t[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    total = dist[t]
+    """Shortest path from ``source`` to the least nearest sink, lexicographically least.
+
+    Distance layers grow forward until one meets the sinks.  Going back
+    from the least sink in that layer, each earlier layer keeps only the
+    elements with an arc into the next kept layer, so every kept element
+    lies on a shortest path to that sink; the path then takes the lowest
+    kept head at each step.
+    """
+    layers = [1 << source]
+    seen = layers[0]
+    while not layers[-1] & sinks_mask:
+        nxt = _union(dg.out, layers[-1]) & ~seen
+        if not nxt:
+            return None
+        seen |= nxt
+        layers.append(nxt)
+    hit = layers[-1] & sinks_mask
+    kept = [hit & -hit]
+    for layer in reversed(layers[:-1]):
+        kept.append(layer & _union(dg.into, kept[-1]))
     path = [source]
-    cur = source
-    while cur != t:
-        step = dist[cur] + 1
-        cur = min(
-            v
-            for v in dg.out_neighbors(cur)
-            if dist.get(v) == step and dist_t.get(v) == total - step
-        )
-        path.append(cur)
+    for layer in reversed(kept[:-1]):
+        heads = dg.out[path[-1]] & layer
+        path.append((heads & -heads).bit_length() - 1)
     return path
 
 
@@ -194,16 +180,43 @@ def _check_chordless(dg: ExchangeDigraph, path: list[int]) -> None:
                 raise PostconditionFailed(f"shortest path has a jumping arc {k}->{ell}")
 
 
+def _first_path(
+    dg: ExchangeDigraph, sources: int, sinks: int, order: Iterable[int]
+) -> list[int] | None:
+    """Checked shortest path from the first source in ``order`` that reaches a sink."""
+    for s in order:
+        if sources >> s & 1:
+            path = _bfs_path(dg, s, sinks)
+            if path is not None:
+                _check_chordless(dg, path)
+                return path
+    return None
+
+
 def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
-    seen = seeds_mask
-    stack = list(bit_indices(seeds_mask))
-    while stack:
-        u = stack.pop()
-        for w in dg.in_neighbors(u):
-            if not seen >> w & 1:
-                seen |= 1 << w
-                stack.append(w)
+    seen = frontier = seeds_mask
+    while frontier:
+        frontier = _union(dg.into, frontier) & ~seen
+        seen |= frontier
     return seen
+
+
+def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int) -> int:
+    """I xor the path, checked to keep the spans an augmentation guarantees.
+
+    The new set must be common independent, span in M what I + last
+    spans, and span on E0 in N what I + first spans.
+    """
+    new = imask
+    for e in path:
+        new ^= 1 << e
+    if not (m._indep(new) and n._indep(new)):
+        raise PostconditionFailed("augmented set is not common independent")
+    if m._span(new) != m._span(imask | (1 << path[-1])):
+        raise PostconditionFailed("M-span was not preserved by the augmentation")
+    if n._span(new) & e0 != n._span(imask | (1 << path[0])) & e0:
+        raise PostconditionFailed("N-span on E0 was not preserved by the augmentation")
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +225,8 @@ def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
 
 def _exchange_arcs(
     m: Matroid, n: Matroid, imask: int, e1: int = 0, safe: int = 0
-) -> list[tuple[int, int, str]]:
-    """Arcs of the exchange digraph at the common independent set ``imask``.
+) -> dict[int, int]:
+    """Heads of each tail of the exchange digraph at the common independent set ``imask``.
 
     M-rule: an M-spanned x outside I points into its M-circuit.  N-rule:
     an element of I in E0 points to each N-spanned x outside I whose
@@ -221,23 +234,18 @@ def _exchange_arcs(
     fundamental circuit in the dual of N against ``safe``, the E1 part of
     the M-span outside I.  With E1 empty this is the classic digraph.
     """
-    arcs: list[tuple[int, int, str]] = []
+    out: dict[int, int] = {}
     e0 = m.universe_mask & ~e1
     for x in bit_indices(m.universe_mask & ~imask):
         bx = 1 << x
         if not m._indep(imask | bx):
-            circ = m._fund_circuit(x, imask)
-            for y in bit_indices(circ ^ bx):
-                arcs.append((x, y, RULE_M))
+            out[x] = m._fund_circuit(x, imask) ^ bx
         if not n._indep(imask | bx):
-            circ = n._fund_circuit(x, imask)
-            for y in bit_indices(circ & imask & e0):
-                arcs.append((y, x, RULE_N))
+            for y in bit_indices(n._fund_circuit(x, imask) & imask & e0):
+                out[y] = out.get(y, 0) | bx
     for x in bit_indices(imask & e1):
-        circ = n.dual()._fund_circuit(x, safe)
-        for y in bit_indices(circ ^ (1 << x)):
-            arcs.append((x, y, RULE_NSTAR))
-    return arcs
+        out[x] = n.dual()._fund_circuit(x, safe) ^ (1 << x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +259,18 @@ def _classic_run(
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
     universe = m.universe_mask
+    # each augmentation grows I by one, and one more step returns the certificate
+    max_steps = universe.bit_count() + 1
     imask = 0
-    for _ in range(universe.bit_count() + 1):
+    for _ in range(max_steps):
         step = _classic_step(m, n, imask)
         if isinstance(step, IntersectionCertificate):
             return step
-        imask = _apply_classic_path(m, n, imask, step, trace)
+        new = _augmented(m, n, imask, step, universe)
+        if trace is not None:
+            trace.augmentations += 1
+            trace.record("classic-augment", before=imask, path=tuple(step), after=new)
+        imask = new
     raise Stuck("classic solver exceeded its augmentation budget")
 
 
@@ -264,37 +278,16 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | Intersecti
     """A shortest augmenting path, or the reachability certificate when there is none."""
     universe = m.universe_mask
     dg = ExchangeDigraph(m.ground, _exchange_arcs(m, n, imask))
-    span_n = n._span(imask)
+    sources = universe & ~n._span(imask)
     sinks_mask = universe & ~m._span(imask)
-    for s in bit_indices(universe & ~span_n):
-        path = _bfs_path(dg, s, sinks_mask)
-        if path is not None:
-            _check_chordless(dg, path)
-            return path
+    path = _first_path(dg, sources, sinks_mask, bit_indices(sources))
+    if path is not None:
+        return path
     ground = m.ground
     e_m = universe & ~_coreach(dg, sinks_mask)
     return IntersectionCertificate(
         ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
     )
-
-
-def _apply_classic_path(
-    m: Matroid, n: Matroid, imask: int, path: list[int], trace: Trace | None
-) -> int:
-    pmask = 0
-    for e in path:
-        pmask |= 1 << e
-    new = imask ^ pmask
-    if not (m._indep(new) and n._indep(new)):
-        raise PostconditionFailed("classic augmentation broke independence")
-    if m._span(new) != m._span(imask | (1 << path[-1])):
-        raise PostconditionFailed("classic augmentation changed the M-span")
-    if n._span(new) != n._span(imask | (1 << path[0])):
-        raise PostconditionFailed("classic augmentation changed the N-span")
-    if trace is not None:
-        trace.augmentations += 1
-        trace.record("classic-augment", before=imask, path=tuple(path), after=new)
-    return new
 
 
 def edmonds_step(ctx: PairContext, independent: ElementSet) -> IntersectionCertificate | AugPath:
@@ -391,8 +384,8 @@ class FeasibleState:
 def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
     """The three-rule exchange digraph of the mixed method."""
     ctx = state.ctx
-    arcs = _exchange_arcs(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
-    return ExchangeDigraph(ctx.ground, arcs)
+    out = _exchange_arcs(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
+    return ExchangeDigraph(ctx.ground, out)
 
 
 def _has_arc(state: FeasibleState, x: int, y: int) -> bool:
@@ -436,39 +429,22 @@ def find_aug_path(state: FeasibleState, prec: list[int] | None = None) -> AugPat
     """Shortest augmenting path from the precedence-least possible source."""
     ctx = state.ctx
     dg = build_exchange_digraph(state)
-    span_n = ctx.N._span(state.I.mask)
-    source_mask = ctx.E0.mask & ~span_n
+    sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
     sinks_mask = ctx.E0.mask & ~state.span_m.mask
-    order = prec if prec is not None else list(bit_indices(ctx.universe_mask))
-    for s in order:
-        if not source_mask >> s & 1:
-            continue
-        path = _bfs_path(dg, s, sinks_mask)
-        if path is None:
-            continue
-        out = AugPath(tuple(path))
-        _validate_path(state, out.elements)
-        return out
-    return None
+    order = prec if prec is not None else bit_indices(ctx.universe_mask)
+    path = _first_path(dg, sources, sinks_mask, order)
+    return None if path is None else AugPath(tuple(path))
 
 
 def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> FeasibleState:
     """Apply one augmenting path; all guaranteed properties are asserted."""
     _validate_path(state, path.elements)
     ctx = state.ctx
-    m, n, nd = ctx.M, ctx.N, ctx.N.dual()
+    nd = ctx.N.dual()
     imask = state.I.mask
-    pmask = path.mask
-    new = imask ^ pmask
-    if not (m._indep(new) and n._indep(new)):
-        raise PostconditionFailed("augmented set is not common independent")
-    if m._span(new) != m._span(imask | (1 << path.last)):
-        raise PostconditionFailed("M-span was not preserved by the augmentation")
-    e0 = ctx.E0.mask
-    if n._span(new) & e0 != n._span(imask | (1 << path.first)) & e0:
-        raise PostconditionFailed("N-span on E0 was not preserved by the augmentation")
+    new = _augmented(ctx.M, ctx.N, imask, path.elements, ctx.E0.mask)
     safe = state.safe_base.mask
-    safe2 = safe ^ (pmask & ctx.E1.mask)
+    safe2 = safe ^ (path.mask & ctx.E1.mask)
     if not nd._indep(safe2):
         raise PostconditionFailed("updated dual base is dependent")
     if nd._span(safe) != nd._span(safe2):
@@ -517,12 +493,13 @@ def key_step(
     if not (1 << e) & ctx.E0.mask:
         raise PreconditionViolated("target element must lie in E0")
     size = ctx.universe_mask.bit_count()
-    cap = size * (size + 2) + 1
+    # each round grows I by one, so |E| rounds suffice; the cap is kept loose
+    max_rounds = size * (size + 2) + 1
     rounds = 0
     while not ctx.N._span(state.I.mask) >> e & 1:
         rounds += 1
-        if rounds > cap:
-            raise Stuck(f"iteration cap {cap} reached while element {e} unspanned")
+        if rounds > max_rounds:
+            raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
         path = find_aug_path(state, prec=prec)
         if path is None:
             raise Stuck(f"no augmenting path while element {e} is unspanned")
@@ -572,3 +549,25 @@ def mixed_solve(
     if not verify_certificate(m, n, cert):
         raise PostconditionFailed("mixed certificate failed raw verification")
     return cert
+
+
+def solve(
+    m: Matroid,
+    n: Matroid,
+    solver: str = "classic",
+    e1: ElementSet | None = None,
+    trace: Trace | None = None,
+) -> IntersectionCertificate:
+    """Verified maximum common independent set from the named solver.
+
+    The mixed solver walks ``e1`` (default empty) through cocircuits of N
+    and the rest of the universe through circuits; the classic solver
+    ignores ``e1``.
+    """
+    if solver == "classic":
+        return edmonds_solve(PairContext(m, n), trace)
+    if solver == "mixed":
+        e1 = e1 if e1 is not None else n.ground.empty()
+        e0 = ElementSet(n.ground, n.universe_mask & ~e1.mask)
+        return mixed_solve(m, SplitInput(n, e0, e1), trace)
+    raise PreconditionViolated(f"unknown solver {solver!r}")

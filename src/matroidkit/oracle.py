@@ -170,7 +170,6 @@ class CorpusSpec:
     graphs: int = 40
     max_graph_vertices: int = 6
     max_graph_edges: int = 9
-    kind_weights: tuple[tuple[str, int], ...] = DEFAULT_KIND_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def fuzz_corpus(spec: CorpusSpec) -> Corpus:
     rng = random.Random(spec.seed)
     corpus = Corpus(spec=spec)
     counts = corpus.kind_counts
-    weights = list(spec.kind_weights)
+    weights = list(DEFAULT_KIND_WEIGHTS)
     for i in range(spec.pairs):
         n_elems = rng.randint(2, spec.max_elements)
         labels = tuple(f"x{j}" for j in range(n_elems))

@@ -25,8 +25,7 @@ from .core import (
     direct_sum,
     uniform,
 )
-from .intersect import SplitInput, Trace, edmonds_solve, mixed_solve
-from .waves import PairContext
+from .intersect import Trace, solve
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,23 @@ class DemandGraph:
         vset = set(vtuple)
         if len(vset) != len(vtuple):
             raise MatroidKitError("vertex names must be distinct")
+        if not isinstance(demands, Mapping):
+            raise MatroidKitError("demands must map vertex names to integers")
+        for v, d in demands.items():
+            if v not in vset:
+                raise MatroidKitError(f"demand for unknown vertex {v!r}")
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise MatroidKitError(f"demand at {v!r} is not an integer: {d!r}")
         cleaned = []
         labels = set()
         for i, edge in enumerate(edges):
             if len(edge) == 3:
                 u, v, label = edge
-            else:
+            elif len(edge) == 2:
                 u, v = edge
                 label = f"e{i}"
+            else:
+                raise MatroidKitError(f"edge needs two endpoints and an optional label: {edge!r}")
             if u not in vset or v not in vset:
                 raise MatroidKitError(f"edge endpoint not a vertex: {edge!r}")
             if u == v:
@@ -68,7 +76,7 @@ class DemandGraph:
         graph = cls(
             vtuple,
             tuple(cleaned),
-            tuple(sorted((v, int(demands.get(v, 0))) for v in vtuple)),
+            tuple(sorted((v, demands.get(v, 0)) for v in vtuple)),
         )
         for v in vtuple:
             if abs(graph.o(v)) > graph.degree(v):
@@ -178,14 +186,7 @@ def orient_solve(
 ) -> OrientationOutcome:
     """Solve the orientation problem; deficiency certificates are verified."""
     inst = build_instance(g)
-    if solver == "classic":
-        cert = edmonds_solve(PairContext(inst.M, inst.N), trace)
-    elif solver == "mixed":
-        e1 = e1 if e1 is not None else inst.ground.empty()
-        e0 = ElementSet(inst.ground, inst.ground.full_mask & ~e1.mask)
-        cert = mixed_solve(inst.M, SplitInput(inst.N, e0, e1), trace)
-    else:
-        raise MatroidKitError(f"unknown solver {solver!r}")
+    cert = solve(inst.M, inst.N, solver, e1, trace)
 
     imask = cert.I.mask
     orientation = {}

@@ -24,15 +24,7 @@ from .core import (
     bit_indices,
     direct_sum,
 )
-from .intersect import (
-    IntersectionCertificate,
-    SplitInput,
-    Trace,
-    edmonds_solve,
-    mixed_solve,
-    verify_certificate,
-)
-from .waves import PairContext
+from .intersect import IntersectionCertificate, Trace, solve, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -120,14 +112,7 @@ def packcov_solve(
 ) -> PackCovResult:
     """Solve the lifted instance and extract the two-part decomposition."""
     lifted = lift_family(fam)
-    if solver == "classic":
-        cert = edmonds_solve(PairContext(lifted.M, lifted.N), trace)
-    elif solver == "mixed":
-        e1 = e1 if e1 is not None else lifted.ground.empty()
-        e0 = ElementSet(lifted.ground, lifted.ground.full_mask & ~e1.mask)
-        cert = mixed_solve(lifted.M, SplitInput(lifted.N, e0, e1), trace)
-    else:
-        raise InvalidInputPackCov(f"unknown solver {solver!r}")
+    cert = solve(lifted.M, lifted.N, solver, e1, trace)
 
     base = fam.ground
     k = fam.k

@@ -24,6 +24,9 @@ from .core import (
     iter_submasks,
 )
 
+# most elements whose subsets check_cond scans for waves by default
+WAVE_SCAN_BOUND = 12
+
 
 @dataclass(frozen=True)
 class PairContext:
@@ -141,7 +144,7 @@ def check_cond(ctx: PairContext, bound: int | None = None) -> bool:
     Exhaustive over all subsets of the universe; guarded by the
     configured bound.
     """
-    limit = bound if bound is not None else exhaustive_bound(12)
+    limit = bound if bound is not None else exhaustive_bound(WAVE_SCAN_BOUND)
     size = ctx.universe_mask.bit_count()
     if size > limit:
         raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")

@@ -211,14 +211,14 @@ def replay_arc_persistence(record) -> int:
     before = build_exchange_digraph(state)
     after = build_exchange_digraph(augmented)
     checked = 0
-    for x, y, _rule in before.arcs:
-        if x in pset or pset & set(before.out_neighbors(x)):
+    for x, y in before.arcs:
+        if x in pset or before.out[x] & path.mask:
             continue
         assert after.has_arc(x, y), (x, y)
         checked += 1
     final = build_exchange_digraph(extended)
     ia, ij = augmented.I.mask, extended.I.mask
-    for x, y, _rule in after.arcs:
+    for x, y in after.arcs:
         bx, by = 1 << x, 1 << y
         if (bx | by) & ij == (bx | by) & ia:
             assert final.has_arc(x, y), (x, y)

@@ -189,6 +189,25 @@ def test_input_errors_exit_2(files, capsys):
     assert code == 2
     assert json.loads(err)["error"]["type"] == "UniverseMismatch"
 
+    # malformed demand and family documents are input errors, not crashes
+    # and not silently accepted
+    graph = write("g.json", {"vertices": ["a", "b"], "edges": [["a", "b", "e0"]]})
+    for demands in ({"a": 1, "zz": 2}, {"a": "x"}, [1, 2], {"a": 1.7}, {"a": True}):
+        o = write("o.json", demands)
+        code, out, err = run(capsys, ["orient", "--graph", graph, "--demands", o])
+        assert code == 2 and not out, demands
+        assert json.loads(err)["error"]["type"] == "MatroidKitError", demands
+    o = write("o.json", {"a": 1})
+    for edges in ([["a"]], [["a", "b", "e0", "x"]]):
+        bad = write("bad.json", {"vertices": ["a", "b"], "edges": edges})
+        code, out, err = run(capsys, ["orient", "--graph", bad, "--demands", o])
+        assert code == 2 and not out, edges
+        assert "two endpoints" in json.loads(err)["error"]["message"], edges
+    fam = write("fam.json", {"universe": ["a", "b"], "members": 5})
+    code, out, err = run(capsys, ["packcov", "--family", fam])
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["type"] == "InvalidDocument"
+
 
 def test_e1_without_mixed_solver_exits_2(files, capsys):
     tmp, write = files

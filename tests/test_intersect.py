@@ -9,15 +9,13 @@ import pytest
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.intersect import (
-    RULE_M,
-    RULE_N,
-    RULE_NSTAR,
     AugPath,
     ExchangeDigraph,
     FeasibleState,
     IntersectionCertificate,
     SplitInput,
     Trace,
+    _bfs_path,
     _check_chordless,
     _has_arc,
     augment,
@@ -28,9 +26,12 @@ from matroidkit.intersect import (
     find_aug_path,
     key_step,
     mixed_solve,
+    solve,
     verify_certificate,
 )
 from matroidkit.oracle import brute_max_common, brute_minmax
+from matroidkit.orient import DemandGraph, orient_solve
+from matroidkit.packcov import MatroidFamily, packcov_solve
 from matroidkit.waves import PairContext, nice_feasible
 
 from conftest import drive_mixed, replay_arc_persistence
@@ -169,7 +170,7 @@ def test_digraph_empty_state_has_no_arcs():
 def assert_arcs_match_rules(state):
     universe = list(bit_indices(state.ctx.universe_mask))
     expected = {(x, y) for x in universe for y in universe if _has_arc(state, x, y)}
-    assert {(x, y) for x, y, _r in build_exchange_digraph(state).arcs} == expected
+    assert set(build_exchange_digraph(state).arcs) == expected
 
 
 def test_digraph_arcs_match_rule_by_rule_test(corpus):
@@ -193,12 +194,18 @@ def test_digraph_hand_built_split_instance():
     dg = build_exchange_digraph(state)
     name = ground.index
     expected = {
-        (name("s"), name("d"), RULE_M),
-        (name("e"), name("x"), RULE_M),
-        (name("x"), name("t"), RULE_N),
-        (name("d"), name("e"), RULE_NSTAR),
+        (name("s"), name("d")): "outside I",
+        (name("e"), name("x")): "outside I",
+        (name("x"), name("t")): "I & E0",
+        (name("d"), name("e")): "I & E1",
     }
-    assert set(dg.arcs) == expected
+    assert set(dg.arcs) == set(expected)
+    # the tail fixes the rule: M outside I, N in I & E0, N* in I & E1
+    imask, e1 = state.I.mask, ctx.E1.mask
+    for (x, _y), tail_class in expected.items():
+        bx = 1 << x
+        got = "outside I" if not bx & imask else "I & E1" if bx & e1 else "I & E0"
+        assert got == tail_class, ground.label(x)
 
 
 def test_find_path_crosses_e1_on_hand_built_instance():
@@ -264,10 +271,62 @@ def test_augment_rejects_path_with_jumping_arc():
 
 
 def test_classic_chord_check_rejects_path_with_jumping_arc():
-    dg = ExchangeDigraph(G4, [(0, 1, RULE_M), (1, 2, RULE_N), (2, 3, RULE_M), (0, 3, RULE_M)])
+    dg = ExchangeDigraph(G4, {0: 0b1010, 1: 0b0100, 2: 0b1000})
     _check_chordless(dg, [0, 1, 2])
     with pytest.raises(C.PostconditionFailed, match="jumping arc 0->3"):
         _check_chordless(dg, [0, 1, 2, 3])
+
+
+def _least_shortest_path(out, size, source, sinks):
+    """By enumeration: simple paths from ``source`` by length; at the first
+    length that ends in a sink, the least such sink and the least path to it."""
+    paths = [(source,)]
+    while paths:
+        ends = [p for p in paths if sinks >> p[-1] & 1]
+        if ends:
+            t = min(p[-1] for p in ends)
+            return list(min(p for p in ends if p[-1] == t))
+        paths = [
+            p + (y,)
+            for p in paths
+            for y in range(size)
+            if out.get(p[-1], 0) >> y & 1 and y not in p
+        ]
+    return None
+
+
+def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
+    rng = random.Random(7)
+    found = missing = longest = 0
+    for _ in range(400):
+        size = rng.randint(1, 9)
+        density = rng.choice((0.1, 0.25, 0.4))
+        out = {}
+        for x in range(size):
+            heads = sum(1 << y for y in range(size) if y != x and rng.random() < density)
+            if heads or rng.random() < 0.5:
+                out[x] = heads
+        dg = ExchangeDigraph(GroundSet(tuple(f"v{i}" for i in range(size))), out)
+        source = rng.randrange(size)
+        sinks = rng.getrandbits(size) & rng.getrandbits(size)
+        expected = _least_shortest_path(out, size, source, sinks)
+        assert _bfs_path(dg, source, sinks) == expected, (out, source, sinks)
+        if expected is None:
+            missing += 1
+        else:
+            found += 1
+            longest = max(longest, len(expected))
+    assert found > 100 and missing > 50 and longest >= 4
+
+
+def test_unknown_solver_raises_one_error_type():
+    with pytest.raises(C.PreconditionViolated, match="unknown solver 'greedy'"):
+        solve(C.free(G3), C.free(G3), solver="greedy")
+    with pytest.raises(C.PreconditionViolated, match="unknown solver"):
+        packcov_solve(MatroidFamily(G3, (C.free(G3),)), solver="greedy")
+    g = DemandGraph.build(["a", "b"], [["a", "b"]], {"a": 1})
+    with pytest.raises(C.PreconditionViolated, match="unknown solver"):
+        orient_solve(g, solver="greedy")
 
 
 def test_mixed_path_search_matches_classic_augmentations(corpus):
