@@ -35,7 +35,6 @@ from .core import (
     matroid_to_json,
     outgoing_from_circuit,
     partition,
-    relabel,
     simultaneous_exchange,
     uniform,
     zero,

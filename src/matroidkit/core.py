@@ -551,8 +551,9 @@ class ExplicitMatroid(Matroid):
     """Independence given by an explicit list of maximal independent sets.
 
     Accepts base lists or arbitrary independent-set lists; only the
-    inclusion-maximal members are kept.  Validity of the family as a
-    matroid is checked on demand by :func:`axiom_check`.
+    inclusion-maximal members are kept.  They must all have one size,
+    since the bases of a matroid do; the other axioms are checked on
+    demand by :func:`axiom_check`.
     """
 
     kind = "explicit"
@@ -563,6 +564,8 @@ class ExplicitMatroid(Matroid):
         maximal = [
             s for s in pool if not any(s != t and s & ~t == 0 for t in pool)
         ]
+        if len({b.bit_count() for b in maximal}) > 1:
+            raise MatroidKitError("explicit maximal sets differ in size; no matroid has them")
         self.bases = tuple(sorted(maximal))
 
     def _indep_raw(self, mask: int) -> bool:
@@ -763,10 +766,6 @@ def direct_sum(parts: Sequence[Matroid]) -> Matroid:
     if len(parts) == 1:
         return parts[0]
     return DirectSumMatroid(parts)
-
-
-def relabel(m: Matroid, ground: GroundSet, mapping: Mapping[int, int]) -> Matroid:
-    return RelabelMatroid(ground, m, mapping)
 
 
 def concat_sum(parts: Sequence[Matroid]) -> Matroid:
@@ -974,14 +973,6 @@ def matroid_from_json(doc: Mapping) -> Matroid:
             return child.contract(child.ground.subset(doc["set"]))
         if kind == "sum":
             return concat_sum([matroid_from_json(p) for p in doc["parts"]])
-        if kind == "relabel":
-            child = matroid_from_json(doc["of"])
-            labels = list(doc["labels"])
-            if len(labels) != child.ground.size:
-                raise InvalidDocument("relabel: need one label per ground element")
-            ground = GroundSet(tuple(labels))
-            mapping = {i: i for i in bit_indices(child.universe_mask)}
-            return RelabelMatroid(ground, child, mapping)
     except InvalidDocument:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -12,12 +12,13 @@ properties, and every certificate is re-verified from raw oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ElementSet,
-    GroundSet,
     Matroid,
+    MatroidKitError,
     NotCommonIndependent,
     PostconditionFailed,
     PreconditionViolated,
@@ -58,27 +59,39 @@ class Trace:
 
 
 class ExchangeDigraph:
-    """One bitmask of heads per tail, with the bitmasks of tails derived once.
+    """The exchange digraph as one bitmask of heads per tail, built tail by tail.
 
-    An arc's rule is fixed by its tail: a tail outside I uses the
-    M-rule, a tail in I & E0 the N-rule and a tail in I & E1 the N*-rule.
+    ``rule(x)`` gives the heads of tail ``x``; it runs the first time a
+    search asks for that tail, so tails no search reaches cost nothing.
     """
 
-    def __init__(self, ground: GroundSet, out: dict[int, int]) -> None:
-        self.ground = ground
-        self.out = out
-        into: dict[int, int] = {}
-        for x, heads in out.items():
-            for y in bit_indices(heads):
-                into[y] = into.get(y, 0) | 1 << x
-        self.into = into
+    def __init__(self, universe: int, rule: Callable[[int], int]) -> None:
+        self.universe = universe
+        self.rule = rule
+        self.out: dict[int, int] = {}
+
+    def heads(self, x: int) -> int:
+        hit = self.out.get(x)
+        if hit is None:
+            hit = self.out[x] = self.rule(x)
+        return hit
+
+    def tails_into(self, among: int, heads: int) -> int:
+        """The elements of ``among`` with an arc into ``heads``."""
+        out = 0
+        for x in bit_indices(among):
+            if self.heads(x) & heads:
+                out |= 1 << x
+        return out
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((x, y) for x in sorted(self.out) for y in bit_indices(self.out[x]))
+        return tuple(
+            (x, y) for x in bit_indices(self.universe) for y in bit_indices(self.heads(x))
+        )
 
     def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.out.get(x, 0) >> y & 1)
+        return bool(self.heads(x) >> y & 1)
 
 
 @dataclass(frozen=True)
@@ -136,14 +149,6 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 # shortest-path machinery
 
 
-def _union(masks: dict[int, int], elements: int) -> int:
-    """Union of ``masks`` over the elements of the bitmask ``elements``."""
-    out = 0
-    for u in bit_indices(elements):
-        out |= masks.get(u, 0)
-    return out
-
-
 def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | None:
     """Shortest path from ``source`` to the least nearest sink, lexicographically least.
 
@@ -156,7 +161,10 @@ def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | 
     layers = [1 << source]
     seen = layers[0]
     while not layers[-1] & sinks_mask:
-        nxt = _union(dg.out, layers[-1]) & ~seen
+        nxt = 0
+        for u in bit_indices(layers[-1]):
+            nxt |= dg.heads(u)
+        nxt &= ~seen
         if not nxt:
             return None
         seen |= nxt
@@ -164,20 +172,22 @@ def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | 
     hit = layers[-1] & sinks_mask
     kept = [hit & -hit]
     for layer in reversed(layers[:-1]):
-        kept.append(layer & _union(dg.into, kept[-1]))
+        kept.append(dg.tails_into(layer, kept[-1]))
     path = [source]
     for layer in reversed(kept[:-1]):
-        heads = dg.out[path[-1]] & layer
+        heads = dg.heads(path[-1]) & layer
         path.append((heads & -heads).bit_length() - 1)
     return path
 
 
-def _check_chordless(dg: ExchangeDigraph, path: list[int]) -> None:
+def _check_chordless(
+    dg: ExchangeDigraph, path: Sequence[int], error: type[MatroidKitError]
+) -> None:
     """A shortest path has no arc that skips ahead along it."""
     for k in range(len(path)):
         for ell in range(k + 2, len(path)):
             if dg.has_arc(path[k], path[ell]):
-                raise PostconditionFailed(f"shortest path has a jumping arc {k}->{ell}")
+                raise error(f"jumping arc {k}->{ell}")
 
 
 def _first_path(
@@ -188,7 +198,7 @@ def _first_path(
         if sources >> s & 1:
             path = _bfs_path(dg, s, sinks)
             if path is not None:
-                _check_chordless(dg, path)
+                _check_chordless(dg, path, PostconditionFailed)
                 return path
     return None
 
@@ -196,7 +206,7 @@ def _first_path(
 def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
     seen = frontier = seeds_mask
     while frontier:
-        frontier = _union(dg.into, frontier) & ~seen
+        frontier = dg.tails_into(dg.universe & ~seen, frontier)
         seen |= frontier
     return seen
 
@@ -223,28 +233,28 @@ def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int)
 # the exchange rules
 
 
-def _exchange_arcs(
-    m: Matroid, n: Matroid, imask: int, e1: int = 0, safe: int = 0
-) -> dict[int, int]:
-    """Heads of each tail of the exchange digraph at the common independent set ``imask``.
+def _heads(m: Matroid, n: Matroid, imask: int, e1: int, safe: int, x: int) -> int:
+    """Heads of tail ``x`` in the exchange digraph at the common independent set ``imask``.
 
     M-rule: an M-spanned x outside I points into its M-circuit.  N-rule:
-    an element of I in E0 points to each N-spanned x outside I whose
-    N-circuit holds it.  N*-rule: an element of I in E1 points into its
-    fundamental circuit in the dual of N against ``safe``, the E1 part of
-    the M-span outside I.  With E1 empty this is the classic digraph.
+    an x of I in E0 points to each N-spanned z outside I with I - x + z
+    N-independent, that is, whose N-circuit holds x.  N*-rule: an x of I
+    in E1 points into its fundamental circuit in the dual of N against
+    ``safe``, the E1 part of the M-span outside I.  With E1 empty this is
+    the classic digraph.
     """
-    out: dict[int, int] = {}
-    e0 = m.universe_mask & ~e1
-    for x in bit_indices(m.universe_mask & ~imask):
-        bx = 1 << x
-        if not m._indep(imask | bx):
-            out[x] = m._fund_circuit(x, imask) ^ bx
-        if not n._indep(imask | bx):
-            for y in bit_indices(n._fund_circuit(x, imask) & imask & e0):
-                out[y] = out.get(y, 0) | bx
-    for x in bit_indices(imask & e1):
-        out[x] = n.dual()._fund_circuit(x, safe) ^ (1 << x)
+    bx = 1 << x
+    if not bx & imask:
+        if m._indep(imask | bx):
+            return 0
+        return m._fund_circuit(x, imask) ^ bx
+    if bx & e1:
+        return n.dual()._fund_circuit(x, safe) ^ bx
+    out = 0
+    for z in bit_indices(m.universe_mask & ~imask):
+        bz = 1 << z
+        if not n._indep(imask | bz) and n._indep((imask | bz) ^ bx):
+            out |= bz
     return out
 
 
@@ -277,7 +287,7 @@ def _classic_run(
 def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | IntersectionCertificate":
     """A shortest augmenting path, or the reachability certificate when there is none."""
     universe = m.universe_mask
-    dg = ExchangeDigraph(m.ground, _exchange_arcs(m, n, imask))
+    dg = ExchangeDigraph(universe, partial(_heads, m, n, imask, 0, 0))
     sources = universe & ~n._span(imask)
     sinks_mask = universe & ~m._span(imask)
     path = _first_path(dg, sources, sinks_mask, bit_indices(sources))
@@ -384,27 +394,8 @@ class FeasibleState:
 def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
     """The three-rule exchange digraph of the mixed method."""
     ctx = state.ctx
-    out = _exchange_arcs(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
-    return ExchangeDigraph(ctx.ground, out)
-
-
-def _has_arc(state: FeasibleState, x: int, y: int) -> bool:
-    """Arc test straight from the three rules, without the full digraph."""
-    ctx = state.ctx
-    imask = state.I.mask
-    bx, by = 1 << x, 1 << y
-    if not bx & imask:
-        if not ctx.M._indep(imask | bx):
-            return bool(ctx.M._fund_circuit(x, imask) & by) and x != y
-        return False
-    if bx & ctx.E0.mask:
-        if by & imask or not by & ctx.universe_mask:
-            return False
-        if ctx.N._indep(imask | by):
-            return False
-        return bool(ctx.N._fund_circuit(y, imask) & bx)
-    circ = ctx.N.dual()._fund_circuit(x, state.safe_base.mask)
-    return bool(circ & by) and x != y
+    rule = partial(_heads, ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
+    return ExchangeDigraph(ctx.universe_mask, rule)
 
 
 def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
@@ -416,13 +407,11 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
         raise PreconditionViolated("path must start at an E0 element unspanned in N")
     if not (1 << last) & ctx.E0.mask or (1 << last) & state.span_m.mask:
         raise PreconditionViolated("path must end at an E0 element unspanned in M")
+    dg = build_exchange_digraph(state)
     for k in range(len(path) - 1):
-        if not _has_arc(state, path[k], path[k + 1]):
+        if not dg.has_arc(path[k], path[k + 1]):
             raise PreconditionViolated(f"missing arc at position {k}")
-    for k in range(len(path)):
-        for ell in range(k + 2, len(path)):
-            if _has_arc(state, path[k], path[ell]):
-                raise PreconditionViolated(f"jumping arc {k}->{ell} present")
+    _check_chordless(dg, path, PreconditionViolated)
 
 
 def find_aug_path(state: FeasibleState, prec: list[int] | None = None) -> AugPath | None:

@@ -125,8 +125,7 @@ def _verify_wave(ctx: PairContext, wave: "Wave") -> None:
         raise PostconditionFailed("wave witness is dependent in M")
     if wmask & ~ctx.M._span(bmask):
         raise PostconditionFailed("wave witness does not span the wave in M")
-    ndual = ctx.N.dual()
-    if bmask & ~ndual._span(wmask & ~bmask):
+    if not ctx.N.onto(wave.W)._indep(bmask):
         raise PostconditionFailed("wave witness is dependent in N contracted onto W")
 
 

@@ -159,6 +159,29 @@ def family_minmax(members: tuple[C.Matroid, ...]) -> int:
     return best
 
 
+def brute_has_arc(state, x: int, y: int) -> bool:
+    """Arc x -> y of the exchange digraph at ``state``, pair by pair from the rules.
+
+    Outside I the M-rule (I - y + x M-independent while I + x is not), in
+    I & E0 the N-rule (I - x + y N-independent while I + y is not), and
+    in I & E1 the N*-rule against the safe base (the same test in the
+    dual of N with y in the base).
+    """
+    ctx = state.ctx
+    imask, safe = state.I.mask, state.safe_base.mask
+    bx, by = 1 << x, 1 << y
+    if x == y or (bx | by) & ~ctx.universe_mask:
+        return False
+    if not bx & imask:
+        m = ctx.M
+        return bool(by & imask) and not m._indep(imask | bx) and m._indep(imask ^ by | bx)
+    if bx & ctx.E0.mask:
+        n = ctx.N
+        return not by & imask and not n._indep(imask | by) and n._indep(imask ^ bx | by)
+    nd = ctx.N.dual()
+    return bool(by & safe) and not nd._indep(safe | bx) and nd._indep(safe ^ by | bx)
+
+
 # ---------------------------------------------------------------------------
 # driving the mixed stack step by step (for replay tests)
 
@@ -212,7 +235,7 @@ def replay_arc_persistence(record) -> int:
     after = build_exchange_digraph(augmented)
     checked = 0
     for x, y in before.arcs:
-        if x in pset or before.out[x] & path.mask:
+        if x in pset or before.heads(x) & path.mask:
             continue
         assert after.has_arc(x, y), (x, y)
         checked += 1

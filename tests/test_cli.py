@@ -167,6 +167,26 @@ def test_check_subcommand(files, capsys):
     assert code == 1 and json.loads(out)["output"]["ok"] is False
 
 
+def test_explicit_maximal_sets_of_different_sizes_exit_2(files, capsys):
+    # maximal sets {a} and {b, c} differ in size, so no matroid has them
+    tmp, write = files
+    doc = {"kind": "explicit", "universe": ["a", "b", "c"], "bases": [["a"], ["b", "c"]]}
+    bad = write("bad.json", doc)
+    free = write("free.json", {"kind": "uniform", "n": 3, "r": 3, "labels": ["a", "b", "c"]})
+    fam = write("fam.json", {"universe": ["a", "b", "c"], "members": [doc]})
+    for argv in (
+        ["intersect", "--m", bad, "--n", free],
+        ["intersect", "--m", free, "--n", bad, "--solver", "mixed"],
+        ["wave", "--m", bad, "--n", free],
+        ["brute", "--m", bad, "--n", free],
+        ["packcov", "--family", fam],
+        ["check", "--m", bad],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out, argv
+        assert "differ in size" in json.loads(err)["error"]["message"], argv
+
+
 def test_input_errors_exit_2(files, capsys):
     tmp, write = files
     broken = tmp / "broken.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
@@ -17,7 +18,11 @@ from matroidkit.intersect import (
     Trace,
     _bfs_path,
     _check_chordless,
-    _has_arc,
+    _classic_run,
+    _classic_step,
+    _coreach,
+    _first_path,
+    _heads,
     augment,
     build_exchange_digraph,
     edmonds_solve,
@@ -34,7 +39,7 @@ from matroidkit.orient import DemandGraph, orient_solve
 from matroidkit.packcov import MatroidFamily, packcov_solve
 from matroidkit.waves import PairContext, nice_feasible
 
-from conftest import drive_mixed, replay_arc_persistence
+from conftest import brute_has_arc, drive_mixed, replay_arc_persistence
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -169,7 +174,7 @@ def test_digraph_empty_state_has_no_arcs():
 
 def assert_arcs_match_rules(state):
     universe = list(bit_indices(state.ctx.universe_mask))
-    expected = {(x, y) for x in universe for y in universe if _has_arc(state, x, y)}
+    expected = {(x, y) for x in universe for y in universe if brute_has_arc(state, x, y)}
     assert set(build_exchange_digraph(state).arcs) == expected
 
 
@@ -271,10 +276,11 @@ def test_augment_rejects_path_with_jumping_arc():
 
 
 def test_classic_chord_check_rejects_path_with_jumping_arc():
-    dg = ExchangeDigraph(G4, {0: 0b1010, 1: 0b0100, 2: 0b1000})
-    _check_chordless(dg, [0, 1, 2])
+    out = {0: 0b1010, 1: 0b0100, 2: 0b1000}
+    dg = ExchangeDigraph(G4.full_mask, lambda x: out.get(x, 0))
+    _check_chordless(dg, [0, 1, 2], C.PostconditionFailed)
     with pytest.raises(C.PostconditionFailed, match="jumping arc 0->3"):
-        _check_chordless(dg, [0, 1, 2, 3])
+        _check_chordless(dg, [0, 1, 2, 3], C.PostconditionFailed)
 
 
 def _least_shortest_path(out, size, source, sinks):
@@ -306,7 +312,7 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
             heads = sum(1 << y for y in range(size) if y != x and rng.random() < density)
             if heads or rng.random() < 0.5:
                 out[x] = heads
-        dg = ExchangeDigraph(GroundSet(tuple(f"v{i}" for i in range(size))), out)
+        dg = ExchangeDigraph((1 << size) - 1, lambda x: out.get(x, 0))
         source = rng.randrange(size)
         sinks = rng.getrandbits(size) & rng.getrandbits(size)
         expected = _least_shortest_path(out, size, source, sinks)
@@ -317,6 +323,107 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
             found += 1
             longest = max(longest, len(expected))
     assert found > 100 and missing > 50 and longest >= 4
+
+
+def classic_states(corpus, limit):
+    """(M, N, I) for every set the classic solver passes through on corpus pairs."""
+    out = []
+    for inst in corpus.pairs[:limit]:
+        trace = Trace()
+        cert = _classic_run(inst.M, inst.N, trace)
+        sets = [e["before"] for e in trace.events] + [cert.I.mask]
+        out += [(inst.M, inst.N, imask) for imask in sets]
+    return out
+
+
+def mixed_states(corpus, limit):
+    """Feasible states on corpus splits with E1 nonempty: those the mixed loop
+    passes through, and random dually safe common independent sets, which
+    hold E1 elements far more often."""
+    rng = random.Random(5)
+    out = []
+    for inst in corpus.pairs[:limit]:
+        m, n = inst.M, inst.N
+        for e0, e1 in inst.splits:
+            if not e1:
+                continue
+            _wave, _ctx, final, records = drive_mixed(m, SplitInput(n, e0, e1))
+            out += [record[0] for record in records] + [final]
+            ctx = PairContext(m, n, e1)
+            for _ in range(4):
+                imask = 0
+                for e in rng.sample(list(bit_indices(m.universe_mask)), m.size):
+                    grown = imask | 1 << e
+                    if m._indep(grown) and n._indep(grown) and rng.random() < 0.7:
+                        imask = grown
+                try:
+                    out.append(FeasibleState(ctx, ElementSet(m.ground, imask)))
+                except C.StateInvariantBroken:
+                    pass
+    return out
+
+
+def test_lazy_digraph_searches_match_the_full_digraph(corpus):
+    searches = []
+    for m, n, imask in classic_states(corpus, 40):
+        universe = m.universe_mask
+        rule = partial(_heads, m, n, imask, 0, 0)
+        sources, sinks = universe & ~n._span(imask), universe & ~m._span(imask)
+        searches.append((universe, rule, sources, sinks, list(bit_indices(sources))))
+    mixed = mixed_states(corpus, 40)
+    assert sum(1 for state in mixed if state.I.mask & state.ctx.E1.mask) > 50
+    for state in mixed:
+        ctx = state.ctx
+        rule = build_exchange_digraph(state).rule
+        sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
+        sinks = ctx.E0.mask & ~state.span_m.mask
+        order = list(bit_indices(ctx.universe_mask))
+        searches.append((ctx.universe_mask, rule, sources, sinks, order))
+    lazier = 0
+    for universe, rule, sources, sinks, order in searches:
+        full = ExchangeDigraph(universe, rule)
+        full.arcs  # builds every tail
+        lazy = ExchangeDigraph(universe, rule)
+        assert _first_path(lazy, sources, sinks, order) == _first_path(full, sources, sinks, order)
+        lazier += len(lazy.out) < len(full.out)
+        lazy = ExchangeDigraph(universe, rule)
+        assert _coreach(lazy, sinks) == _coreach(full, sinks)
+    assert len(searches) > 150 and lazier > len(searches) // 2
+
+
+class Recording(C.Matroid):
+    """A fresh handle on another matroid's oracle that records each raw query."""
+
+    kind = "recording"
+
+    def __init__(self, inner: C.Matroid) -> None:
+        super().__init__(inner.ground, inner.universe_mask)
+        self.inner = inner
+        self.asked: set[int] = set()
+
+    def _indep_raw(self, mask: int) -> bool:
+        self.asked.add(mask)
+        return self.inner._indep(mask)
+
+
+def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
+    fewer = 0
+    states = classic_states(corpus, 60)
+    for m, n, imask in states:
+        step_m, step_n = Recording(m), Recording(n)
+        step = _classic_step(step_m, step_n, imask)
+        assert step == _classic_step(m, n, imask)
+        # the full digraph: the spans the step reads, and the fundamental
+        # circuit of I in M and in N of every element they span outside I
+        full_m, full_n = Recording(m), Recording(n)
+        for full in (full_m, full_n):
+            full._span(imask)
+            for x in bit_indices(m.universe_mask & ~imask):
+                if not full._indep(imask | 1 << x):
+                    full._fund_circuit(x, imask)
+        assert step_m.asked <= full_m.asked and step_n.asked <= full_n.asked
+        fewer += len(step_m.asked) + len(step_n.asked) < len(full_m.asked) + len(full_n.asked)
+    assert fewer > len(states) // 4
 
 
 def test_unknown_solver_raises_one_error_type():

@@ -11,6 +11,8 @@ from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
 from matroidkit.intersect import edmonds_solve
 from matroidkit.waves import (
     PairContext,
+    Wave,
+    _verify_wave,
     check_cond,
     check_cond_plus,
     common_base_B,
@@ -102,6 +104,22 @@ def test_largest_wave_matches_brute(corpus):
     for inst in small_pairs(corpus, limit=40):
         wave = largest_wave(PairContext(inst.M, inst.N))
         assert wave.W.mask == brute_largest_wave_mask(inst.M, inst.N), inst.name
+
+
+def test_verify_wave_rejects_each_broken_witness():
+    a, b, ab = G2.subset("a"), G2.subset("b"), G2.full()
+    free, zero, u21 = C.free(G2), C.zero(G2), C.uniform(G2, 1)
+    _verify_wave(PairContext(free, free), Wave(a, a))
+    cases = [
+        (free, free, a, b, "leaves the wave"),
+        (zero, free, a, a, "dependent in M"),
+        (free, free, ab, a, "does not span the wave in M"),
+        # a and b are parallel in N, so a is a loop of N contracted onto {a}
+        (free, u21, a, a, "dependent in N contracted onto W"),
+    ]
+    for m, n, w, witness, message in cases:
+        with pytest.raises(C.PostconditionFailed, match=message):
+            _verify_wave(PairContext(m, n), Wave(w, witness))
 
 
 def graphic_partition_pair(size):
