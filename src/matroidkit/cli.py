@@ -120,12 +120,9 @@ def _cmd_intersect(args) -> tuple[dict, int]:
         },
         "solver": args.solver,
     }
-    verification = {"verified": False}
-    if args.verify:
-        ok = verify_certificate(m, n, cert)
-        if not ok:
-            raise CertificateInvalid("certificate failed raw verification")
-        verification = {"verified": True, "certificate_valid": True}
+    if not verify_certificate(m, n, cert):
+        raise CertificateInvalid("certificate failed raw verification")
+    verification = {"verified": True, "certificate_valid": True}
     if args.trace:
         Path(args.trace).write_text(_canon(trace.as_dict()))
     return (
@@ -145,12 +142,10 @@ def _cmd_wave(args) -> tuple[dict, int]:
         "witness": _labels(wave.witness),
         "cond_plus": cond_plus,
     }
-    verification = {"verified": False}
-    if args.verify:
-        verification = {
-            "verified": True,
-            "cond_plus_recheck": check_cond_plus(ctx) == cond_plus,
-        }
+    verification = {
+        "verified": True,
+        "cond_plus_recheck": check_cond_plus(ctx) == cond_plus,
+    }
     return _result("wave", digests, output, verification, {}), 0
 
 
@@ -187,12 +182,9 @@ def _cmd_packcov(args) -> tuple[dict, int]:
         "I": [_labels(i) for i in res.I],
         "product_labels": list(res.product_labels),
     }
-    verification = {"verified": False}
-    if args.verify:
-        ok = verify_packcov(fam, res)
-        if not ok:
-            raise CertificateInvalid("packing/covering failed raw verification")
-        verification = {"verified": True, "packcov_valid": True}
+    if not verify_packcov(fam, res):
+        raise CertificateInvalid("packing/covering failed raw verification")
+    verification = {"verified": True, "packcov_valid": True}
     return _result("packcov", {"family": _digest(doc)}, output, verification, trace.as_dict() | {"events": len(trace.events)}), 0
 
 
@@ -212,12 +204,9 @@ def _cmd_orient(args) -> tuple[dict, int]:
         "v_prime": list(out.v_prime),
         "counting_check": out.counting_ok,
     }
-    verification = {"verified": False}
-    if args.verify:
-        ok = verify_outcome(graph, out)
-        if not ok:
-            raise CertificateInvalid("orientation outcome failed verification")
-        verification = {"verified": True, "outcome_valid": True}
+    if not verify_outcome(graph, out):
+        raise CertificateInvalid("orientation outcome failed verification")
+    verification = {"verified": True, "outcome_valid": True}
     payload = _result(
         "orient",
         {"graph": _digest(g_doc), "demands": _digest(o_doc)},
@@ -288,7 +277,7 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
 def _cmd_check(args) -> tuple[dict, int]:
     doc = _load(args.m)
     m = matroid_from_json(doc)
-    ok = axiom_check(m, bound=args.bound)
+    ok = axiom_check(m)
     return (
         _result("check", {"m": _digest(doc)}, {"ok": ok}, {"verified": True}, {}),
         0 if ok else 1,
@@ -306,35 +295,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_verify(p):
-        p.add_argument("--verify", dest="verify", action="store_true", default=True)
-        p.add_argument(
-            "--no-verify",
-            dest="verify",
-            action="store_false",
-            help="skip independent re-verification (timing runs only)",
-        )
-
     p = sub.add_parser("intersect", help="maximum common independent set")
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--solver", choices=["classic", "mixed"], default="classic")
     p.add_argument("--e1", help="JSON list of labels treated through cocircuits")
     p.add_argument("--trace", help="write the event trace to this path")
-    add_verify(p)
     p.set_defaults(handler=_cmd_intersect)
 
     p = sub.add_parser("wave", help="largest wave of a pair")
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
-    add_verify(p)
     p.set_defaults(handler=_cmd_wave)
 
     p = sub.add_parser("packcov", help="packing/covering decomposition of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--solver", choices=["classic", "mixed"], default="classic")
     p.add_argument("--e1")
-    add_verify(p)
     p.set_defaults(handler=_cmd_packcov)
 
     p = sub.add_parser("orient", help="degree-constrained orientation")
@@ -342,7 +319,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demands", required=True)
     p.add_argument("--solver", choices=["classic", "mixed"], default="classic")
     p.add_argument("--e1")
-    add_verify(p)
     p.set_defaults(handler=_cmd_orient)
 
     p = sub.add_parser("brute", help="exhaustive oracles for a pair")
@@ -362,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the independence axioms by enumeration")
     p.add_argument("--m", required=True)
-    p.add_argument("--bound", type=int, default=None)
     p.set_defaults(handler=_cmd_check)
 
     return parser

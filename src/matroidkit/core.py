@@ -166,11 +166,6 @@ class GroundSet:
             mask |= 1 << self.index(s)
         return ElementSet(self, mask)
 
-    def from_mask(self, mask: int) -> "ElementSet":
-        if mask & ~self.full_mask:
-            raise UniverseMismatch("mask has bits outside the ground set")
-        return ElementSet(self, mask)
-
 
 @dataclass(frozen=True)
 class ElementSet:
@@ -358,9 +353,6 @@ class Matroid:
 
     def span(self, s: ElementSet) -> ElementSet:
         return ElementSet(self.ground, self._span(self._check_subset(s)))
-
-    def max_independent_subset(self, s: ElementSet) -> ElementSet:
-        return ElementSet(self.ground, self._max_indep(self._check_subset(s)))
 
     def loops(self) -> ElementSet:
         return ElementSet(self.ground, self._loops_mask())
@@ -898,16 +890,16 @@ def outgoing_from_circuit(
 # axiom check
 
 
-def axiom_check(m: Matroid, bound: int | None = None) -> bool:
+def axiom_check(m: Matroid) -> bool:
     """Verify the independence axioms by full enumeration.
 
     Checks that the empty set is independent, that independence is
     downward closed, and that every non-maximal independent set extends
-    into every maximal one.
+    into every maximal one.  Raises TooLarge above the exhaustive bound.
     """
     expand = [1 << e for e in bit_indices(m.universe_mask)]
     n = len(expand)
-    limit = bound if bound is not None else exhaustive_bound(AXIOM_CHECK_BOUND)
+    limit = exhaustive_bound(AXIOM_CHECK_BOUND)
     if n > limit:
         raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
 

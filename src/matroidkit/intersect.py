@@ -12,8 +12,8 @@ properties, and every certificate is re-verified from raw oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from .core import (
     ElementSet,
@@ -190,16 +190,13 @@ def _check_chordless(
                 raise error(f"jumping arc {k}->{ell}")
 
 
-def _first_path(
-    dg: ExchangeDigraph, sources: int, sinks: int, order: Iterable[int]
-) -> list[int] | None:
-    """Checked shortest path from the first source in ``order`` that reaches a sink."""
-    for s in order:
-        if sources >> s & 1:
-            path = _bfs_path(dg, s, sinks)
-            if path is not None:
-                _check_chordless(dg, path, PostconditionFailed)
-                return path
+def _first_path(dg: ExchangeDigraph, sources: int, sinks: int) -> list[int] | None:
+    """Checked shortest path from the least source that reaches a sink."""
+    for s in bit_indices(sources):
+        path = _bfs_path(dg, s, sinks)
+        if path is not None:
+            _check_chordless(dg, path, PostconditionFailed)
+            return path
     return None
 
 
@@ -290,7 +287,7 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | Intersecti
     dg = ExchangeDigraph(universe, partial(_heads, m, n, imask, 0, 0))
     sources = universe & ~n._span(imask)
     sinks_mask = universe & ~m._span(imask)
-    path = _first_path(dg, sources, sinks_mask, bit_indices(sources))
+    path = _first_path(dg, sources, sinks_mask)
     if path is not None:
         return path
     ground = m.ground
@@ -375,7 +372,9 @@ class FeasibleState:
         safe = self.safe_base.mask
         if not nd._indep(safe):
             raise StateInvariantBroken("safe base is dependent in the dual")
-        if imask & ctx.E1.mask & ~nd._span(safe):
+        # dually safe: I & E1 lies in the dual span of the safe base
+        in_e1 = imask & ctx.E1.mask
+        if in_e1 and in_e1 & ~nd._span(safe):
             raise StateInvariantBroken("state is not dually safe")
 
     @property
@@ -389,6 +388,11 @@ class FeasibleState:
     @property
     def safe_base(self) -> ElementSet:
         return self.ring & self.ctx.E1
+
+    @cached_property
+    def digraph(self) -> ExchangeDigraph:
+        """The exchange digraph at this state, shared by path search and validation."""
+        return build_exchange_digraph(self)
 
 
 def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
@@ -407,21 +411,19 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
         raise PreconditionViolated("path must start at an E0 element unspanned in N")
     if not (1 << last) & ctx.E0.mask or (1 << last) & state.span_m.mask:
         raise PreconditionViolated("path must end at an E0 element unspanned in M")
-    dg = build_exchange_digraph(state)
+    dg = state.digraph
     for k in range(len(path) - 1):
         if not dg.has_arc(path[k], path[k + 1]):
             raise PreconditionViolated(f"missing arc at position {k}")
     _check_chordless(dg, path, PreconditionViolated)
 
 
-def find_aug_path(state: FeasibleState, prec: list[int] | None = None) -> AugPath | None:
-    """Shortest augmenting path from the precedence-least possible source."""
+def find_aug_path(state: FeasibleState) -> AugPath | None:
+    """Shortest augmenting path from the least source that reaches a sink."""
     ctx = state.ctx
-    dg = build_exchange_digraph(state)
     sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
     sinks_mask = ctx.E0.mask & ~state.span_m.mask
-    order = prec if prec is not None else bit_indices(ctx.universe_mask)
-    path = _first_path(dg, sources, sinks_mask, order)
+    path = _first_path(state.digraph, sources, sinks_mask)
     return None if path is None else AugPath(tuple(path))
 
 
@@ -436,7 +438,7 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
     safe2 = safe ^ (path.mask & ctx.E1.mask)
     if not nd._indep(safe2):
         raise PostconditionFailed("updated dual base is dependent")
-    if nd._span(safe) != nd._span(safe2):
+    if safe2 != safe and nd._span(safe) != nd._span(safe2):
         raise PostconditionFailed("dual span was not preserved by the augmentation")
     try:
         out = FeasibleState(ctx, ElementSet(ctx.ground, new))
@@ -471,12 +473,7 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     return new
 
 
-def key_step(
-    state: FeasibleState,
-    e: int,
-    trace: Trace | None = None,
-    prec: list[int] | None = None,
-) -> FeasibleState:
+def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> FeasibleState:
     """Grow the state until element ``e`` of E0 is spanned in N."""
     ctx = state.ctx
     if not (1 << e) & ctx.E0.mask:
@@ -489,7 +486,7 @@ def key_step(
         rounds += 1
         if rounds > max_rounds:
             raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
-        path = find_aug_path(state, prec=prec)
+        path = find_aug_path(state)
         if path is None:
             raise Stuck(f"no augmenting path while element {e} is unspanned")
         before0 = ctx.N._span(state.I.mask) & ctx.E0.mask

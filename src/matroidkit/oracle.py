@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 
 from .core import (
     ElementSet,
+    ExplicitMatroid,
     GroundSet,
     Matroid,
     PostconditionFailed,
+    RelabelMatroid,
     TooLarge,
     bit_indices,
+    concat_sum,
     exhaustive_bound,
     graphic,
     iter_submasks,
@@ -33,6 +36,8 @@ MAX_COMMON_BOUND = 16
 COMPONENTS_BOUND = 16
 WAVE_BOUND = 10
 ORIENT_BOUND = 14
+# most members of one fuzzed matroid family
+MAX_FAMILY = 3
 
 
 def rank_table(m: Matroid) -> dict[int, int]:
@@ -123,13 +128,11 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     return ElementSet(m.ground, union)
 
 
-def brute_orientations(g: DemandGraph, demands=None) -> dict[str, str] | None:
+def brute_orientations(g: DemandGraph) -> dict[str, str] | None:
     """Scan all orientations for one meeting every in-degree lower bound."""
     if len(g.edges) > exhaustive_bound(ORIENT_BOUND):
         raise TooLarge(f"orientation scan over {len(g.edges)} edges")
-    lower = {
-        v: effective_lower_bound(g, v, demands) for v in g.vertices
-    }
+    lower = {v: effective_lower_bound(g, v) for v in g.vertices}
     edges = g.edges
     for mask in range(1 << len(edges)):
         indeg = dict.fromkeys(g.vertices, 0)
@@ -164,7 +167,6 @@ class CorpusSpec:
 
     seed: int = 0
     max_elements: int = 8
-    max_family: int = 3
     pairs: int = 100
     families: int = 20
     graphs: int = 40
@@ -225,10 +227,7 @@ def _random_binary_explicit(rng: random.Random, labels: tuple[str, ...]) -> Matr
         return _gf2_rank(rows) == len(rows) and all(c for c in rows)
 
     sets = [mask for mask in range(1 << n) if indep(mask)]
-    ground = GroundSet(labels)
-    from .core import ExplicitMatroid
-
-    return ExplicitMatroid(ground, sets or [0])
+    return ExplicitMatroid(GroundSet(labels), sets or [0])
 
 
 def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -> Matroid:
@@ -243,8 +242,6 @@ def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -
         cut = rng.randint(1, n - 1)
         left = _random_leaf(rng, labels[:cut], [(k, w) for k, w in weights if k != "sum"], counts)
         right = _random_leaf(rng, labels[cut:], [(k, w) for k, w in weights if k != "sum"], counts)
-        from .core import concat_sum
-
         return concat_sum([left, right])
     if kind == "graphic":
         nv = rng.randint(1, max(1, n))
@@ -272,8 +269,6 @@ def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -
 
 def _reorder(m: Matroid, labels: tuple[str, ...]) -> Matroid:
     """Relabel a matroid built in shuffled order back onto the canonical ground."""
-    from .core import RelabelMatroid
-
     ground = GroundSet(labels)
     mapping = {i: ground.index(m.ground.label(i)) for i in bit_indices(m.universe_mask)}
     return RelabelMatroid(ground, m, mapping)
@@ -345,7 +340,7 @@ def fuzz_corpus(spec: CorpusSpec) -> Corpus:
     for i in range(spec.families):
         n_elems = rng.randint(1, min(6, spec.max_elements))
         labels = tuple(f"x{j}" for j in range(n_elems))
-        k = rng.randint(1, spec.max_family)
+        k = rng.randint(1, MAX_FAMILY)
         members = tuple(
             _align(_random_leaf(rng, labels, weights, counts), labels)
             for _ in range(k)

@@ -106,13 +106,13 @@ class DemandGraph:
         return self._degree.get(v, 0)
 
 
-def effective_lower_bound(g: DemandGraph, v: str, demands=None) -> int:
+def effective_lower_bound(g: DemandGraph, v: str) -> int:
     """Minimum admissible in-degree at ``v``.
 
     For a non-negative demand this is the demand itself; for a negative
     demand it asks that all but that many incident edges point inward.
     """
-    o = g.o(v) if demands is None else int(demands.get(v, 0))
+    o = g.o(v)
     return o if o >= 0 else g.degree(v) + o
 
 

@@ -137,13 +137,13 @@ class Wave:
     witness: ElementSet
 
 
-def check_cond(ctx: PairContext, bound: int | None = None) -> bool:
+def check_cond(ctx: PairContext) -> bool:
     """Every wave admits an M-independent base of N contracted onto it.
 
-    Exhaustive over all subsets of the universe; guarded by the
-    configured bound.
+    Exhaustive over all subsets of the universe; raises TooLarge above
+    the exhaustive bound.
     """
-    limit = bound if bound is not None else exhaustive_bound(WAVE_SCAN_BOUND)
+    limit = exhaustive_bound(WAVE_SCAN_BOUND)
     size = ctx.universe_mask.bit_count()
     if size > limit:
         raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")
@@ -175,10 +175,10 @@ def _require_common_independent(ctx: PairContext, s: ElementSet) -> int:
     return mask
 
 
-def feasible(ctx: PairContext, s: ElementSet, bound: int | None = None) -> bool:
+def feasible(ctx: PairContext, s: ElementSet) -> bool:
     """The quotient pair by ``s`` satisfies the wave condition."""
     mask = _require_common_independent(ctx, s)
-    return check_cond(ctx.quotient(mask), bound)
+    return check_cond(ctx.quotient(mask))
 
 
 def nice_feasible(ctx: PairContext, s: ElementSet) -> bool:

@@ -275,13 +275,20 @@ def test_internal_failures_exit_3(files, capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "CertificateInvalid"
 
 
-def test_no_verify_marks_output(files, capsys):
+def test_removed_options_exit_2(files, capsys):
+    # every subcommand re-verifies, and only MATROIDKIT_MAX_EXHAUSTIVE moves
+    # the enumeration bounds, so neither flag parses any more
     tmp, write = files
     m = write("m.json", UNIFORM)
     n = write("n.json", PARTITION)
-    code, out, _ = run(capsys, ["intersect", "--m", m, "--n", n, "--no-verify"])
-    assert code == 0
-    assert json.loads(out)["verification"] == {"verified": False}
+    for argv in (
+        ["intersect", "--m", m, "--n", n, "--no-verify"],
+        ["check", "--m", m, "--bound", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert not capsys.readouterr().out, argv
 
 
 def test_fuzz_writes_round_trippable_corpus(files, capsys):

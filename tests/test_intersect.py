@@ -247,14 +247,6 @@ def test_singleton_path_when_unspanned_both_sides():
     assert path is not None and len(path) == 1 and path.first == 0
 
 
-def test_find_aug_path_honors_precedence_order():
-    m = C.free(G3)
-    n = C.free(G3)
-    state = FeasibleState(PairContext(m, n), G3.empty())
-    path = find_aug_path(state, prec=[2, 1, 0])
-    assert path is not None and path.first == 2
-
-
 def test_augment_rejects_invalid_path():
     ground, ctx, state = five_element_split()
     with pytest.raises(C.PreconditionViolated):
@@ -369,7 +361,7 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
         universe = m.universe_mask
         rule = partial(_heads, m, n, imask, 0, 0)
         sources, sinks = universe & ~n._span(imask), universe & ~m._span(imask)
-        searches.append((universe, rule, sources, sinks, list(bit_indices(sources))))
+        searches.append((universe, rule, sources, sinks))
     mixed = mixed_states(corpus, 40)
     assert sum(1 for state in mixed if state.I.mask & state.ctx.E1.mask) > 50
     for state in mixed:
@@ -377,14 +369,13 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
         rule = build_exchange_digraph(state).rule
         sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
         sinks = ctx.E0.mask & ~state.span_m.mask
-        order = list(bit_indices(ctx.universe_mask))
-        searches.append((ctx.universe_mask, rule, sources, sinks, order))
+        searches.append((ctx.universe_mask, rule, sources, sinks))
     lazier = 0
-    for universe, rule, sources, sinks, order in searches:
+    for universe, rule, sources, sinks in searches:
         full = ExchangeDigraph(universe, rule)
         full.arcs  # builds every tail
         lazy = ExchangeDigraph(universe, rule)
-        assert _first_path(lazy, sources, sinks, order) == _first_path(full, sources, sinks, order)
+        assert _first_path(lazy, sources, sinks) == _first_path(full, sources, sinks)
         lazier += len(lazy.out) < len(full.out)
         lazy = ExchangeDigraph(universe, rule)
         assert _coreach(lazy, sinks) == _coreach(full, sinks)
@@ -569,6 +560,24 @@ def test_state_invariant_broken_detected():
     # s and d share an M-block of capacity 1
     with pytest.raises(C.StateInvariantBroken):
         FeasibleState(ctx, ground.subset("sxd"))
+
+
+def test_state_not_dually_safe_detected():
+    # the ring of I = {d} is empty, so d lies outside the dual span of the
+    # (empty) safe base
+    g = GroundSet(tuple("de"))
+    ctx = PairContext(C.free(g), C.uniform(g, 1), g.full())
+    with pytest.raises(C.StateInvariantBroken, match="not dually safe"):
+        FeasibleState(ctx, g.subset("d"))
+
+
+def test_state_safe_base_dependent_in_dual_detected():
+    # every element is an M-loop, so the safe base is all of E1 = {d, e},
+    # which is dependent in the dual of U(1, 2)
+    g = GroundSet(tuple("de"))
+    ctx = PairContext(C.zero(g), C.uniform(g, 1), g.full())
+    with pytest.raises(C.StateInvariantBroken, match="dependent in the dual"):
+        FeasibleState(ctx, g.empty())
 
 
 # ---------------------------------------------------------------------------

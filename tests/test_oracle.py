@@ -7,6 +7,7 @@ import pytest
 from matroidkit import core as C
 from matroidkit.core import GroundSet, matroid_to_json
 from matroidkit.oracle import (
+    MAX_FAMILY,
     CorpusSpec,
     brute_components,
     brute_largest_wave,
@@ -135,7 +136,7 @@ def test_fuzz_respects_bounds(corpus):
     for inst in corpus.pairs:
         assert inst.M.size <= corpus.spec.max_elements
     for inst in corpus.families:
-        assert len(inst.family.members) <= corpus.spec.max_family
+        assert len(inst.family.members) <= MAX_FAMILY
         assert inst.family.ground.size <= 6
     for inst in corpus.graphs:
         assert len(inst.graph.edges) <= corpus.spec.max_graph_edges
