@@ -80,6 +80,7 @@ from .waves import (
     check_cond_plus,
     common_base_B,
     feasible,
+    is_clean,
     is_wave,
     largest_wave,
     nice_feasible,

@@ -39,7 +39,7 @@ from .oracle import (
 )
 from .orient import DemandGraph, build_instance, orient_solve, verify_outcome
 from .packcov import MatroidFamily, lift_family, packcov_solve, verify_packcov
-from .waves import PairContext, check_cond_plus, largest_wave
+from .waves import PairContext, check_cond_plus, is_clean, largest_wave
 
 INTERNAL_ERRORS = (Stuck, PostconditionFailed, ExtensionFailed, CertificateInvalid)
 
@@ -135,8 +135,7 @@ def _cmd_wave(args) -> tuple[dict, int]:
     m, n, digests = _pair_from_args(args)
     ctx = PairContext(m, n)
     wave = largest_wave(ctx)
-    loops = m.loops()
-    cond_plus = not (wave.W.mask & ~loops.mask) and n.onto(wave.W).rank() == 0
+    cond_plus = is_clean(ctx, wave)
     output = {
         "W": _labels(wave.W),
         "witness": _labels(wave.witness),

@@ -260,15 +260,22 @@ def _heads(m: Matroid, n: Matroid, imask: int, e1: int, safe: int, x: int) -> in
 
 
 def _classic_run(
-    m: Matroid, n: Matroid, trace: Trace | None = None
+    m: Matroid, n: Matroid, trace: Trace | None = None, start: int = 0
 ) -> IntersectionCertificate:
-    """Run the classic solver to completion from the empty set; unverified."""
+    """Run the classic solver to completion from ``start``; unverified.
+
+    Augmenting paths reach a maximum set from any common independent
+    start (Edmonds 1970).  A start that is not one is a caller's bug and
+    raises PostconditionFailed.
+    """
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
     universe = m.universe_mask
+    if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
+        raise PostconditionFailed("classic run start is not common independent")
     # each augmentation grows I by one, and one more step returns the certificate
     max_steps = universe.bit_count() + 1
-    imask = 0
+    imask = start
     for _ in range(max_steps):
         step = _classic_step(m, n, imask)
         if isinstance(step, IntersectionCertificate):
@@ -358,13 +365,18 @@ class FeasibleState:
     ``safe_base`` is its E1 part, which stays a dual base of the E1 part
     of the M-span while the state is dually safe.  Construction checks
     these invariants and raises StateInvariantBroken when one fails.
+    ``warm`` (default empty) is a set outside I left by the last wave
+    run; the next wave run starts from its common independent part.
     """
 
     ctx: PairContext
     I: ElementSet
+    warm: ElementSet | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         ctx = self.ctx
+        if self.warm is None:
+            object.__setattr__(self, "warm", ctx.ground.empty())
         imask = ctx.M._check_subset(self.I)
         if not (ctx.M._indep(imask) and ctx.N._indep(imask)):
             raise StateInvariantBroken("state set is not common independent")
@@ -440,8 +452,9 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
         raise PostconditionFailed("updated dual base is dependent")
     if safe2 != safe and nd._span(safe) != nd._span(safe2):
         raise PostconditionFailed("dual span was not preserved by the augmentation")
+    warm = ElementSet(ctx.ground, state.warm.mask & ~path.mask)
     try:
-        out = FeasibleState(ctx, ElementSet(ctx.ground, new))
+        out = FeasibleState(ctx, ElementSet(ctx.ground, new), warm)
     except StateInvariantBroken as exc:
         raise PostconditionFailed(f"augmented state invalid: {exc}") from exc
     if trace is not None:
@@ -455,15 +468,32 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
 
     Raises ExtensionFailed when no common base exists, which a valid
     augmentation never allows.
+
+    Both wave runs start warm.  The extension's run on the quotient by I
+    starts from the part of ``state.warm`` that is common independent
+    there.  It ends at a maximum common independent J with wave W, and
+    B is the common base adjoined.  The postcondition's run on the
+    quotient by I + B starts from J - W, which is already maximum there:
+
+    - In M/I, B spans W just as J & W does, so J - W is independent in
+      M/(I + B).  In N/I, B is independent in N contracted onto W and
+      J - W spans E - W, so B + (J - W) is independent and J - W is
+      independent in N/(I + B).
+    - Contracting B keeps the N-rank of E - W, so |J - W| = r_{N/I}(E - W)
+      is still the N-rank of the quotient outside W, which bounds every
+      common independent set there because W becomes M-loops.
+
+    So the postcondition's run makes no augmentation, and J - W is what
+    the new state carries for the next extension.
     """
     ctx = state.ctx
     pair = ctx.quotient(state.I.mask)
-    wave = largest_wave(pair)
+    wave = largest_wave(pair, _common_independent_part(pair, state.warm))
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
-    new = FeasibleState(ctx, state.I | base)
-    if not check_cond_plus(ctx.quotient(new.I.mask)):
+    new = FeasibleState(ctx, state.I | base, wave.rest)
+    if not check_cond_plus(ctx.quotient(new.I.mask), wave.rest):
         raise PostconditionFailed("extension did not reach a nice state")
     if trace is not None:
         trace.extensions += 1
@@ -471,6 +501,16 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
             "extend", before=state.I.mask, added=base.mask, wave=wave.W.mask
         )
     return new
+
+
+def _common_independent_part(pair: PairContext, s: ElementSet) -> ElementSet:
+    """Greedy common independent subset of ``s``, smallest indices first."""
+    kept = 0
+    for x in s:
+        grown = kept | (1 << x)
+        if pair.M._indep(grown) and pair.N._indep(grown):
+            kept = grown
+    return ElementSet(pair.ground, kept)
 
 
 def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> FeasibleState:
@@ -510,13 +550,14 @@ def mixed_solve(
     if trace is not None:
         trace.record("wave", W=e_m.mask, witness=wave.witness.mask)
 
+    # wave.rest is maximum in the quotient, so the check's run makes no augmentation
     mq = m.contract(e_m)
     nq = n.delete(e_m)
-    if not check_cond_plus(PairContext(mq, nq)):
+    if not check_cond_plus(PairContext(mq, nq), wave.rest):
         raise PostconditionFailed("quotient after wave removal is not clean")
 
     ctx = PairContext(mq, nq, split.E1 & e_n)
-    state = FeasibleState(ctx, ElementSet(ground, 0))
+    state = FeasibleState(ctx, ElementSet(ground, 0), wave.rest)
     for e in bit_indices(ctx.E0.mask):
         if not ctx.N._span(state.I.mask) >> e & 1:
             state = key_step(state, e, trace)

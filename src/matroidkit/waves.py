@@ -10,7 +10,7 @@ wave is the M-side of one classic intersection certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (
@@ -87,7 +87,7 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
     return None
 
 
-def largest_wave(ctx: PairContext) -> "Wave":
+def largest_wave(ctx: PairContext, start: ElementSet | None = None) -> "Wave":
     """The union of all waves, read off one classic certificate.
 
     Fix a maximum common independent set I and let
@@ -102,15 +102,19 @@ def largest_wave(ctx: PairContext) -> "Wave":
     - The M-side of the classic certificate, the complement of the
       co-reach of the M-unspanned sinks, is the largest such split for I.
 
-    So the M-side is the largest wave and I & E_M witnesses it.  On
-    infinite matroids the largest wave needs a transfinite accumulation
-    over quotients; on finite ones that loop stops after this one step.
-    The witness is re-checked against the raw oracles.
+    So the M-side is the largest wave and I & E_M witnesses it.  f does
+    not depend on I, so neither does W: the classic run may start from
+    any common independent ``start`` (default empty) and only the
+    witness and ``rest`` can change.  A start that is not common
+    independent raises PostconditionFailed.  On infinite matroids the
+    largest wave needs a transfinite accumulation over quotients; on
+    finite ones that loop stops after this one step.  The witness is
+    re-checked against the raw oracles.
     """
     from .intersect import _classic_run
 
-    cert = _classic_run(ctx.M, ctx.N)
-    wave = Wave(cert.E_M, cert.I & cert.E_M)
+    cert = _classic_run(ctx.M, ctx.N, start=0 if start is None else start.mask)
+    wave = Wave(cert.E_M, cert.I & cert.E_M, cert.I - cert.E_M)
     _verify_wave(ctx, wave)
     return wave
 
@@ -131,10 +135,22 @@ def _verify_wave(ctx: PairContext, wave: "Wave") -> None:
 
 @dataclass(frozen=True)
 class Wave:
-    """A wave together with one witnessing base."""
+    """A wave together with one witnessing base.
+
+    ``rest`` (default empty) is, in the wave ``largest_wave`` returns, the
+    part outside W of the maximum common independent set W was read
+    from.  It is independent in M/W, since the witness spans W, and it
+    spans E - W in N, so it is a maximum common independent set of the
+    quotient pair (M/W, N - W), and a run there can start from it.
+    """
 
     W: ElementSet
     witness: ElementSet
+    rest: ElementSet | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.rest is None:
+            object.__setattr__(self, "rest", ElementSet(self.W.ground, 0))
 
 
 def check_cond(ctx: PairContext) -> bool:
@@ -160,9 +176,18 @@ def check_cond(ctx: PairContext) -> bool:
     return True
 
 
-def check_cond_plus(ctx: PairContext) -> bool:
-    """The largest wave consists of M-loops and N contracted onto it has rank 0."""
-    wave = largest_wave(ctx)
+def check_cond_plus(ctx: PairContext, start: ElementSet | None = None) -> bool:
+    """The largest wave consists of M-loops and N contracted onto it has rank 0.
+
+    ``start`` is any common independent set of the pair to start the wave
+    run from; the largest wave, and so the answer, is the same for every
+    start (see ``largest_wave``).
+    """
+    return is_clean(ctx, largest_wave(ctx, start))
+
+
+def is_clean(ctx: PairContext, wave: Wave) -> bool:
+    """``wave`` consists of M-loops and N contracted onto it has rank 0."""
     if wave.W.mask & ~ctx.M._loops_mask():
         return False
     return ctx.N.onto(wave.W)._rank(wave.W.mask) == 0

@@ -293,6 +293,21 @@ def _least_shortest_path(out, size, source, sinks):
     return None
 
 
+def test_classic_run_rejects_a_start_that_is_not_common_independent():
+    free, u31 = C.free(G3), C.uniform(G3, 1)
+    ab = G3.subset("ab").mask
+    ab_only = free.restrict(G3.subset("ab"))
+    cases = [
+        (u31, free, ab),  # dependent in M
+        (free, u31, ab),  # dependent in N
+        (ab_only, ab_only, G3.subset("c").mask),  # outside the universe
+    ]
+    for m, n, start in cases:
+        with pytest.raises(C.PostconditionFailed, match="start is not common independent"):
+            _classic_run(m, n, start=start)
+    assert len(_classic_run(free, u31, start=G3.subset("b").mask).I) == 1
+
+
 def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
     rng = random.Random(7)
     found = missing = longest = 0
@@ -477,6 +492,29 @@ def test_extend_to_nice_reaches_nice_state(corpus):
     assert checked > 0
 
 
+def test_extension_postcondition_fires_on_a_short_common_base(monkeypatch):
+    # N: a, b free and c, d parallel, so the largest wave is {a, b} and the
+    # extension's run leaves J - W = {c} as the postcondition's start.
+    # Dropping one element of B leaves it outside the loops of M in the
+    # quotient and inside its largest wave, so the warm-started
+    # postcondition must still refuse the state.
+    import matroidkit.intersect as intersect
+
+    n = C.PartitionMatroid(G4, ((G4.subset("ab").mask, 2), (G4.subset("cd").mask, 1)))
+    state = FeasibleState(PairContext(C.free(G4), n), G4.empty())
+    extended = extend_to_nice(state)
+    assert extended.I == G4.subset("ab") and extended.warm == G4.subset("c")
+    real = intersect.common_base_B
+
+    def short_base(pair, x):
+        base = real(pair, x)
+        return base.remove(next(iter(base)))
+
+    monkeypatch.setattr(intersect, "common_base_B", short_base)
+    with pytest.raises(C.PostconditionFailed, match="did not reach a nice state"):
+        extend_to_nice(state)
+
+
 def test_key_step_noop_when_already_spanned():
     ground, ctx, state = five_element_split()
     spanned = next(iter(bit_indices(ctx.N._span(state.I.mask) & ctx.E0.mask)))
@@ -541,6 +579,57 @@ def test_mixed_matches_classic_past_enumeration_sizes(size):
         cert = mixed_solve(m, SplitInput(n, n.elements() - e1, e1))
         assert len(cert.I) == len(classic.I), e1.labels()
         assert verify_certificate(m, n, cert)
+
+
+def test_mixed_loop_at_bench_size_warm_starts_every_postcondition(monkeypatch):
+    # n = 48: graphic M of rank 35 against a partition N of blocks of 2-4
+    # elements, capped at half, so the largest wave is small and the
+    # augment/extend loop runs many times.
+    import matroidkit.intersect as intersect
+
+    rng = random.Random(48)
+    size = 48
+    labels = [f"e{i}" for i in range(size)]
+    vs = [f"v{i}" for i in range(size * 3 // 4)]
+    ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
+    while len(ends) < size:
+        ends.append(tuple(rng.sample(range(len(vs)), 2)))
+    rng.shuffle(ends)
+    m = C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
+    order = list(range(size))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        take = min(len(order), rng.randint(2, 4))
+        blocks.append((sum(1 << e for e in order[:take]), take // 2))
+        order = order[take:]
+    n = C.PartitionMatroid(m.ground, tuple(blocks))
+
+    steps = [0]
+    postcondition_steps = []
+    real_step, real_check = intersect._classic_step, intersect.check_cond_plus
+
+    def counted_step(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    def counted_check(*args):
+        before = steps[0]
+        out = real_check(*args)
+        postcondition_steps.append(steps[0] - before)
+        return out
+
+    monkeypatch.setattr(intersect, "_classic_step", counted_step)
+    monkeypatch.setattr(intersect, "check_cond_plus", counted_check)
+    trace = Trace()
+    cert = mixed_solve(m, SplitInput(n, m.elements(), m.ground.empty()), trace)
+    monkeypatch.undo()
+    classic = edmonds_solve(PairContext(m, n))
+    assert len(cert.I) == len(classic.I)
+    assert cert.E_M == classic.E_M
+    assert trace.augmentations >= 10 and trace.extensions >= 10
+    assert len(postcondition_steps) == trace.extensions + 1
+    assert set(postcondition_steps) == {1}
 
 
 def test_split_validation_rejects_crossing_component():

@@ -8,7 +8,7 @@ import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
-from matroidkit.intersect import edmonds_solve
+from matroidkit.intersect import _common_independent_part, edmonds_solve
 from matroidkit.waves import (
     PairContext,
     Wave,
@@ -160,6 +160,22 @@ def test_quotient_after_removal_has_empty_wave(corpus):
         assert check_cond_plus(PairContext(mq, nq))
         waves.append((w, m.universe_mask))
     assert all(0 < w < universe for w, universe in waves[-2:])
+
+
+def test_largest_wave_is_the_same_from_any_start(corpus):
+    # starts: empty, a greedy common independent set and a maximum one
+    pairs = [(inst.M, inst.N) for inst in small_pairs(corpus, limit=20)]
+    pairs += [graphic_partition_pair(size) for size in (32, 48)]
+    for m, n in pairs:
+        ctx = PairContext(m, n)
+        cold = largest_wave(ctx)
+        size = len(cold.witness) + len(cold.rest)
+        greedy = _common_independent_part(ctx, m.elements())
+        for start in (m.ground.empty(), greedy, edmonds_solve(ctx).I):
+            wave = largest_wave(ctx, start)
+            assert wave.W == cold.W
+            assert len(wave.witness) + len(wave.rest) == size
+            assert check_cond_plus(PairContext(m.contract(wave.W), n.delete(wave.W)), wave.rest)
 
 
 # ---------------------------------------------------------------------------
