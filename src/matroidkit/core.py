@@ -609,6 +609,11 @@ class RestrictMatroid(Matroid):
 
 
 class ContractMatroid(Matroid):
+    # With B_C a base of the contracted set C, which spans C:
+    #   r_{M/C}(X) = r_M(X | C) - r_M(C) = r_M(X | B_C) - |B_C|
+    #   span_{M/C}(X) = span_M(X | C) - C = span_M(X | B_C) - C
+    # so ranks and spans read the child's memos, which every fresh
+    # contraction of the same child shares.
     kind = "contract"
 
     def __init__(self, child: Matroid, mask: int) -> None:
@@ -621,6 +626,13 @@ class ContractMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask | self._base_of_contracted)
+
+    def _rank(self, mask: int) -> int:
+        base = self._base_of_contracted
+        return self.child._rank(mask | base) - base.bit_count()
+
+    def _span(self, mask: int) -> int:
+        return self.child._span(mask | self._base_of_contracted) & self.universe_mask
 
     def _json_doc(self) -> dict:
         return {

@@ -94,6 +94,13 @@ class ExchangeDigraph:
         return bool(self.heads(x) >> y & 1)
 
 
+def _mask(elements: Sequence[int]) -> int:
+    out = 0
+    for e in elements:
+        out |= 1 << e
+    return out
+
+
 @dataclass(frozen=True)
 class AugPath:
     """Odd alternating element sequence from an N-unspanned to an M-unspanned element."""
@@ -110,10 +117,7 @@ class AugPath:
 
     @property
     def mask(self) -> int:
-        out = 0
-        for e in self.elements:
-            out |= 1 << e
-        return out
+        return _mask(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -200,14 +204,6 @@ def _first_path(dg: ExchangeDigraph, sources: int, sinks: int) -> list[int] | No
     return None
 
 
-def _coreach(dg: ExchangeDigraph, seeds_mask: int) -> int:
-    seen = frontier = seeds_mask
-    while frontier:
-        frontier = dg.tails_into(dg.universe & ~seen, frontier)
-        seen |= frontier
-    return seen
-
-
 def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int) -> int:
     """I xor the path, checked to keep the spans an augmentation guarantees.
 
@@ -255,6 +251,33 @@ def _heads(m: Matroid, n: Matroid, imask: int, e1: int, safe: int, x: int) -> in
     return out
 
 
+def _circuit_members(mat: Matroid, dep: int, among: int) -> int:
+    """The elements of ``among`` in the one circuit of ``dep``, found by halving.
+
+    ``dep`` is an independent set plus one element, so it holds exactly
+    one circuit C, and dep - S is independent exactly when S meets C.
+    Every part on the stack meets C and is split in two; when the first
+    half misses C, the second half meets it, and that is not asked.
+    """
+    if not among or not mat._indep(dep & ~among):
+        return 0
+    found = 0
+    stack = [list(bit_indices(among))]
+    while stack:
+        part = stack.pop()
+        if len(part) == 1:
+            found |= 1 << part[0]
+            continue
+        mid = len(part) // 2
+        low, high = part[:mid], part[mid:]
+        low_meets = mat._indep(dep & ~_mask(low))
+        if low_meets:
+            stack.append(low)
+        if not low_meets or mat._indep(dep & ~_mask(high)):
+            stack.append(high)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # classic solver
 
@@ -289,7 +312,24 @@ def _classic_run(
 
 
 def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | IntersectionCertificate":
-    """A shortest augmenting path, or the reachability certificate when there is none."""
+    """A shortest augmenting path, or the reachability certificate when there is none.
+
+    The certificate's M-side is the complement of the co-reach of the
+    sinks, found by a search backward from them that reads each rule
+    through its tails:
+
+    - N-rule: the tails into an outside z are C_N(z, I) - z.  Every z
+      reached is N-spanned, since an N-unspanned one would be a source
+      with a path.  The unvisited tails come out by halving, because
+      I + z - S is N-independent exactly when S meets C_N(z, I)
+      (``_circuit_members``).
+    - M-rule: the sinks are seeded, so every unvisited x outside I is
+      M-spanned, and it has an arc into the I-layer L exactly when
+      I - L + x is M-independent.  That is one query per x per layer.
+
+    The co-reach is a set fixed by the digraph, so the order of search
+    cannot change the certificate.
+    """
     universe = m.universe_mask
     dg = ExchangeDigraph(universe, partial(_heads, m, n, imask, 0, 0))
     sources = universe & ~n._span(imask)
@@ -297,8 +337,20 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | Intersecti
     path = _first_path(dg, sources, sinks_mask)
     if path is not None:
         return path
+    seen = frontier = sinks_mask
+    while frontier:
+        layer = 0
+        for z in bit_indices(frontier):
+            layer |= _circuit_members(n, imask | 1 << z, imask & ~seen & ~layer)
+        seen |= layer
+        frontier = 0
+        if layer:
+            for x in bit_indices(universe & ~imask & ~seen):
+                if m._indep(imask & ~layer | 1 << x):
+                    frontier |= 1 << x
+        seen |= frontier
     ground = m.ground
-    e_m = universe & ~_coreach(dg, sinks_mask)
+    e_m = universe & ~seen
     return IntersectionCertificate(
         ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
     )

@@ -242,7 +242,14 @@ def verify_outcome(g: DemandGraph, out: OrientationOutcome) -> bool:
 
 
 def deficiency_counting_check(g: DemandGraph, v_prime: Sequence[str]) -> bool:
-    """Total demand on the set exceeds the number of edges meeting it."""
+    """Total demand on the set exceeds the number of edges meeting it.
+
+    By Hakimi's theorem ("On the degrees of the vertices of a directed
+    graph", J. Franklin Inst. 279, 1965), a graph has an orientation
+    with in-degree at least l(v) at every vertex v exactly when no vertex
+    set has more total demand than edges meeting it, so such a set
+    proves that no orientation meets the demands.
+    """
     vset = set(v_prime)
     if not vset:
         return False

@@ -182,6 +182,28 @@ def brute_has_arc(state, x: int, y: int) -> bool:
     return bool(by & safe) and not nd._indep(safe | bx) and nd._indep(safe ^ by | bx)
 
 
+def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
+    """Elements with a path to an M-unspanned element in the classic digraph at I.
+
+    A reference for the classic certificate: the heads of every tail are
+    built from the forward rules first, then a breadth-first search walks
+    the arcs backward from the sinks.
+    """
+    from matroidkit.intersect import _heads
+
+    universe = m.universe_mask
+    heads = {x: _heads(m, n, imask, 0, 0, x) for x in bit_indices(universe)}
+    seen = frontier = universe & ~m._span(imask)
+    while frontier:
+        tails = 0
+        for x in bit_indices(universe & ~seen):
+            if heads[x] & frontier:
+                tails |= 1 << x
+        seen |= tails
+        frontier = tails
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # driving the mixed stack step by step (for replay tests)
 

@@ -20,7 +20,6 @@ from matroidkit.intersect import (
     _check_chordless,
     _classic_run,
     _classic_step,
-    _coreach,
     _first_path,
     _heads,
     augment,
@@ -39,7 +38,7 @@ from matroidkit.orient import DemandGraph, orient_solve
 from matroidkit.packcov import MatroidFamily, packcov_solve
 from matroidkit.waves import PairContext, nice_feasible
 
-from conftest import brute_has_arc, drive_mixed, replay_arc_persistence
+from conftest import brute_has_arc, drive_mixed, full_digraph_coreach, replay_arc_persistence
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -332,14 +331,30 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
     assert found > 100 and missing > 50 and longest >= 4
 
 
+def graphic_pair(rng, size, n_vertices):
+    """Two graphic matroids on the same labels, each edge between random ends."""
+    labels = [f"e{i}" for i in range(size)]
+    vs = [f"v{i}" for i in range(n_vertices)]
+    out = []
+    for _ in range(2):
+        ends = [rng.sample(vs, 2) for _ in labels]
+        out.append(C.graphic(vs, [(u, v, e) for (u, v), e in zip(ends, labels)]))
+    return out
+
+
+def classic_states_of(m, n):
+    """(M, N, I) for every set the classic solver passes through on (M, N)."""
+    trace = Trace()
+    cert = _classic_run(m, n, trace)
+    sets = [e["before"] for e in trace.events] + [cert.I.mask]
+    return [(m, n, imask) for imask in sets]
+
+
 def classic_states(corpus, limit):
     """(M, N, I) for every set the classic solver passes through on corpus pairs."""
     out = []
     for inst in corpus.pairs[:limit]:
-        trace = Trace()
-        cert = _classic_run(inst.M, inst.N, trace)
-        sets = [e["before"] for e in trace.events] + [cert.I.mask]
-        out += [(inst.M, inst.N, imask) for imask in sets]
+        out += classic_states_of(inst.M, inst.N)
     return out
 
 
@@ -392,9 +407,29 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
         lazy = ExchangeDigraph(universe, rule)
         assert _first_path(lazy, sources, sinks) == _first_path(full, sources, sinks)
         lazier += len(lazy.out) < len(full.out)
-        lazy = ExchangeDigraph(universe, rule)
-        assert _coreach(lazy, sinks) == _coreach(full, sinks)
     assert len(searches) > 150 and lazier > len(searches) // 2
+
+    # the classic certificate's E_M is the universe minus the full digraph's
+    # co-reach of the sinks; deleting the sources leaves a state with no
+    # path, so every state, small or at n = 48, gets a certificate step;
+    # graphic pairs give co-reaches that go past the first I-layer
+    states = classic_states(corpus, 40)
+    for n_vertices in (16, 24):
+        states += classic_states_of(*graphic_pair(random.Random(n_vertices), 48, n_vertices))
+    deep = 0
+    for m, n, imask in states:
+        sources = ElementSet(m.ground, m.universe_mask & ~n._span(imask))
+        pairs = [(m, n)]
+        if sources:
+            pairs.append((m.delete(sources), n.delete(sources)))
+        for pm, pn in pairs:
+            step = _classic_step(pm, pn, imask)
+            if not isinstance(step, IntersectionCertificate):
+                continue
+            coreach = full_digraph_coreach(pm, pn, imask)
+            assert step.E_M.mask == pm.universe_mask & ~coreach, imask
+            deep += bool(coreach & ~imask & pm._span(imask))
+    assert len(states) > 140 and deep > 15
 
 
 class Recording(C.Matroid):
@@ -427,8 +462,15 @@ def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
             for x in bit_indices(m.universe_mask & ~imask):
                 if not full._indep(imask | 1 << x):
                     full._fund_circuit(x, imask)
-        assert step_m.asked <= full_m.asked and step_n.asked <= full_n.asked
-        fewer += len(step_m.asked) + len(step_n.asked) < len(full_m.asked) + len(full_n.asked)
+        # halving asks masks I - S + z that a full build never asks, so
+        # the distinct masks are counted, not compared as sets
+        asked = len(step_m.asked) + len(step_n.asked)
+        full_asked = len(full_m.asked) + len(full_n.asked)
+        assert asked <= full_asked
+        fewer += asked < full_asked
+        if isinstance(step, IntersectionCertificate):
+            coreach = full_digraph_coreach(m, n, imask)
+            assert step.E_M.mask == m.universe_mask & ~coreach
     assert fewer > len(states) // 4
 
 
@@ -557,16 +599,19 @@ def test_mixed_all_component_splits(corpus):
             assert verify_certificate(inst.M, inst.N, cert)
 
 
-@pytest.mark.parametrize("size", [32, 48])
+@pytest.mark.parametrize("size", [32, 48, 128, 256])
 def test_mixed_matches_classic_past_enumeration_sizes(size):
-    # N: two 2-connected graphs on disjoint 8-vertex sets, so exactly two
+    # N: two 2-connected graphs on disjoint vertex sets, so exactly two
     # components; M: shuffled pairs of edges, at most one of each pair.
+    # Each side is a cycle with chords of step at most 4 on at least 8
+    # vertices, so no edge is a loop.
+    side_vs = max(8, size // 8)
     edges = []
     for side in "ab":
         for k in range(size // 2):
-            i, step = k % 8, 1 + k // 8
-            edges.append((f"{side}{i}", f"{side}{(i + step) % 8}", f"{side}{k}"))
-    n = C.graphic([f"{side}{i}" for side in "ab" for i in range(8)], edges)
+            i, step = k % side_vs, 1 + k // side_vs
+            edges.append((f"{side}{i}", f"{side}{(i + step) % side_vs}", f"{side}{k}"))
+    n = C.graphic([f"{side}{i}" for side in "ab" for i in range(side_vs)], edges)
     order = list(range(size))
     random.Random(size).shuffle(order)
     pairs = tuple(((1 << order[j]) | (1 << order[j + 1]), 1) for j in range(0, size, 2))
