@@ -2,7 +2,10 @@
 
 All solvers emit certificates that are re-verified against raw
 independence oracles; brute-force counterparts in :mod:`matroidkit.oracle`
-provide the ground truth the test suite compares against.
+provide the ground truth the test suite compares against.  Those
+enumerations (``axiom_check``, ``check_cond``, ``feasible`` and the
+``brute_*`` scans) are not exported here: reach them as
+``matroidkit.oracle.*``.
 """
 
 from .core import (
@@ -24,8 +27,6 @@ from .core import (
     Stuck,
     TooLarge,
     UniverseMismatch,
-    axiom_check,
-    circuit_eliminate,
     concat_sum,
     direct_sum,
     explicit,
@@ -33,9 +34,7 @@ from .core import (
     graphic,
     matroid_from_json,
     matroid_to_json,
-    outgoing_from_circuit,
     partition,
-    simultaneous_exchange,
     uniform,
     zero,
 )
@@ -49,7 +48,6 @@ from .intersect import (
     augment,
     build_exchange_digraph,
     edmonds_solve,
-    edmonds_step,
     extend_to_nice,
     find_aug_path,
     key_step,
@@ -76,10 +74,8 @@ from .packcov import (
 from .waves import (
     PairContext,
     Wave,
-    check_cond,
     check_cond_plus,
     common_base_B,
-    feasible,
     is_clean,
     is_wave,
     largest_wave,

@@ -24,7 +24,6 @@ from .core import (
     PostconditionFailed,
     RelabelMatroid,
     Stuck,
-    axiom_check,
     bit_indices,
     matroid_from_json,
     matroid_to_json,
@@ -32,6 +31,7 @@ from .core import (
 from .intersect import Trace, solve, verify_certificate
 from .oracle import (
     CorpusSpec,
+    axiom_check,
     brute_largest_wave,
     brute_max_common,
     brute_minmax,

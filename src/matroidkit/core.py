@@ -4,35 +4,15 @@ Matroids are expression trees (uniform, graphic, partition, explicit,
 dual, restrict, contract, direct sum, relabel) evaluated through a
 memoized independence oracle.  All subset arithmetic is done on Python
 integers used as bit sets; element indices are fixed by the ground set
-and stay stable for the lifetime of every derived handle.
+and stay stable for the lifetime of every derived handle.  Nothing
+here enumerates subsets: that code, and its size bound, lives in
+:mod:`matroidkit.oracle`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
-
-ENV_MAX_EXHAUSTIVE = "MATROIDKIT_MAX_EXHAUSTIVE"
-# most elements whose subsets axiom_check enumerates by default
-AXIOM_CHECK_BOUND = 12
-
-
-def exhaustive_bound(default: int) -> int:
-    """Effective size bound for enumeration-based routines.
-
-    The MATROIDKIT_MAX_EXHAUSTIVE environment variable, when set,
-    overrides every built-in default.
-    """
-    value = os.environ.get(ENV_MAX_EXHAUSTIVE)
-    if not value:
-        return default
-    try:
-        return int(value)
-    except ValueError:
-        raise MatroidKitError(
-            f"{ENV_MAX_EXHAUSTIVE} must be an integer, not {value!r}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +89,6 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """Yield every submask of ``mask``, starting from 0, ending at ``mask``."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +515,7 @@ class ExplicitMatroid(Matroid):
     Accepts base lists or arbitrary independent-set lists; only the
     inclusion-maximal members are kept.  They must all have one size,
     since the bases of a matroid do; the other axioms are checked on
-    demand by :func:`axiom_check`.
+    demand by :func:`matroidkit.oracle.axiom_check`.
     """
 
     kind = "explicit"
@@ -787,157 +757,6 @@ def concat_sum(parts: Sequence[Matroid]) -> Matroid:
         }
         moved.append(RelabelMatroid(ground, p, mapping))
     return direct_sum(moved)
-
-
-# ---------------------------------------------------------------------------
-# elementary exchange subroutines
-
-
-def simultaneous_exchange(
-    m: Matroid, independent: ElementSet, pairs: Sequence[tuple[int, int]]
-) -> ElementSet:
-    """Swap ``e_j`` in and ``f_j`` out simultaneously.
-
-    Requires each ``e_j`` spanned outside the set, ``f_j`` in the
-    fundamental circuit of ``e_j`` and in no earlier pair's circuit.  The
-    result is independent and spans the same set.
-    """
-    imask = m._check_subset(independent)
-    if not m._indep(imask):
-        raise PreconditionViolated("reference set is dependent")
-    circuits = []
-    in_mask = 0
-    out_mask = 0
-    for j, (e, f) in enumerate(pairs):
-        be, bf = 1 << e, 1 << f
-        if be & imask or not be & m.universe_mask:
-            raise PreconditionViolated(f"pair {j}: entering element invalid")
-        if m._indep(imask | be):
-            raise PreconditionViolated(f"pair {j}: entering element not spanned")
-        if not bf & imask:
-            raise PreconditionViolated(f"pair {j}: leaving element not in the set")
-        circ = m._fund_circuit(e, imask)
-        if not bf & circ:
-            raise PreconditionViolated(f"pair {j}: leaving element outside the circuit")
-        for k, earlier in enumerate(circuits):
-            if bf & earlier:
-                raise PreconditionViolated(
-                    f"pair {j}: leaving element lies in the circuit of pair {k}"
-                )
-        if be & in_mask or bf & out_mask:
-            raise PreconditionViolated(f"pair {j}: element reused")
-        circuits.append(circ)
-        in_mask |= be
-        out_mask |= bf
-    result = (imask | in_mask) & ~out_mask
-    if not m._indep(result) or m._span(result) != m._span(imask):
-        raise PostconditionFailed("exchange broke independence or the span")
-    return ElementSet(m.ground, result)
-
-
-def circuit_eliminate(
-    m: Matroid,
-    circuit: ElementSet,
-    e: int,
-    replacements: Mapping[int, ElementSet],
-) -> ElementSet:
-    """Eliminate the elements of ``replacements`` from ``circuit``.
-
-    Each key ``x`` must come with a circuit through ``x`` avoiding ``e``
-    that meets the key set only in ``x``.  Returns a circuit through
-    ``e`` inside the union minus the keys.
-    """
-    cmask = m._check_subset(circuit)
-    be = 1 << e
-    if not m._is_circuit(cmask):
-        raise PreconditionViolated("first argument is not a circuit")
-    if not be & cmask:
-        raise PreconditionViolated("pivot element not in the circuit")
-    xmask = 0
-    for x in replacements:
-        xmask |= 1 << x
-    if xmask & ~(cmask & ~be):
-        raise PreconditionViolated("replacement keys must lie in the circuit minus e")
-    union = cmask
-    for x, cx in replacements.items():
-        cx_mask = m._check_subset(cx)
-        if not m._is_circuit(cx_mask):
-            raise PreconditionViolated(f"replacement for element {x} is not a circuit")
-        if be & cx_mask:
-            raise PreconditionViolated(f"replacement circuit for {x} contains e")
-        if cx_mask & xmask != 1 << x:
-            raise PreconditionViolated(
-                f"replacement circuit for {x} meets the key set elsewhere"
-            )
-        union |= cx_mask
-    allowed = union & ~xmask
-    base = m._max_indep(allowed & ~be)
-    if m._indep(base | be):
-        raise PostconditionFailed("no circuit through e survived the elimination")
-    return ElementSet(m.ground, m._fund_circuit(e, base))
-
-
-def outgoing_from_circuit(
-    m: Matroid, independent: ElementSet, circuit: ElementSet, e: int
-) -> int:
-    """Smallest ``f`` outside ``independent`` whose fundamental circuit hits ``e``."""
-    imask = m._check_subset(independent)
-    cmask = m._check_subset(circuit)
-    be = 1 << e
-    if not m._indep(imask):
-        raise PreconditionViolated("reference set is dependent")
-    if not m._is_circuit(cmask):
-        raise PreconditionViolated("second argument is not a circuit")
-    if cmask & ~m._span(imask):
-        raise PreconditionViolated("circuit is not spanned by the reference set")
-    if not be & imask & cmask:
-        raise PreconditionViolated("pivot must lie in both the set and the circuit")
-    for f in bit_indices(cmask & ~imask):
-        if be & m._fund_circuit(f, imask):
-            return f
-    raise PostconditionFailed("no outgoing element found in a spanned circuit")
-
-
-# ---------------------------------------------------------------------------
-# axiom check
-
-
-def axiom_check(m: Matroid) -> bool:
-    """Verify the independence axioms by full enumeration.
-
-    Checks that the empty set is independent, that independence is
-    downward closed, and that every non-maximal independent set extends
-    into every maximal one.  Raises TooLarge above the exhaustive bound.
-    """
-    expand = [1 << e for e in bit_indices(m.universe_mask)]
-    n = len(expand)
-    limit = exhaustive_bound(AXIOM_CHECK_BOUND)
-    if n > limit:
-        raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
-
-    indep = [s for s in iter_submasks(m.universe_mask) if m._indep(s)]
-    if 0 not in indep:
-        return False
-    indep_set = set(indep)
-    for s in indep:
-        for x in bit_indices(s):
-            if s ^ (1 << x) not in indep_set:
-                return False
-    ext = {}
-    for s in indep:
-        grow = 0
-        for b in expand:
-            if not s & b and (s | b) in indep_set:
-                grow |= b
-        ext[s] = grow
-    maximal = [s for s in indep if ext[s] == 0]
-    for small in indep:
-        if ext[small] == 0:
-            continue
-        for big in maximal:
-            if big & ~small & ext[small] == 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .core import (
     ElementSet,
     Matroid,
     MatroidKitError,
-    NotCommonIndependent,
     PostconditionFailed,
     PreconditionViolated,
     ExtensionFailed,
@@ -356,17 +355,6 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | Intersecti
     )
 
 
-def edmonds_step(ctx: PairContext, independent: ElementSet) -> IntersectionCertificate | AugPath:
-    """One classic step: an augmenting path, or the reachability certificate."""
-    imask = ctx.M._check_subset(independent)
-    if not (ctx.M._indep(imask) and ctx.N._indep(imask)):
-        raise NotCommonIndependent("starting set is not common independent")
-    step = _classic_step(ctx.M, ctx.N, imask)
-    if isinstance(step, IntersectionCertificate):
-        return step
-    return AugPath(tuple(step))
-
-
 def edmonds_solve(ctx: PairContext, trace: Trace | None = None) -> IntersectionCertificate:
     """Maximum common independent set with the two-sided spanning partition.
 
@@ -571,8 +559,10 @@ def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> Feasib
     if not (1 << e) & ctx.E0.mask:
         raise PreconditionViolated("target element must lie in E0")
     size = ctx.universe_mask.bit_count()
-    # each round grows I by one, so |E| rounds suffice; the cap is kept loose
-    max_rounds = size * (size + 2) + 1
+    # _validate_path admits only odd paths along exchange arcs, which alternate
+    # out of and into I, so each round grows I by at least one; |I| <= |E|
+    # then caps the rounds at |E|
+    max_rounds = size
     rounds = 0
     while not ctx.N._span(state.I.mask) >> e & 1:
         rounds += 1

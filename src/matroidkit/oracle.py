@@ -2,42 +2,80 @@
 
 Everything here is definition-level enumeration: maximum common
 independent sets by scanning all subsets, the min-max value over all
-partitions, the largest wave as the union of all witnessed waves,
-components as the classes linked by circuits over all subsets, and
-orientation feasibility over all edge-direction vectors.  These routines
-feed every acceptance test and stay independent of the solvers.
+partitions, the largest wave as the union of all witnessed waves, the
+wave condition over every subset, the independence axioms over every
+subset, components as the classes linked by circuits over all subsets,
+and orientation feasibility over all edge-direction vectors.  These
+routines feed every acceptance test and ``matroidkit check``, and stay
+independent of the solvers.  This is the one module that enumerates
+subsets or reads the enumeration bound; no solver module imports it.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import (
     ElementSet,
     ExplicitMatroid,
     GroundSet,
     Matroid,
+    MatroidKitError,
     PostconditionFailed,
     RelabelMatroid,
     TooLarge,
     bit_indices,
     concat_sum,
-    exhaustive_bound,
     graphic,
-    iter_submasks,
     partition,
     uniform,
 )
+from .intersect import _classic_run
 from .orient import DemandGraph, effective_lower_bound
 from .packcov import MatroidFamily
+from .waves import PairContext, _require_common_independent
 
+ENV_MAX_EXHAUSTIVE = "MATROIDKIT_MAX_EXHAUSTIVE"
 MAX_COMMON_BOUND = 16
 COMPONENTS_BOUND = 16
 WAVE_BOUND = 10
 ORIENT_BOUND = 14
+# most elements whose subsets axiom_check enumerates by default
+AXIOM_CHECK_BOUND = 12
+# most elements whose subsets check_cond scans for waves by default
+WAVE_SCAN_BOUND = 12
 # most members of one fuzzed matroid family
 MAX_FAMILY = 3
+
+
+def exhaustive_bound(default: int) -> int:
+    """Effective size bound for enumeration-based routines.
+
+    The MATROIDKIT_MAX_EXHAUSTIVE environment variable, when set,
+    overrides every built-in default.
+    """
+    value = os.environ.get(ENV_MAX_EXHAUSTIVE)
+    if not value:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise MatroidKitError(
+            f"{ENV_MAX_EXHAUSTIVE} must be an integer, not {value!r}"
+        ) from None
+
+
+def iter_submasks(mask: int) -> Iterator[int]:
+    """Yield every submask of ``mask``, starting from 0, ending at ``mask``."""
+    sub = 0
+    while True:
+        yield sub
+        if sub == mask:
+            return
+        sub = (sub - mask) & mask
 
 
 def rank_table(m: Matroid) -> dict[int, int]:
@@ -126,6 +164,71 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     if not is_wave_mask(union):
         raise PostconditionFailed("union of waves failed its own wave test")  # pragma: no cover
     return ElementSet(m.ground, union)
+
+
+def check_cond(ctx: PairContext) -> bool:
+    """Every wave admits an M-independent base of N contracted onto it.
+
+    Exhaustive over all subsets of the universe; raises TooLarge above
+    the exhaustive bound.
+    """
+    limit = exhaustive_bound(WAVE_SCAN_BOUND)
+    size = ctx.universe_mask.bit_count()
+    if size > limit:
+        raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")
+    m, n = ctx.M, ctx.N
+    for wmask in iter_submasks(ctx.universe_mask):
+        w = ElementSet(ctx.ground, wmask)
+        mw = m.restrict(w)
+        nw = n.onto(w)
+        s = len(_classic_run(mw, nw).I)
+        if s == mw._rank(wmask) and s < nw._rank(wmask):
+            return False
+    return True
+
+
+def feasible(ctx: PairContext, s: ElementSet) -> bool:
+    """The quotient pair by ``s`` satisfies the wave condition."""
+    mask = _require_common_independent(ctx, s)
+    return check_cond(ctx.quotient(mask))
+
+
+def axiom_check(m: Matroid) -> bool:
+    """Verify the independence axioms by full enumeration.
+
+    Checks that the empty set is independent, that independence is
+    downward closed, and that every non-maximal independent set extends
+    into every maximal one.  Raises TooLarge above the exhaustive bound.
+    """
+    expand = [1 << e for e in bit_indices(m.universe_mask)]
+    n = len(expand)
+    limit = exhaustive_bound(AXIOM_CHECK_BOUND)
+    if n > limit:
+        raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
+
+    indep = [s for s in iter_submasks(m.universe_mask) if m._indep(s)]
+    if 0 not in indep:
+        return False
+    indep_set = set(indep)
+    for s in indep:
+        for x in bit_indices(s):
+            if s ^ (1 << x) not in indep_set:
+                return False
+    ext = {}
+    for s in indep:
+        grow = 0
+        for b in expand:
+            if not s & b and (s | b) in indep_set:
+                grow |= b
+        ext[s] = grow
+    maximal = [s for s in indep if ext[s] == 0]
+    for small in indep:
+        if ext[small] == 0:
+            continue
+        for big in maximal:
+            if big & ~small & ext[small] == 0:
+                return False
+    return True
 
 
 def brute_orientations(g: DemandGraph) -> dict[str, str] | None:

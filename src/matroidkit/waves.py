@@ -3,9 +3,11 @@
 A wave for an ordered pair of matroids on one universe is a set W such
 that the restriction of the first matroid to W has a base that stays
 independent in the contraction of the second matroid onto W.  These
-objects and the two quotient conditions below are the structural layer
-the mixed intersection solver leans on.  On finite matroids the largest
-wave is the M-side of one classic intersection certificate.
+objects and the strengthened quotient condition below are the
+structural layer the mixed intersection solver leans on.  On finite
+matroids the largest wave is the M-side of one classic intersection
+certificate, so everything here is polynomial; the exhaustive wave
+condition ``check_cond`` is ground truth in :mod:`matroidkit.oracle`.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from .core import (
     Matroid,
     NotCommonIndependent,
     PostconditionFailed,
-    TooLarge,
     UniverseMismatch,
-    exhaustive_bound,
-    iter_submasks,
 )
-
-# most elements whose subsets check_cond scans for waves by default
-WAVE_SCAN_BOUND = 12
 
 
 @dataclass(frozen=True)
@@ -153,29 +149,6 @@ class Wave:
             object.__setattr__(self, "rest", ElementSet(self.W.ground, 0))
 
 
-def check_cond(ctx: PairContext) -> bool:
-    """Every wave admits an M-independent base of N contracted onto it.
-
-    Exhaustive over all subsets of the universe; raises TooLarge above
-    the exhaustive bound.
-    """
-    limit = exhaustive_bound(WAVE_SCAN_BOUND)
-    size = ctx.universe_mask.bit_count()
-    if size > limit:
-        raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")
-    from .intersect import _classic_run
-
-    m, n = ctx.M, ctx.N
-    for wmask in iter_submasks(ctx.universe_mask):
-        w = ElementSet(ctx.ground, wmask)
-        mw = m.restrict(w)
-        nw = n.onto(w)
-        s = len(_classic_run(mw, nw).I)
-        if s == mw._rank(wmask) and s < nw._rank(wmask):
-            return False
-    return True
-
-
 def check_cond_plus(ctx: PairContext, start: ElementSet | None = None) -> bool:
     """The largest wave consists of M-loops and N contracted onto it has rank 0.
 
@@ -198,12 +171,6 @@ def _require_common_independent(ctx: PairContext, s: ElementSet) -> int:
     if not (ctx.M._indep(mask) and ctx.N._indep(mask)):
         raise NotCommonIndependent("set is not independent in both matroids")
     return mask
-
-
-def feasible(ctx: PairContext, s: ElementSet) -> bool:
-    """The quotient pair by ``s`` satisfies the wave condition."""
-    mask = _require_common_independent(ctx, s)
-    return check_cond(ctx.quotient(mask))
 
 
 def nice_feasible(ctx: PairContext, s: ElementSet) -> bool:

@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
-from matroidkit.oracle import CorpusSpec, fuzz_corpus
+from matroidkit.core import ElementSet, GroundSet, bit_indices
+from matroidkit.oracle import CorpusSpec, fuzz_corpus, iter_submasks
 
 CORPUS_SEED = 20260810
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
+from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.intersect import (
     SplitInput,
     Trace,
@@ -26,6 +26,7 @@ from matroidkit.oracle import (
     brute_max_common,
     brute_minmax,
     brute_orientations,
+    iter_submasks,
 )
 from matroidkit.orient import DemandGraph, orient_solve, verify_outcome, deficiency_counting_check
 from matroidkit.packcov import packcov_solve, verify_packcov

@@ -25,7 +25,6 @@ from matroidkit.intersect import (
     augment,
     build_exchange_digraph,
     edmonds_solve,
-    edmonds_step,
     extend_to_nice,
     find_aug_path,
     key_step,
@@ -97,25 +96,23 @@ def five_element_split():
 
 def test_edmonds_step_returns_certificate_at_maximum():
     m, n = C.uniform(G4, 2), C.PartitionMatroid(G4, ((0b0011, 1), (0b1100, 1)))
-    ctx = PairContext(m, n)
-    step = edmonds_step(ctx, G4.subset("ac"))
+    step = _classic_step(m, n, G4.subset("ac").mask)
     assert isinstance(step, IntersectionCertificate)
     assert len(step.I) == brute_minmax(m, n) == 2
     assert verify_certificate(m, n, step)
 
 
 def test_edmonds_step_singleton_path_on_free_pair():
-    ctx = PairContext(C.free(G3), C.free(G3))
-    step = edmonds_step(ctx, G3.empty())
-    assert isinstance(step, AugPath) and len(step) == 1
+    step = _classic_step(C.free(G3), C.free(G3), 0)
+    assert isinstance(step, list) and len(step) == 1
 
 
 def test_edmonds_step_three_element_path():
     m = C.PartitionMatroid(G3, ((0b011, 1), (0b100, 1)))
     n = C.PartitionMatroid(G3, ((0b001, 1), (0b110, 1)))
-    step = edmonds_step(PairContext(m, n), G3.subset("b"))
-    assert isinstance(step, AugPath)
-    assert [G3.label(i) for i in step.elements] == ["a", "b", "c"]
+    step = _classic_step(m, n, G3.subset("b").mask)
+    assert isinstance(step, list)
+    assert [G3.label(i) for i in step] == ["a", "b", "c"]
 
 
 def test_edmonds_step_k4_against_partition_three_path():
@@ -126,16 +123,11 @@ def test_edmonds_step_k4_against_partition_three_path():
     n = C.PartitionMatroid(
         g, ((g.subset(["e3"]).mask, 1), (g.subset(["e0", "e1", "e2", "e4", "e5"]).mask, 2))
     )
-    step = edmonds_step(PairContext(m, n), g.subset(["e0", "e1"]))
-    assert isinstance(step, AugPath)
-    assert [g.label(i) for i in step.elements] == ["e3", "e0", "e2"]
-    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, step.mask)
+    step = _classic_step(m, n, g.subset(["e0", "e1"]).mask)
+    assert isinstance(step, list)
+    assert [g.label(i) for i in step] == ["e3", "e0", "e2"]
+    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, AugPath(tuple(step)).mask)
     assert m.is_independent(swapped) and n.is_independent(swapped)
-
-
-def test_edmonds_step_requires_common_independent():
-    with pytest.raises(C.NotCommonIndependent):
-        edmonds_step(PairContext(C.zero(G3), C.free(G3)), G3.subset("a"))
 
 
 def test_edmonds_solve_examples():
@@ -264,6 +256,53 @@ def test_augment_rejects_path_with_jumping_arc():
     assert find_aug_path(state).elements == tuple(g.index(x) for x in "ade")
     with pytest.raises(C.PreconditionViolated, match="jumping arc"):
         augment(state, AugPath(tuple(g.index(x) for x in "abcde")))
+
+
+def _augment_past_validation(monkeypatch, m, n, e1, i, path):
+    """Augment with path validation off, so the checks behind it see a bad path."""
+    import matroidkit.intersect as intersect
+
+    monkeypatch.setattr(intersect, "_validate_path", lambda state, path: None)
+    g = m.ground
+    state = FeasibleState(PairContext(m, n, g.subset(e1)), g.subset(i))
+    return augment(state, AugPath(tuple(g.index(x) for x in path)))
+
+
+def test_augment_check_fires_on_dependent_result(monkeypatch):
+    # I = {a} already N-spans b, so the one-element path b breaks N-independence
+    with pytest.raises(C.PostconditionFailed, match="augmented set is not common independent"):
+        _augment_past_validation(monkeypatch, C.free(G3), C.uniform(G3, 1), "", "a", "b")
+
+
+def test_augment_check_fires_on_moved_m_span(monkeypatch):
+    # free M has no arc a -> b: the new set {a, c} M-spans a, which I + c = {b, c} does not
+    with pytest.raises(C.PostconditionFailed, match="M-span was not preserved"):
+        _augment_past_validation(monkeypatch, C.free(G3), C.free(G3), "", "b", "abc")
+
+
+def test_augment_check_fires_on_moved_n_span(monkeypatch):
+    # a and b are parallel in M, so the M-span holds; free N has no arc b -> c,
+    # and the new set {a, c} no longer N-spans b, which I + a = {a, b} does
+    m = C.PartitionMatroid(G3, ((0b011, 1), (0b100, 1)))
+    with pytest.raises(C.PostconditionFailed, match="N-span on E0 was not preserved"):
+        _augment_past_validation(monkeypatch, m, C.free(G3), "", "b", "abc")
+
+
+def test_augment_check_fires_on_dependent_dual_base(monkeypatch):
+    # the path starts in E1 at a, a loop of the dual of free N, so the
+    # updated dual base {a} is dependent
+    g = GroundSet(tuple("ab"))
+    with pytest.raises(C.PostconditionFailed, match="updated dual base is dependent"):
+        _augment_past_validation(monkeypatch, C.uniform(g, 1), C.free(g), "a", "", "a")
+
+
+def test_augment_check_fires_on_moved_dual_span(monkeypatch):
+    # the path starts in E1 at a, so the dual base grows from empty to {a}
+    # and its span in the dual of U(1, 2) grows from empty to {a, b}
+    g = GroundSet(tuple("ab"))
+    m = n = C.uniform(g, 1)
+    with pytest.raises(C.PostconditionFailed, match="dual span was not preserved"):
+        _augment_past_validation(monkeypatch, m, n, "a", "", "a")
 
 
 def test_classic_chord_check_rejects_path_with_jumping_arc():
@@ -493,12 +532,12 @@ def test_mixed_path_search_matches_classic_augmentations(corpus):
         ctx = PairContext(m, n)
         state = FeasibleState(ctx, m.ground.empty())
         while True:
-            step = edmonds_step(ctx, state.I)
+            step = _classic_step(m, n, state.I.mask)
             path = find_aug_path(state)
             if isinstance(step, IntersectionCertificate):
                 assert path is None, inst.name
                 break
-            assert path is not None and path.elements == step.elements, inst.name
+            assert path is not None and path.elements == tuple(step), inst.name
             state = FeasibleState(ctx, state.I ^ ElementSet(m.ground, path.mask))
         count += 1
         if count == 15:
@@ -568,6 +607,18 @@ def test_key_step_requires_e0_target():
     ground, ctx, state = five_element_split()
     with pytest.raises(C.PreconditionViolated):
         key_step(state, ground.index("d"))
+
+
+def test_key_step_cap_stops_a_loop_that_makes_no_progress(monkeypatch):
+    # augment and extend_to_nice hand the state back unchanged, so every
+    # round finds the same path until the cap of |E| rounds stops the loop
+    import matroidkit.intersect as intersect
+
+    ground, ctx, state = five_element_split()
+    monkeypatch.setattr(intersect, "augment", lambda state, path, trace=None: state)
+    monkeypatch.setattr(intersect, "extend_to_nice", lambda state, trace=None: state)
+    with pytest.raises(C.Stuck, match="iteration cap 5 reached"):
+        key_step(state, ground.index("s"))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import matroidkit
 from matroidkit import core as C
 from matroidkit.core import GroundSet, matroid_to_json
 from matroidkit.oracle import (
@@ -18,6 +22,10 @@ from matroidkit.oracle import (
     rank_table,
 )
 from matroidkit.orient import DemandGraph
+
+# modules on the polynomial solver paths; none may reach subset enumeration
+SOLVER_MODULES = ("core", "intersect", "waves", "packcov", "orient")
+ENUMERATION_NAMES = {"iter_submasks", "exhaustive_bound", "ENV_MAX_EXHAUSTIVE"}
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -101,6 +109,65 @@ def test_too_large_guards():
     med = GroundSet(tuple(f"e{i}" for i in range(11)))
     with pytest.raises(C.TooLarge):
         brute_largest_wave(C.free(med), C.free(med))
+
+
+def _boundary_breaches(tree: ast.AST) -> list[str]:
+    """Imports of oracle, names of the enumeration machinery and raises of TooLarge."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = []
+        if any("oracle" in m.split(".") for m in modules):
+            found.append(f"line {node.lineno}: imports oracle")
+        names = set()
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        for name in sorted(names & ENUMERATION_NAMES):
+            found.append(f"line {getattr(node, 'lineno', '?')}: names {name}")
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "TooLarge":
+                found.append(f"line {node.lineno}: raises TooLarge")
+    return found
+
+
+def test_no_solver_module_reaches_subset_enumeration():
+    # subset enumeration and its size bound live only in oracle, so no
+    # polynomial solver path can raise TooLarge or call an exponential scan
+    src = Path(matroidkit.__file__).parent
+    breaches = {}
+    for module in SOLVER_MODULES:
+        tree = ast.parse((src / f"{module}.py").read_text())
+        if found := _boundary_breaches(tree):
+            breaches[module] = found
+    assert breaches == {}
+
+
+def test_boundary_check_sees_each_kind_of_breach():
+    tree = ast.parse(
+        "from .oracle import brute_minmax\n"
+        "from .core import iter_submasks as subs\n"
+        "import matroidkit.oracle\n"
+        "def f(m):\n"
+        "    raise TooLarge(core.exhaustive_bound(3))\n"
+    )
+    assert sorted(_boundary_breaches(tree)) == [
+        "line 1: imports oracle",
+        "line 2: names iter_submasks",
+        "line 3: imports oracle",
+        "line 5: names exhaustive_bound",
+        "line 5: raises TooLarge",
+    ]
 
 
 def test_rank_table_matches_handle():

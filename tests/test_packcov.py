@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
+from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.intersect import edmonds_solve, verify_certificate
+from matroidkit.oracle import iter_submasks
 from matroidkit.packcov import (
     MatroidFamily,
     derive_intersection,

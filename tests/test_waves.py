@@ -7,16 +7,15 @@ import random
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices, iter_submasks
+from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.intersect import _common_independent_part, edmonds_solve
+from matroidkit.oracle import check_cond, feasible, iter_submasks
 from matroidkit.waves import (
     PairContext,
     Wave,
     _verify_wave,
-    check_cond,
     check_cond_plus,
     common_base_B,
-    feasible,
     is_wave,
     largest_wave,
     nice_feasible,
