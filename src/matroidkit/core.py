@@ -444,24 +444,25 @@ class GraphicMatroid(Matroid):
         super().__init__(ground, ground.full_mask)
         self.vertices = vertices
         self.endpoints = endpoints
+        self._no_edges = list(range(len(vertices)))
 
     def _indep_raw(self, mask: int) -> bool:
-        parent = list(range(len(self.vertices)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for e in bit_indices(mask):
-            u, v = self.endpoints[e]
+        # Union-find with path halving, inlined, from the forest with no
+        # edges: a self-loop has u == v and so fails the same root test as
+        # an edge that closes a cycle.
+        parent = self._no_edges[:]
+        endpoints = self.endpoints
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = endpoints[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
             if u == v:
                 return False
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[rv] = ru
+            parent[v] = u
         return True
 
     def _json_doc(self) -> dict:
@@ -494,7 +495,10 @@ class PartitionMatroid(Matroid):
         self.blocks = blocks
 
     def _indep_raw(self, mask: int) -> bool:
-        return all((mask & bmask).bit_count() <= cap for bmask, cap in self.blocks)
+        for bmask, cap in self.blocks:
+            if (mask & bmask).bit_count() > cap:
+                return False
+        return True
 
     def _json_doc(self) -> dict:
         return {

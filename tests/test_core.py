@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -405,3 +407,95 @@ def test_json_errors():
 def test_self_loop_edge_is_matroid_loop():
     m = C.graphic(["u", "v"], [("u", "u", "a"), ("u", "v", "b")])
     assert m.loops().labels() == ("a",)
+
+
+# ---------------------------------------------------------------------------
+# leaf kernels against small references
+
+
+def forest_by_bfs(n_vertices, endpoints, mask) -> bool:
+    """The edges of ``mask`` form a forest: no self-loop, and as many edges as
+    vertices minus components, with the components found by BFS."""
+    edges = [endpoints[e] for e in bit_indices(mask)]
+    if any(u == v for u, v in edges):
+        return False
+    adj = [[] for _ in range(n_vertices)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n_vertices
+    components = 0
+    for s in range(n_vertices):
+        if seen[s]:
+            continue
+        components += 1
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return len(edges) == n_vertices - components
+
+
+def random_multigraph(rng, n_vertices, n_edges):
+    """Endpoints of a multigraph that opens with a chain whose every edge
+    hangs the old root under a new vertex, so union-find trees grow deep
+    and path halving has work to do; random edges, parallel edges and
+    self-loops follow."""
+    chain = rng.randint(0, n_vertices - 1)
+    endpoints = [(k + 1, k) for k in range(chain)]
+    while len(endpoints) < n_edges:
+        roll = rng.random()
+        if roll < 0.1:
+            v = rng.randrange(n_vertices)
+            endpoints.append((v, v))
+        elif roll < 0.25 and endpoints:
+            endpoints.append(rng.choice(endpoints)[::-1])
+        else:
+            endpoints.append((rng.randrange(n_vertices), rng.randrange(n_vertices)))
+    return tuple(endpoints[:n_edges])
+
+
+def test_graphic_kernel_matches_bfs_forest_test():
+    rng = random.Random(13)
+    for _ in range(150):
+        n_vertices = rng.randint(1, 24)
+        endpoints = random_multigraph(rng, n_vertices, rng.randint(1, 40))
+        ground = GroundSet(tuple(f"e{i}" for i in range(len(endpoints))))
+        m = C.GraphicMatroid(ground, tuple(f"v{i}" for i in range(n_vertices)), endpoints)
+        chain = 0
+        while chain < len(endpoints) and endpoints[chain] == (chain + 1, chain):
+            chain += 1
+        masks = [rng.getrandbits(len(endpoints)) for _ in range(30)]
+        # the whole chain, then the chain with each later edge: the deep trees
+        masks += [(1 << chain) - 1 | 1 << e for e in range(chain, len(endpoints))]
+        masks.append((1 << chain) - 1)
+        for mask in masks:
+            assert m._indep_raw(mask) == forest_by_bfs(n_vertices, endpoints, mask)
+
+
+def test_partition_kernel_matches_block_counts():
+    rng = random.Random(17)
+    for _ in range(150):
+        size = rng.randint(1, 40)
+        ground = GroundSet(tuple(f"e{i}" for i in range(size)))
+        order = rng.sample(range(size), size)
+        blocks = []
+        while order:
+            cut = rng.randint(1, len(order))
+            block, order = order[:cut], order[cut:]
+            # about a quarter of the elements lie outside every block
+            if rng.random() < 0.25:
+                continue
+            blocks.append((block, rng.choice([0, 0, 1, rng.randint(0, len(block))])))
+        m = C.PartitionMatroid(
+            ground, tuple((sum(1 << e for e in block), cap) for block, cap in blocks)
+        )
+        for _ in range(40):
+            mask = rng.getrandbits(size)
+            counts_fit = all(
+                sum(mask >> e & 1 for e in block) <= cap for block, cap in blocks
+            )
+            assert m._indep_raw(mask) == counts_fit

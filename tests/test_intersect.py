@@ -16,12 +16,15 @@ from matroidkit.intersect import (
     IntersectionCertificate,
     SplitInput,
     Trace,
+    _augmented,
     _bfs_path,
     _check_chordless,
     _classic_run,
     _classic_step,
     _first_path,
     _heads,
+    _mask,
+    _same_span,
     augment,
     build_exchange_digraph,
     edmonds_solve,
@@ -280,6 +283,14 @@ def test_augment_check_fires_on_moved_m_span(monkeypatch):
         _augment_past_validation(monkeypatch, C.free(G3), C.free(G3), "", "b", "abc")
 
 
+def test_augment_check_fires_on_path_ending_at_an_m_spanned_element(monkeypatch):
+    # a and b are parallel in M, so I + last = {a, b} is dependent and spans
+    # only what I = {a} does; the new set {b, c} also spans c
+    m = C.PartitionMatroid(G3, ((0b011, 1), (0b100, 1)))
+    with pytest.raises(C.PostconditionFailed, match="M-span was not preserved"):
+        _augment_past_validation(monkeypatch, m, C.free(G3), "", "a", "cab")
+
+
 def test_augment_check_fires_on_moved_n_span(monkeypatch):
     # a and b are parallel in M, so the M-span holds; free N has no arc b -> c,
     # and the new set {a, c} no longer N-spans b, which I + a = {a, b} does
@@ -511,6 +522,108 @@ def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
             coreach = full_digraph_coreach(m, n, imask)
             assert step.E_M.mask == m.universe_mask & ~coreach
     assert fewer > len(states) // 4
+
+
+def random_independent(rng, m, among):
+    """An independent subset of ``among``, greedy in a random order."""
+    out = 0
+    for e in rng.sample(list(bit_indices(among)), among.bit_count()):
+        if m._indep(out | 1 << e):
+            out |= 1 << e
+    return out
+
+
+def span_pairs(rng, m, count):
+    """Pairs of independent sets of ``m``: two bases of one random set, so
+    that the spans agree, or of two sets one element apart, so that they
+    often do not."""
+    universe = m.universe_mask
+    for _ in range(count):
+        among = rng.getrandbits(universe.bit_length()) & universe
+        other = among
+        if rng.random() < 0.5:
+            other ^= 1 << rng.choice(list(bit_indices(universe)))
+        yield random_independent(rng, m, among), random_independent(rng, m, other)
+
+
+def test_same_span_matches_full_span_equality():
+    rng = random.Random(23)
+    kinds = {}
+    for _ in range(12):
+        g = graphic_pair(rng, rng.randint(6, 20), rng.randint(3, 10))[0]
+        size = rng.randint(6, 20)
+        ground = GroundSet(tuple(f"e{i}" for i in range(size)))
+        order = rng.sample(range(size), size)
+        cut = sorted(rng.sample(range(1, size), 2))
+        blocks = tuple(
+            (_mask(order[lo:hi]), rng.randint(0, hi - lo))
+            for lo, hi in zip([0] + cut, cut + [size])
+        )
+        p = C.PartitionMatroid(ground, blocks)
+        for m in (g, p, g.dual(), p.dual()):
+            for a, b in span_pairs(rng, m, 25):
+                same = m._span(a) == m._span(b)
+                assert _same_span(m, a, b, m.universe_mask) == same
+                kinds.setdefault(m.kind, set()).add(same)
+    assert kinds == {k: {True, False} for k in ("graphic", "partition", "dual")}
+
+
+def test_same_span_on_a_part_matches_full_spans_over_a_direct_sum():
+    # E0 is a union of components of N, so N is the direct sum of its
+    # restrictions to E0 and to the rest, and the test over E0 is exact
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(12):
+        g = graphic_pair(rng, rng.randint(4, 12), rng.randint(3, 6))[0]
+        p = C.partition([([f"p{k}{i}" for i in range(k)], rng.randint(0, k)) for k in (2, 3, 4)])
+        n = C.concat_sum([g, p])
+        e0 = 0
+        for comp in n.components():
+            if rng.random() < 0.5:
+                e0 |= comp.mask
+        for a, b in span_pairs(rng, n, 40):
+            same = n._span(a) & e0 == n._span(b) & e0
+            assert _same_span(n, a, b, e0) == same
+            outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+class CountingIndep(Recording):
+    """A fresh handle that also counts every ``_indep`` call, memo hits too."""
+
+    def __init__(self, inner: C.Matroid) -> None:
+        super().__init__(inner)
+        self.calls = 0
+
+    def _indep(self, mask: int) -> bool:
+        self.calls += 1
+        return super()._indep(mask)
+
+
+def test_augmentation_check_asks_a_path_sized_number_of_queries(corpus):
+    # four full spans would ask about 2n queries per matroid; the check
+    # asks one per element of the path, and three more at most
+    cases = []
+    states = classic_states(corpus, 60)
+    for seed in range(6):
+        states += classic_states_of(*graphic_pair(random.Random(seed), 48, 24))
+    for m, n, imask in states:
+        path = _classic_step(m, n, imask)
+        if not isinstance(path, IntersectionCertificate):
+            cases.append((m, n, imask, path, m.universe_mask))
+    for state in mixed_states(corpus, 40):
+        path = find_aug_path(state)
+        if path is not None:
+            ctx = state.ctx
+            cases.append((ctx.M, ctx.N, state.I.mask, path.elements, ctx.E0.mask))
+    assert len(cases) > 200
+    longer = 0
+    for m, n, imask, path, e0 in cases:
+        count_m, count_n = CountingIndep(m), CountingIndep(n)
+        assert _augmented(count_m, count_n, imask, path, e0) == imask ^ _mask(path)
+        assert count_m.calls <= len(path) + 3 and count_n.calls <= len(path) + 3
+        longer += len(path) > 1
+    assert longer > 15
 
 
 def test_unknown_solver_raises_one_error_type():
