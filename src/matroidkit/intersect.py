@@ -12,8 +12,8 @@ properties, and every certificate is re-verified from raw oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .core import (
     ElementSet,
@@ -58,39 +58,136 @@ class Trace:
 
 
 class ExchangeDigraph:
-    """The exchange digraph as one bitmask of heads per tail, built tail by tail.
+    """The exchange digraph at one state, read a layer at a time.
 
-    ``rule(x)`` gives the heads of tail ``x``; it runs the first time a
-    search asks for that tail, so tails no search reaches cost nothing.
+    The state is a common independent set I of M and N, the part E1 of
+    the universe walked through cocircuits of N, and ``safe``, the E1
+    part of the M-span outside I.  Arcs come from three rules, each
+    decided by one tail class:
+
+    - M-rule: an M-spanned x outside I points into its M-circuit, that
+      is, to each y of I with I - y + x M-independent.
+    - N-rule: an x of I in E0 points to each N-spanned z outside I whose
+      N-circuit holds x, that is, with I - x + z N-independent.
+    - N*-rule: an x of I in E1 points into its fundamental circuit in
+      the dual of N against ``safe``; the state being dually safe, that
+      circuit exists.
+
+    With E1 empty this is the classic digraph.  The digraph keeps no
+    arcs: each question is about sets, and asks the oracles only about
+    the elements it names, so a search pays for the part it visits.
     """
 
-    def __init__(self, universe: int, rule: Callable[[int], int]) -> None:
-        self.universe = universe
-        self.rule = rule
-        self.out: dict[int, int] = {}
+    def __init__(self, m: Matroid, n: Matroid, imask: int, e1: int, safe: int) -> None:
+        self.m = m
+        self.n = n
+        self.imask = imask
+        self.universe = m.universe_mask
+        self.e0 = self.universe & ~e1
+        self.e1 = e1
+        self.safe = safe
 
-    def heads(self, x: int) -> int:
-        hit = self.out.get(x)
-        if hit is None:
-            hit = self.out[x] = self.rule(x)
-        return hit
+    def sources(self) -> Iterator[int]:
+        """The elements of E0 - I that are not N-spanned, ascending, asked one by one."""
+        imask, n = self.imask, self.n
+        for z in bit_indices(self.e0 & ~imask):
+            if n._indep(imask | 1 << z):
+                yield z
 
-    def tails_into(self, among: int, heads: int) -> int:
-        """The elements of ``among`` with an arc into ``heads``."""
+    def sinks(self, among: int) -> int:
+        """The elements of ``among`` in E0 - I that are not M-spanned."""
+        imask, m = self.imask, self.m
         out = 0
-        for x in bit_indices(among):
-            if self.heads(x) & heads:
+        for x in bit_indices(among & self.e0 & ~imask):
+            if m._indep(imask | 1 << x):
                 out |= 1 << x
         return out
 
-    @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (x, y) for x in bit_indices(self.universe) for y in bit_indices(self.heads(x))
-        )
+    def heads(self, layer: int, among: int) -> int:
+        """The elements of ``among`` with an arc from some element of ``layer``.
+
+        The N-rule asks one query per outside z for the whole E0 part L0
+        of the layer: z has an arc from L0 exactly when it is N-spanned
+        and its N-circuit meets L0, that is, when I - L0 + z is
+        N-independent.
+        """
+        m, n, imask = self.m, self.n, self.imask
+        out = 0
+        cand = among & imask
+        if cand:
+            for x in bit_indices(layer & ~imask):
+                bx = 1 << x
+                if m._indep(imask | bx):
+                    continue
+                for y in bit_indices(cand):
+                    by = 1 << y
+                    if m._indep(imask ^ by | bx):
+                        out |= by
+                cand &= ~out
+                if not cand:
+                    break
+        l0 = layer & imask & self.e0
+        if l0:
+            rest = imask & ~l0
+            for z in bit_indices(among & ~imask):
+                bz = 1 << z
+                if not n._indep(imask | bz) and n._indep(rest | bz):
+                    out |= bz
+        l1 = layer & imask & self.e1
+        cand = among & self.safe & ~out
+        if l1 and cand:
+            nd = n.dual()
+            for x in bit_indices(l1):
+                found = _circuit_members(nd, self.safe | 1 << x, cand)
+                out |= found
+                cand &= ~found
+                if not cand:
+                    break
+        return out
+
+    def tails_into(self, among: int, heads: int) -> int:
+        """The elements of ``among`` with an arc into some element of ``heads``.
+
+        - M-rule: an M-spanned x outside I has an arc into the I-part H
+          of ``heads`` exactly when I - H + x is M-independent, one query
+          per x.
+        - N-rule: the tails into an N-spanned z outside I are
+          C_N(z, I) - z, found by halving (``_circuit_members``).
+        - N*-rule: an x of I in E1 has an arc into the safe part H of
+          ``heads`` exactly when safe - H + x is independent in the dual
+          of N, one query per x.
+        """
+        m, n, imask = self.m, self.n, self.imask
+        out = 0
+        h_in = heads & imask
+        if h_in:
+            rest = imask & ~h_in
+            for x in bit_indices(among & ~imask):
+                bx = 1 << x
+                # an x that I does not M-span has no arc, and I - H + x is then independent
+                if m._indep(rest | bx) and not m._indep(imask | bx):
+                    out |= bx
+        cand = among & imask & self.e0
+        if cand:
+            for z in bit_indices(heads & ~imask):
+                dep = imask | 1 << z
+                if not n._indep(dep):
+                    found = _circuit_members(n, dep, cand)
+                    out |= found
+                    cand &= ~found
+                    if not cand:
+                        break
+        h_safe = heads & self.safe
+        if h_safe:
+            nd = n.dual()
+            rest = self.safe & ~h_safe
+            for x in bit_indices(among & imask & self.e1):
+                if nd._indep(rest | 1 << x):
+                    out |= 1 << x
+        return out
 
     def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.heads(x) >> y & 1)
+        return bool(self.heads(1 << x, 1 << y))
 
 
 def _mask(elements: Sequence[int]) -> int:
@@ -98,6 +195,33 @@ def _mask(elements: Sequence[int]) -> int:
     for e in elements:
         out |= 1 << e
     return out
+
+
+def _circuit_members(mat: Matroid, dep: int, among: int) -> int:
+    """The elements of ``among`` in the one circuit of ``dep``, found by halving.
+
+    ``dep`` is an independent set plus one element, so it holds exactly
+    one circuit C, and dep - S is independent exactly when S meets C.
+    Every part on the stack meets C and is split in two; when the first
+    half misses C, the second half meets it, and that is not asked.
+    """
+    if not among or not mat._indep(dep & ~among):
+        return 0
+    found = 0
+    stack = [list(bit_indices(among))]
+    while stack:
+        part = stack.pop()
+        if len(part) == 1:
+            found |= 1 << part[0]
+            continue
+        mid = len(part) // 2
+        low, high = part[:mid], part[mid:]
+        low_meets = mat._indep(dep & ~_mask(low))
+        if low_meets:
+            stack.append(low)
+        if not low_meets or mat._indep(dep & ~_mask(high)):
+            stack.append(high)
+    return found
 
 
 @dataclass(frozen=True)
@@ -152,33 +276,33 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 # shortest-path machinery
 
 
-def _bfs_path(dg: ExchangeDigraph, source: int, sinks_mask: int) -> list[int] | None:
+def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
     """Shortest path from ``source`` to the least nearest sink, lexicographically least.
 
-    Distance layers grow forward until one meets the sinks.  Going back
-    from the least sink in that layer, each earlier layer keeps only the
-    elements with an arc into the next kept layer, so every kept element
-    lies on a shortest path to that sink; the path then takes the lowest
-    kept head at each step.
+    Distance layers grow forward until one holds a sink; only the
+    elements of each layer are tested as sinks.  Going back from the
+    least sink in that layer, each earlier layer keeps only the elements
+    with an arc into the next kept layer, so every kept element lies on
+    a shortest path to that sink; the path then takes the lowest kept
+    head at each step.
     """
     layers = [1 << source]
     seen = layers[0]
-    while not layers[-1] & sinks_mask:
-        nxt = 0
-        for u in bit_indices(layers[-1]):
-            nxt |= dg.heads(u)
-        nxt &= ~seen
+    while True:
+        hit = dg.sinks(layers[-1])
+        if hit:
+            break
+        nxt = dg.heads(layers[-1], dg.universe & ~seen)
         if not nxt:
             return None
         seen |= nxt
         layers.append(nxt)
-    hit = layers[-1] & sinks_mask
     kept = [hit & -hit]
     for layer in reversed(layers[:-1]):
         kept.append(dg.tails_into(layer, kept[-1]))
     path = [source]
     for layer in reversed(kept[:-1]):
-        heads = dg.heads(path[-1]) & layer
+        heads = dg.heads(1 << path[-1], layer)
         path.append((heads & -heads).bit_length() - 1)
     return path
 
@@ -193,14 +317,19 @@ def _check_chordless(
                 raise error(f"jumping arc {k}->{ell}")
 
 
-def _first_path(dg: ExchangeDigraph, sources: int, sinks: int) -> list[int] | None:
+def _first_path(dg: ExchangeDigraph) -> list[int] | None:
     """Checked shortest path from the least source that reaches a sink."""
-    for s in bit_indices(sources):
-        path = _bfs_path(dg, s, sinks)
+    for s in dg.sources():
+        path = _bfs_path(dg, s)
         if path is not None:
             _check_chordless(dg, path, PostconditionFailed)
             return path
     return None
+
+
+def _spans(mat: Matroid, imask: int, e: int) -> bool:
+    """Whether the independent set ``imask`` spans element ``e``: one query."""
+    return bool(imask >> e & 1) or not mat._indep(imask | 1 << e)
 
 
 def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
@@ -254,62 +383,6 @@ def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int)
 
 
 # ---------------------------------------------------------------------------
-# the exchange rules
-
-
-def _heads(m: Matroid, n: Matroid, imask: int, e1: int, safe: int, x: int) -> int:
-    """Heads of tail ``x`` in the exchange digraph at the common independent set ``imask``.
-
-    M-rule: an M-spanned x outside I points into its M-circuit.  N-rule:
-    an x of I in E0 points to each N-spanned z outside I with I - x + z
-    N-independent, that is, whose N-circuit holds x.  N*-rule: an x of I
-    in E1 points into its fundamental circuit in the dual of N against
-    ``safe``, the E1 part of the M-span outside I.  With E1 empty this is
-    the classic digraph.
-    """
-    bx = 1 << x
-    if not bx & imask:
-        if m._indep(imask | bx):
-            return 0
-        return m._fund_circuit(x, imask) ^ bx
-    if bx & e1:
-        return n.dual()._fund_circuit(x, safe) ^ bx
-    out = 0
-    for z in bit_indices(m.universe_mask & ~imask):
-        bz = 1 << z
-        if not n._indep(imask | bz) and n._indep((imask | bz) ^ bx):
-            out |= bz
-    return out
-
-
-def _circuit_members(mat: Matroid, dep: int, among: int) -> int:
-    """The elements of ``among`` in the one circuit of ``dep``, found by halving.
-
-    ``dep`` is an independent set plus one element, so it holds exactly
-    one circuit C, and dep - S is independent exactly when S meets C.
-    Every part on the stack meets C and is split in two; when the first
-    half misses C, the second half meets it, and that is not asked.
-    """
-    if not among or not mat._indep(dep & ~among):
-        return 0
-    found = 0
-    stack = [list(bit_indices(among))]
-    while stack:
-        part = stack.pop()
-        if len(part) == 1:
-            found |= 1 << part[0]
-            continue
-        mid = len(part) // 2
-        low, high = part[:mid], part[mid:]
-        low_meets = mat._indep(dep & ~_mask(low))
-        if low_meets:
-            stack.append(low)
-        if not low_meets or mat._indep(dep & ~_mask(high)):
-            stack.append(high)
-    return found
-
-
-# ---------------------------------------------------------------------------
 # classic solver
 
 
@@ -345,40 +418,21 @@ def _classic_run(
 def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | IntersectionCertificate":
     """A shortest augmenting path, or the reachability certificate when there is none.
 
-    The certificate's M-side is the complement of the co-reach of the
-    sinks, found by a search backward from them that reads each rule
-    through its tails:
-
-    - N-rule: the tails into an outside z are C_N(z, I) - z.  Every z
-      reached is N-spanned, since an N-unspanned one would be a source
-      with a path.  The unvisited tails come out by halving, because
-      I + z - S is N-independent exactly when S meets C_N(z, I)
-      (``_circuit_members``).
-    - M-rule: the sinks are seeded, so every unvisited x outside I is
-      M-spanned, and it has an arc into the I-layer L exactly when
-      I - L + x is M-independent.  That is one query per x per layer.
-
-    The co-reach is a set fixed by the digraph, so the order of search
+    The path search asks only about the elements it reaches.  A step
+    that finds no path tests every element as a sink, and the
+    certificate's M-side is the complement of the co-reach of the sinks,
+    found by a search backward from them through ``tails_into``.  The
+    co-reach is a set fixed by the digraph, so the order of search
     cannot change the certificate.
     """
     universe = m.universe_mask
-    dg = ExchangeDigraph(universe, partial(_heads, m, n, imask, 0, 0))
-    sources = universe & ~n._span(imask)
-    sinks_mask = universe & ~m._span(imask)
-    path = _first_path(dg, sources, sinks_mask)
+    dg = ExchangeDigraph(m, n, imask, 0, 0)
+    path = _first_path(dg)
     if path is not None:
         return path
-    seen = frontier = sinks_mask
+    seen = frontier = dg.sinks(universe)
     while frontier:
-        layer = 0
-        for z in bit_indices(frontier):
-            layer |= _circuit_members(n, imask | 1 << z, imask & ~seen & ~layer)
-        seen |= layer
-        frontier = 0
-        if layer:
-            for x in bit_indices(universe & ~imask & ~seen):
-                if m._indep(imask & ~layer | 1 << x):
-                    frontier |= 1 << x
+        frontier = dg.tails_into(universe & ~seen, frontier)
         seen |= frontier
     ground = m.ground
     e_m = universe & ~seen
@@ -433,10 +487,10 @@ class SplitInput:
 class FeasibleState:
     """A common independent set of the context that is dually safe on E1.
 
-    ``ring`` is the set of elements spanned by I in M but outside I;
-    ``safe_base`` is its E1 part, which stays a dual base of the E1 part
-    of the M-span while the state is dually safe.  Construction checks
-    these invariants and raises StateInvariantBroken when one fails.
+    ``safe_base`` is the set of elements of E1 spanned by I in M but
+    outside I; it stays a dual base of the E1 part of the M-span while
+    the state is dually safe.  Construction checks these invariants and
+    raises StateInvariantBroken when one fails.
     ``warm`` (default empty) is a set outside I left by the last wave
     run; the next wave run starts from its common independent part.
     """
@@ -461,17 +515,12 @@ class FeasibleState:
         if in_e1 and in_e1 & ~nd._span(safe):
             raise StateInvariantBroken("state is not dually safe")
 
-    @property
-    def span_m(self) -> ElementSet:
-        return ElementSet(self.ctx.ground, self.ctx.M._span(self.I.mask))
-
-    @property
-    def ring(self) -> ElementSet:
-        return self.span_m - self.I
-
-    @property
+    @cached_property
     def safe_base(self) -> ElementSet:
-        return self.ring & self.ctx.E1
+        """One query per element of E1 - I, none when E1 is empty."""
+        m, imask = self.ctx.M, self.I.mask
+        spanned = [x for x in bit_indices(self.ctx.E1.mask & ~imask) if _spans(m, imask, x)]
+        return ElementSet(self.ctx.ground, _mask(spanned))
 
     @cached_property
     def digraph(self) -> ExchangeDigraph:
@@ -482,8 +531,7 @@ class FeasibleState:
 def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
     """The three-rule exchange digraph of the mixed method."""
     ctx = state.ctx
-    rule = partial(_heads, ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
-    return ExchangeDigraph(ctx.universe_mask, rule)
+    return ExchangeDigraph(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask)
 
 
 def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
@@ -491,9 +539,10 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
     if len(path) % 2 == 0 or len(set(path)) != len(path):
         raise PreconditionViolated("path must be an odd sequence of distinct elements")
     first, last = path[0], path[-1]
-    if not (1 << first) & ctx.E0.mask or (1 << first) & ctx.N._span(state.I.mask):
+    imask = state.I.mask
+    if not (1 << first) & ctx.E0.mask or _spans(ctx.N, imask, first):
         raise PreconditionViolated("path must start at an E0 element unspanned in N")
-    if not (1 << last) & ctx.E0.mask or (1 << last) & state.span_m.mask:
+    if not (1 << last) & ctx.E0.mask or _spans(ctx.M, imask, last):
         raise PreconditionViolated("path must end at an E0 element unspanned in M")
     dg = state.digraph
     for k in range(len(path) - 1):
@@ -504,10 +553,7 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
 
 def find_aug_path(state: FeasibleState) -> AugPath | None:
     """Shortest augmenting path from the least source that reaches a sink."""
-    ctx = state.ctx
-    sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
-    sinks_mask = ctx.E0.mask & ~state.span_m.mask
-    path = _first_path(state.digraph, sources, sinks_mask)
+    path = _first_path(state.digraph)
     return None if path is None else AugPath(tuple(path))
 
 
@@ -596,18 +642,21 @@ def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> Feasib
     # then caps the rounds at |E|
     max_rounds = size
     rounds = 0
-    while not ctx.N._span(state.I.mask) >> e & 1:
+    while not _spans(ctx.N, state.I.mask, e):
         rounds += 1
         if rounds > max_rounds:
             raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
         path = find_aug_path(state)
         if path is None:
             raise Stuck(f"no augmenting path while element {e} is unspanned")
-        before0 = ctx.N._span(state.I.mask) & ctx.E0.mask
+        before = state.I.mask
         state = augment(state, path, trace)
         state = extend_to_nice(state, trace)
-        if before0 & ~(ctx.N._span(state.I.mask) & ctx.E0.mask):
-            raise PostconditionFailed("N-span on E0 stopped being ascending")
+        # N is N|E0 + N|E1, so the E0 part of the N-span grows exactly when
+        # the new set spans each element of E0 that left the old one
+        for x in bit_indices(before & ~state.I.mask & ctx.E0.mask):
+            if not _spans(ctx.N, state.I.mask, x):
+                raise PostconditionFailed("N-span on E0 stopped being ascending")
     return state
 
 
@@ -633,7 +682,7 @@ def mixed_solve(
     ctx = PairContext(mq, nq, split.E1 & e_n)
     state = FeasibleState(ctx, ElementSet(ground, 0), wave.rest)
     for e in bit_indices(ctx.E0.mask):
-        if not ctx.N._span(state.I.mask) >> e & 1:
+        if not _spans(ctx.N, state.I.mask, e):
             state = key_step(state, e, trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)

@@ -21,6 +21,7 @@ from .core import (
     NotCommonIndependent,
     PostconditionFailed,
     UniverseMismatch,
+    bit_indices,
 )
 
 
@@ -123,8 +124,10 @@ def _verify_wave(ctx: PairContext, wave: "Wave") -> None:
         raise PostconditionFailed("wave witness leaves the wave")
     if not ctx.M._indep(bmask):
         raise PostconditionFailed("wave witness is dependent in M")
-    if wmask & ~ctx.M._span(bmask):
-        raise PostconditionFailed("wave witness does not span the wave in M")
+    # the witness is independent, so it spans x exactly when witness + x is dependent
+    for x in bit_indices(wmask & ~bmask):
+        if ctx.M._indep(bmask | 1 << x):
+            raise PostconditionFailed("wave witness does not span the wave in M")
     if not ctx.N.onto(wave.W)._indep(bmask):
         raise PostconditionFailed("wave witness is dependent in N contracted onto W")
 
@@ -161,8 +164,9 @@ def check_cond_plus(ctx: PairContext, start: ElementSet | None = None) -> bool:
 
 def is_clean(ctx: PairContext, wave: Wave) -> bool:
     """``wave`` consists of M-loops and N contracted onto it has rank 0."""
-    if wave.W.mask & ~ctx.M._loops_mask():
-        return False
+    for x in bit_indices(wave.W.mask):
+        if ctx.M._indep(1 << x):
+            return False
     return ctx.N.onto(wave.W)._rank(wave.W.mask) == 0
 
 

@@ -159,40 +159,86 @@ def family_minmax(members: tuple[C.Matroid, ...]) -> int:
     return best
 
 
-def brute_has_arc(state, x: int, y: int) -> bool:
-    """Arc x -> y of the exchange digraph at ``state``, pair by pair from the rules.
+def brute_arc(m: C.Matroid, n: C.Matroid, imask: int, e1: int, safe: int, x: int, y: int) -> bool:
+    """Arc x -> y of the exchange digraph at I, pair by pair from the rules.
 
     Outside I the M-rule (I - y + x M-independent while I + x is not), in
-    I & E0 the N-rule (I - x + y N-independent while I + y is not), and
+    I - E1 the N-rule (I - x + y N-independent while I + y is not), and
     in I & E1 the N*-rule against the safe base (the same test in the
     dual of N with y in the base).
     """
-    ctx = state.ctx
-    imask, safe = state.I.mask, state.safe_base.mask
     bx, by = 1 << x, 1 << y
-    if x == y or (bx | by) & ~ctx.universe_mask:
+    if x == y or (bx | by) & ~m.universe_mask:
         return False
     if not bx & imask:
-        m = ctx.M
         return bool(by & imask) and not m._indep(imask | bx) and m._indep(imask ^ by | bx)
-    if bx & ctx.E0.mask:
-        n = ctx.N
+    if not bx & e1:
         return not by & imask and not n._indep(imask | by) and n._indep(imask ^ bx | by)
-    nd = ctx.N.dual()
+    nd = n.dual()
     return bool(by & safe) and not nd._indep(safe | bx) and nd._indep(safe ^ by | bx)
+
+
+def brute_has_arc(state, x: int, y: int) -> bool:
+    """``brute_arc`` at a mixed state."""
+    ctx = state.ctx
+    return brute_arc(ctx.M, ctx.N, state.I.mask, ctx.E1.mask, state.safe_base.mask, x, y)
+
+
+def brute_heads(m: C.Matroid, n: C.Matroid, imask: int, e1: int = 0, safe: int = 0) -> dict:
+    """Heads of every tail, as one bitmask per tail, from ``brute_arc``."""
+    universe = m.universe_mask
+    return {
+        x: sum(1 << y for y in bit_indices(universe) if brute_arc(m, n, imask, e1, safe, x, y))
+        for x in bit_indices(universe)
+    }
+
+
+def arcs(dg) -> tuple[tuple[int, int], ...]:
+    """Every arc of a digraph with the search interface, tail by tail."""
+    return tuple(
+        (x, y)
+        for x in bit_indices(dg.universe)
+        for y in bit_indices(dg.heads(1 << x, dg.universe))
+    )
+
+
+class DictDigraph:
+    """A digraph given as heads per tail, with the search interface of ``ExchangeDigraph``."""
+
+    def __init__(self, out: dict, universe: int, sources: int = 0, sinks: int = 0) -> None:
+        self.out = out
+        self.universe = universe
+        self.source_mask = sources
+        self.sink_mask = sinks
+
+    def sources(self):
+        return bit_indices(self.source_mask)
+
+    def sinks(self, among: int) -> int:
+        return among & self.sink_mask
+
+    def heads(self, layer: int, among: int) -> int:
+        out = 0
+        for x in bit_indices(layer):
+            out |= self.out.get(x, 0)
+        return out & among
+
+    def tails_into(self, among: int, heads: int) -> int:
+        return sum(1 << x for x in bit_indices(among) if self.out.get(x, 0) & heads)
+
+    def has_arc(self, x: int, y: int) -> bool:
+        return bool(self.out.get(x, 0) >> y & 1)
 
 
 def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
     """Elements with a path to an M-unspanned element in the classic digraph at I.
 
     A reference for the classic certificate: the heads of every tail are
-    built from the forward rules first, then a breadth-first search walks
+    built pair by pair from the rules, then a breadth-first search walks
     the arcs backward from the sinks.
     """
-    from matroidkit.intersect import _heads
-
     universe = m.universe_mask
-    heads = {x: _heads(m, n, imask, 0, 0, x) for x in bit_indices(universe)}
+    heads = brute_heads(m, n, imask)
     seen = frontier = universe & ~m._span(imask)
     while frontier:
         tails = 0
@@ -256,14 +302,14 @@ def replay_arc_persistence(record) -> int:
     before = build_exchange_digraph(state)
     after = build_exchange_digraph(augmented)
     checked = 0
-    for x, y in before.arcs:
-        if x in pset or before.heads(x) & path.mask:
+    for x, y in arcs(before):
+        if x in pset or before.heads(1 << x, path.mask):
             continue
         assert after.has_arc(x, y), (x, y)
         checked += 1
     final = build_exchange_digraph(extended)
     ia, ij = augmented.I.mask, extended.I.mask
-    for x, y in after.arcs:
+    for x, y in arcs(after):
         bx, by = 1 << x, 1 << y
         if (bx | by) & ij == (bx | by) & ia:
             assert final.has_arc(x, y), (x, y)

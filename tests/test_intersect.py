@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import pytest
 
@@ -22,7 +21,6 @@ from matroidkit.intersect import (
     _classic_run,
     _classic_step,
     _first_path,
-    _heads,
     _mask,
     _same_span,
     augment,
@@ -40,7 +38,15 @@ from matroidkit.orient import DemandGraph, orient_solve
 from matroidkit.packcov import MatroidFamily, packcov_solve
 from matroidkit.waves import PairContext, nice_feasible
 
-from conftest import brute_has_arc, drive_mixed, full_digraph_coreach, replay_arc_persistence
+from conftest import (
+    DictDigraph,
+    arcs,
+    brute_has_arc,
+    brute_heads,
+    drive_mixed,
+    full_digraph_coreach,
+    replay_arc_persistence,
+)
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -110,6 +116,15 @@ def test_edmonds_step_singleton_path_on_free_pair():
     assert isinstance(step, list) and len(step) == 1
 
 
+def test_edmonds_step_asks_only_about_the_elements_it_reaches():
+    # the least source is a sink itself: one query in each matroid, where
+    # two full spans would ask about every element
+    g = GroundSet(tuple(f"e{i}" for i in range(64)))
+    m, n = CountingIndep(C.free(g)), CountingIndep(C.free(g))
+    assert _classic_step(m, n, 0) == [0]
+    assert m.calls <= 2 and n.calls <= 2
+
+
 def test_edmonds_step_three_element_path():
     m = C.PartitionMatroid(G3, ((0b011, 1), (0b100, 1)))
     n = C.PartitionMatroid(G3, ((0b001, 1), (0b110, 1)))
@@ -163,29 +178,46 @@ def test_digraph_empty_state_has_no_arcs():
     m = C.uniform(ground, 2)
     n = C.uniform(ground, 0)  # all N-loops; their circuits are singletons
     state = FeasibleState(PairContext(m, n), ground.empty())
-    assert build_exchange_digraph(state).arcs == ()
+    assert arcs(build_exchange_digraph(state)) == ()
 
 
-def assert_arcs_match_rules(state):
-    universe = list(bit_indices(state.ctx.universe_mask))
-    expected = {(x, y) for x in universe for y in universe if brute_has_arc(state, x, y)}
-    assert set(build_exchange_digraph(state).arcs) == expected
+def assert_arcs_match_rules(state, rng):
+    """Arcs tail by tail, and the layer-wide forward and backward forms on
+    random layers, against the pair-by-pair rule test."""
+    universe = state.ctx.universe_mask
+    elements = list(bit_indices(universe))
+    expected = {(x, y) for x in elements for y in elements if brute_has_arc(state, x, y)}
+    dg = build_exchange_digraph(state)
+    assert set(arcs(dg)) == expected
+    for _ in range(6):
+        layer = rng.getrandbits(universe.bit_length()) & universe
+        among = rng.getrandbits(universe.bit_length()) & universe
+        heads = _mask({y for x, y in expected if layer >> x & 1 and among >> y & 1})
+        tails = _mask({x for x, y in expected if among >> x & 1 and layer >> y & 1})
+        assert dg.heads(layer, among) == heads
+        assert dg.tails_into(among, layer) == tails
 
 
 def test_digraph_arcs_match_rule_by_rule_test(corpus):
+    rng = random.Random(11)
     _ground, _ctx, state = five_element_split()
-    assert_arcs_match_rules(state)
+    assert_arcs_match_rules(state, rng)
     count = 0
     for inst in corpus.pairs:
         m, n = inst.M, inst.N
         imask = m._max_indep(n._max_indep(m.universe_mask))
         if not (m._indep(imask) and n._indep(imask)):
             continue
-        assert_arcs_match_rules(FeasibleState(PairContext(m, n), ElementSet(m.ground, imask)))
+        assert_arcs_match_rules(FeasibleState(PairContext(m, n), ElementSet(m.ground, imask)), rng)
         count += 1
         if count == 25:
             break
     assert count == 25
+    # states holding E1 elements, where the N*-rule has tails
+    with_e1 = [state for state in mixed_states(corpus, 20) if state.I.mask & state.ctx.E1.mask]
+    assert len(with_e1) > 20
+    for state in with_e1:
+        assert_arcs_match_rules(state, rng)
 
 
 def test_digraph_hand_built_split_instance():
@@ -198,7 +230,7 @@ def test_digraph_hand_built_split_instance():
         (name("x"), name("t")): "I & E0",
         (name("d"), name("e")): "I & E1",
     }
-    assert set(dg.arcs) == set(expected)
+    assert set(arcs(dg)) == set(expected)
     # the tail fixes the rule: M outside I, N in I & E0, N* in I & E1
     imask, e1 = state.I.mask, ctx.E1.mask
     for (x, _y), tail_class in expected.items():
@@ -317,8 +349,7 @@ def test_augment_check_fires_on_moved_dual_span(monkeypatch):
 
 
 def test_classic_chord_check_rejects_path_with_jumping_arc():
-    out = {0: 0b1010, 1: 0b0100, 2: 0b1000}
-    dg = ExchangeDigraph(G4.full_mask, lambda x: out.get(x, 0))
+    dg = DictDigraph({0: 0b1010, 1: 0b0100, 2: 0b1000}, G4.full_mask)
     _check_chordless(dg, [0, 1, 2], C.PostconditionFailed)
     with pytest.raises(C.PostconditionFailed, match="jumping arc 0->3"):
         _check_chordless(dg, [0, 1, 2, 3], C.PostconditionFailed)
@@ -368,11 +399,11 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
             heads = sum(1 << y for y in range(size) if y != x and rng.random() < density)
             if heads or rng.random() < 0.5:
                 out[x] = heads
-        dg = ExchangeDigraph((1 << size) - 1, lambda x: out.get(x, 0))
         source = rng.randrange(size)
         sinks = rng.getrandbits(size) & rng.getrandbits(size)
+        dg = DictDigraph(out, (1 << size) - 1, sinks=sinks)
         expected = _least_shortest_path(out, size, source, sinks)
-        assert _bfs_path(dg, source, sinks) == expected, (out, source, sinks)
+        assert _bfs_path(dg, source) == expected, (out, source, sinks)
         if expected is None:
             missing += 1
         else:
@@ -436,28 +467,40 @@ def mixed_states(corpus, limit):
 
 
 def test_lazy_digraph_searches_match_the_full_digraph(corpus):
+    # the layered search against a least shortest path over every arc,
+    # each arc from the pair-by-pair rule test: the least source that
+    # reaches a sink, then the least shortest path to its least nearest sink
     searches = []
     for m, n, imask in classic_states(corpus, 40):
-        universe = m.universe_mask
-        rule = partial(_heads, m, n, imask, 0, 0)
-        sources, sinks = universe & ~n._span(imask), universe & ~m._span(imask)
-        searches.append((universe, rule, sources, sinks))
+        searches.append((m, n, imask, 0))
     mixed = mixed_states(corpus, 40)
     assert sum(1 for state in mixed if state.I.mask & state.ctx.E1.mask) > 50
     for state in mixed:
         ctx = state.ctx
-        rule = build_exchange_digraph(state).rule
-        sources = ctx.E0.mask & ~ctx.N._span(state.I.mask)
-        sinks = ctx.E0.mask & ~state.span_m.mask
-        searches.append((ctx.universe_mask, rule, sources, sinks))
-    lazier = 0
-    for universe, rule, sources, sinks in searches:
-        full = ExchangeDigraph(universe, rule)
-        full.arcs  # builds every tail
-        lazy = ExchangeDigraph(universe, rule)
-        assert _first_path(lazy, sources, sinks) == _first_path(full, sources, sinks)
-        lazier += len(lazy.out) < len(full.out)
-    assert len(searches) > 150 and lazier > len(searches) // 2
+        searches.append((ctx.M, ctx.N, state.I.mask, ctx.E1.mask))
+    asked = full_asked = found = 0
+    for m, n, imask, e1 in searches:
+        universe = m.universe_mask
+        e0 = universe & ~e1
+        safe = e1 & m._span(imask) & ~imask
+        out = brute_heads(m, n, imask, e1, safe)
+        sinks = e0 & ~m._span(imask)
+        expected = None
+        for s in bit_indices(e0 & ~n._span(imask)):
+            expected = _least_shortest_path(out, universe.bit_length(), s, sinks)
+            if expected is not None:
+                break
+        step_m, step_n = Recording(m), Recording(n)
+        assert _first_path(ExchangeDigraph(step_m, step_n, imask, e1, safe)) == expected
+        found += expected is not None
+        # the same digraph with every tail's heads asked, as a full build would
+        full_m, full_n = Recording(m), Recording(n)
+        arcs(ExchangeDigraph(full_m, full_n, imask, e1, safe))
+        asked += len(step_m.asked) + len(step_n.asked)
+        full_asked += len(full_m.asked) + len(full_n.asked)
+    # halving and whole-layer queries ask masks a full build does not, so
+    # the distinct masks are counted over all searches
+    assert len(searches) > 150 and found > 50 and 2 * asked < full_asked
 
     # the classic certificate's E_M is the universe minus the full digraph's
     # co-reach of the sinks; deleting the sources leaves a state with no
@@ -876,6 +919,17 @@ def test_state_safe_base_dependent_in_dual_detected():
     ctx = PairContext(C.zero(g), C.uniform(g, 1), g.full())
     with pytest.raises(C.StateInvariantBroken, match="dependent in the dual"):
         FeasibleState(ctx, g.empty())
+
+
+def test_safe_base_asks_one_query_per_element_of_e1_outside_i():
+    # construction asks M once whether I is independent; the safe base
+    # adds one query per element of E1 - I, none when E1 is empty, and
+    # reading it again asks nothing
+    for e1, safe, m_calls in (("", "", 1), ("cd", "cd", 3)):
+        m = CountingIndep(C.uniform(G4, 2))
+        state = FeasibleState(PairContext(m, C.uniform(G4, 2), G4.subset(e1)), G4.subset("ab"))
+        assert m.calls == m_calls
+        assert state.safe_base == G4.subset(safe) and m.calls == m_calls
 
 
 # ---------------------------------------------------------------------------
