@@ -22,11 +22,10 @@ from .core import (
     Matroid,
     MatroidKitError,
     PostconditionFailed,
-    RelabelMatroid,
     Stuck,
-    bit_indices,
     matroid_from_json,
     matroid_to_json,
+    relabel_onto,
 )
 from .intersect import Trace, solve, verify_certificate
 from .oracle import (
@@ -163,13 +162,7 @@ def _cmd_packcov(args) -> tuple[dict, int]:
         member = matroid_from_json(mdoc)
         if sorted(member.ground.labels) != sorted(universe):
             raise InvalidDocument("family member universe differs from shared universe")
-        if member.ground.labels != universe:
-            mapping = {
-                i: ground.index(member.ground.label(i))
-                for i in bit_indices(member.universe_mask)
-            }
-            member = RelabelMatroid(ground, member, mapping)
-        members.append(member)
+        members.append(relabel_onto(member, ground))
     fam = MatroidFamily(ground, tuple(members))
     trace = Trace()
     e1 = _e1_from_args(args, lambda: lift_family(fam).ground)

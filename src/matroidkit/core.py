@@ -673,7 +673,7 @@ class RelabelMatroid(Matroid):
         return self.child._indep(cmask)
 
     def _json_doc(self) -> dict:
-        # Only label-preserving relabelings (as produced by concat_sum)
+        # Only label-preserving relabelings (as made by relabel_onto)
         # have a standalone JSON form.
         for c, n in self.mapping.items():
             if self.child.ground.label(c) != self.ground.label(n):
@@ -754,13 +754,18 @@ def concat_sum(parts: Sequence[Matroid]) -> Matroid:
     if len(set(labels)) != len(labels):
         raise OverlappingUniverses("direct-sum parts reuse an element label")
     ground = GroundSet(tuple(labels))
-    moved = []
-    for p in parts:
-        mapping = {
-            c: ground.index(p.ground.label(c)) for c in bit_indices(p.universe_mask)
-        }
-        moved.append(RelabelMatroid(ground, p, mapping))
-    return direct_sum(moved)
+    return direct_sum([relabel_onto(p, ground) for p in parts])
+
+
+def relabel_onto(m: Matroid, ground: GroundSet) -> Matroid:
+    """``m`` on ``ground``, each element moved to the index of its label.
+
+    ``m`` itself when its ground already has those labels in that order.
+    """
+    if m.ground.labels == ground.labels:
+        return m
+    mapping = {i: ground.index(m.ground.label(i)) for i in bit_indices(m.universe_mask)}
+    return RelabelMatroid(ground, m, mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -510,10 +510,12 @@ class FeasibleState:
         safe = self.safe_base.mask
         if not nd._indep(safe):
             raise StateInvariantBroken("safe base is dependent in the dual")
-        # dually safe: I & E1 lies in the dual span of the safe base
-        in_e1 = imask & ctx.E1.mask
-        if in_e1 and in_e1 & ~nd._span(safe):
-            raise StateInvariantBroken("state is not dually safe")
+        # dually safe: I & E1 lies in the dual span of the safe base; the
+        # safe base is dual-independent and disjoint from I, so x of I is
+        # in that span exactly when adding it makes the base dependent
+        for x in bit_indices(imask & ctx.E1.mask):
+            if nd._indep(safe | 1 << x):
+                raise StateInvariantBroken("state is not dually safe")
 
     @cached_property
     def safe_base(self) -> ElementSet:
@@ -622,7 +624,13 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
 
 
 def _common_independent_part(pair: PairContext, s: ElementSet) -> ElementSet:
-    """Greedy common independent subset of ``s``, smallest indices first."""
+    """Greedy common independent subset of ``s``, smallest indices first.
+
+    When all of ``s`` is common independent the greedy keeps all of it,
+    so two queries on the whole set answer without the greedy.
+    """
+    if pair.M._indep(s.mask) and pair.N._indep(s.mask):
+        return ElementSet(pair.ground, s.mask)
     kept = 0
     for x in s:
         grown = kept | (1 << x)

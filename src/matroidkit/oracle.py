@@ -25,12 +25,12 @@ from .core import (
     Matroid,
     MatroidKitError,
     PostconditionFailed,
-    RelabelMatroid,
     TooLarge,
     bit_indices,
     concat_sum,
     graphic,
     partition,
+    relabel_onto,
     uniform,
 )
 from .intersect import _classic_run
@@ -334,6 +334,7 @@ def _random_binary_explicit(rng: random.Random, labels: tuple[str, ...]) -> Matr
 
 
 def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -> Matroid:
+    """A random matroid on the ground with exactly ``labels``, in that order."""
     kinds = [k for k, w in weights for _ in range(w)]
     kind = rng.choice(kinds)
     counts[kind] = counts.get(kind, 0) + 1
@@ -363,18 +364,11 @@ def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -
             take = min(len(order), rng.randint(1, 3))
             chunk, order = order[:take], order[take:]
             blocks.append((chunk, rng.randint(0, take)))
-        return _reorder(partition(blocks), labels)
+        return relabel_onto(partition(blocks), GroundSet(labels))
     if kind == "explicit":
         return _random_binary_explicit(rng, labels)
     ground = GroundSet(labels)
     return uniform(ground, rng.randint(0, n))
-
-
-def _reorder(m: Matroid, labels: tuple[str, ...]) -> Matroid:
-    """Relabel a matroid built in shuffled order back onto the canonical ground."""
-    ground = GroundSet(labels)
-    mapping = {i: ground.index(m.ground.label(i)) for i in bit_indices(m.universe_mask)}
-    return RelabelMatroid(ground, m, mapping)
 
 
 def _component_splits(
@@ -435,8 +429,6 @@ def fuzz_corpus(spec: CorpusSpec) -> Corpus:
         labels = tuple(f"x{j}" for j in range(n_elems))
         m = _random_leaf(rng, labels, weights, counts)
         n = _random_leaf(rng, labels, weights, counts)
-        m = _align(m, labels)
-        n = _align(n, labels)
         corpus.pairs.append(
             PairInstance(f"pair{i:04d}", m, n, _component_splits(rng, n))
         )
@@ -444,20 +436,10 @@ def fuzz_corpus(spec: CorpusSpec) -> Corpus:
         n_elems = rng.randint(1, min(6, spec.max_elements))
         labels = tuple(f"x{j}" for j in range(n_elems))
         k = rng.randint(1, MAX_FAMILY)
-        members = tuple(
-            _align(_random_leaf(rng, labels, weights, counts), labels)
-            for _ in range(k)
-        )
+        members = tuple(_random_leaf(rng, labels, weights, counts) for _ in range(k))
         corpus.families.append(
             FamilyInstance(f"fam{i:04d}", MatroidFamily(members[0].ground, members))
         )
     for i in range(spec.graphs):
         corpus.graphs.append(GraphInstance(f"graph{i:04d}", _random_demand_graph(rng, spec)))
     return corpus
-
-
-def _align(m: Matroid, labels: tuple[str, ...]) -> Matroid:
-    """Bring a generated matroid onto the canonical ground for its labels."""
-    if m.ground.labels == labels:
-        return m
-    return _reorder(m, labels)

@@ -19,11 +19,8 @@ from .core import (
     DemandOutOfRange,
     ElementSet,
     GroundSet,
-    Matroid,
     MatroidKitError,
     PartitionMatroid,
-    direct_sum,
-    uniform,
 )
 from .intersect import Trace, solve
 
@@ -133,17 +130,21 @@ def indegrees(g: DemandGraph, orientation: Mapping[str, str]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class OrientInstance:
-    """The bidirected intersection instance for a demand graph."""
+    """The bidirected intersection instance for a demand graph.
+
+    ``M`` is a partition matroid whose blocks are the in-arcs of each
+    vertex, capped at its effective lower bound, in ``g.vertices``
+    order; ``N`` allows one arc per edge.
+    """
 
     graph: DemandGraph
     ground: GroundSet
-    M: Matroid
-    N: Matroid
-    vertex_blocks: tuple[tuple[str, Matroid, int], ...]
+    M: PartitionMatroid
+    N: PartitionMatroid
 
 
 def build_instance(g: DemandGraph) -> OrientInstance:
-    """Two arcs per edge; per-vertex in-degree matroids against edge blocks."""
+    """Two arcs per edge; per-vertex in-arc blocks against edge blocks."""
     labels = []
     in_arcs = dict.fromkeys(g.vertices, 0)
     for i, (u, v, label) in enumerate(g.edges):
@@ -151,18 +152,15 @@ def build_instance(g: DemandGraph) -> OrientInstance:
         in_arcs[v] |= 1 << (2 * i)
         in_arcs[u] |= 2 << (2 * i)
     ground = GroundSet(tuple(labels))
-
-    blocks = []
-    for v in g.vertices:
-        delta = ElementSet(ground, in_arcs[v])
-        mv = uniform(ground, effective_lower_bound(g, v)).restrict(delta)
-        blocks.append((v, mv, in_arcs[v]))
-    m = direct_sum([mv for _v, mv, _mask in blocks])
+    # every arc is an in-arc of exactly one vertex, so the blocks partition it
+    m = PartitionMatroid(
+        ground, tuple((in_arcs[v], effective_lower_bound(g, v)) for v in g.vertices)
+    )
     n = PartitionMatroid(
         ground,
         tuple((0b11 << (2 * i), 1) for i in range(len(g.edges))),
     )
-    return OrientInstance(g, ground, m, n, tuple(blocks))
+    return OrientInstance(g, ground, m, n)
 
 
 @dataclass(frozen=True)
@@ -193,26 +191,25 @@ def orient_solve(
     for i, (u, v, label) in enumerate(g.edges):
         fwd = 1 << (2 * i)
         orientation[label] = v if imask & fwd else u
-    im = imask & cert.E_M.mask
-    v_outside = []
-    for v, mv, _mask in inst.vertex_blocks:
-        if mv._rank(im & mv.universe_mask) < mv._rank(mv.universe_mask):
-            v_outside.append(v)
-
     indeg = indegrees(g, orientation)
     pairs = tuple(sorted(orientation.items()))
     if all(above_at(g, indeg, v) for v in g.vertices):
         return OrientationOutcome(pairs, "above", (), None)
+    # I & E_M is independent in M, so its size on a block is its rank
+    # there; the vertex is deficient when that falls short of the
+    # block's rank min(|block|, cap)
+    im = imask & cert.E_M.mask
+    v_prime = tuple(sorted(
+        v
+        for v, (mask, cap) in zip(g.vertices, inst.M.blocks)
+        if (im & mask).bit_count() < min(mask.bit_count(), cap)
+    ))
     out = OrientationOutcome(
-        pairs,
-        "deficient",
-        tuple(sorted(v_outside)),
-        None,
+        pairs, "deficient", v_prime, deficiency_counting_check(g, v_prime)
     )
     if not verify_outcome(g, out):
         raise CertificateInvalid("deficiency certificate failed verification")
-    counting = deficiency_counting_check(g, out.v_prime)
-    return OrientationOutcome(pairs, "deficient", out.v_prime, counting)
+    return out
 
 
 def verify_outcome(g: DemandGraph, out: OrientationOutcome) -> bool:

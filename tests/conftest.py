@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.oracle import CorpusSpec, fuzz_corpus, iter_submasks
+from matroidkit.orient import DemandGraph, effective_lower_bound
 
 CORPUS_SEED = 20260810
 
@@ -315,3 +317,87 @@ def replay_arc_persistence(record) -> int:
             assert final.has_arc(x, y), (x, y)
             checked += 1
     return checked
+
+
+# ---------------------------------------------------------------------------
+# orientation references
+
+
+@cache
+def exhaustive_orientation_family() -> tuple[DemandGraph, ...]:
+    """Small graphs with exhaustively enumerated demand bounds.
+
+    All simple graphs on four labeled vertices, all five-vertex simple
+    graphs with at most four edges, and all loopless multigraphs on at
+    most three vertices with at most four edges.  For every profile of
+    effective lower bounds both a non-negative and a negative demand
+    representative are exercised.
+    """
+    instances = []
+
+    def add_graph(vertices, edge_list):
+        degree = dict.fromkeys(vertices, 0)
+        for u, v in edge_list:
+            degree[u] += 1
+            degree[v] += 1
+        ranges = [range(degree[v] + 1) for v in vertices]
+        for profile in product(*ranges):
+            demands = dict(zip(vertices, profile))
+            negative = {
+                v: profile[i] - degree[v] for i, v in enumerate(vertices)
+            }
+            labeled = [(u, v, f"e{i}") for i, (u, v) in enumerate(edge_list)]
+            instances.append(DemandGraph.build(vertices, labeled, demands))
+            if negative != demands:
+                instances.append(DemandGraph.build(vertices, labeled, negative))
+
+    verts4 = ("a", "b", "c", "d")
+    pairs4 = list(combinations(verts4, 2))
+    for k in range(len(pairs4) + 1):
+        for chosen in combinations(pairs4, k):
+            add_graph(verts4, list(chosen))
+
+    verts5 = ("a", "b", "c", "d", "e")
+    pairs5 = list(combinations(verts5, 2))
+    for k in range(5):
+        for chosen in combinations(pairs5, k):
+            add_graph(verts5, list(chosen))
+
+    verts3 = ("a", "b", "c")
+    pairs3 = list(combinations(verts3, 2))
+    for k in range(1, 5):
+        for chosen in combinations_with_replacement(pairs3, k):
+            add_graph(verts3, list(chosen))
+
+    return tuple(instances)
+
+
+def reference_orientation_blocks(g: DemandGraph) -> list[tuple[str, C.Matroid]]:
+    """Per vertex, the uniform matroid of rank lb(v) restricted to its in-arcs.
+
+    Their direct sum is the in-degree matroid of the orientation
+    instance; arc ``label>`` points into the edge's second endpoint and
+    ``label<`` into its first.
+    """
+    labels = [f"{label}{side}" for _u, _w, label in g.edges for side in "><"]
+    ground = GroundSet(tuple(labels))
+    blocks = []
+    for v in g.vertices:
+        arcs = [f"{label}>" for _u, w, label in g.edges if w == v]
+        arcs += [f"{label}<" for u, _w, label in g.edges if u == v]
+        mv = C.uniform(ground, effective_lower_bound(g, v)).restrict(ground.subset(arcs))
+        blocks.append((v, mv))
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# mixed-state references
+
+
+def greedy_common_part(m: C.Matroid, n: C.Matroid, mask: int) -> int:
+    """Greedy common independent subset of ``mask``, smallest indices first."""
+    kept = 0
+    for x in bit_indices(mask):
+        if m._indep(kept | 1 << x) and n._indep(kept | 1 << x):
+            kept |= 1 << x
+    return kept

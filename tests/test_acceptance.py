@@ -7,7 +7,6 @@ criterion fails its test exactly when the underlying checks fail.
 from __future__ import annotations
 
 import time
-from itertools import combinations, combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +27,7 @@ from matroidkit.oracle import (
     brute_orientations,
     iter_submasks,
 )
-from matroidkit.orient import DemandGraph, orient_solve, verify_outcome, deficiency_counting_check
+from matroidkit.orient import orient_solve, verify_outcome, deficiency_counting_check
 from matroidkit.packcov import packcov_solve, verify_packcov
 from matroidkit.waves import PairContext, check_cond_plus, largest_wave
 
@@ -36,6 +35,7 @@ from conftest import (
     brute_common_bases,
     drive_mixed,
     enumerate_matroids,
+    exhaustive_orientation_family,
     family_minmax,
     family_union_max,
     oracle_equal,
@@ -312,57 +312,9 @@ def test_criterion_5_packing_covering(corpus):
     assert not violations
 
 
-def _exhaustive_orientation_family():
-    """Small graphs with exhaustively enumerated demand bounds.
-
-    All simple graphs on four labeled vertices, all five-vertex simple
-    graphs with at most four edges, and all loopless multigraphs on at
-    most three vertices with at most four edges.  For every profile of
-    effective lower bounds both a non-negative and a negative demand
-    representative are exercised.
-    """
-    instances = []
-
-    def add_graph(vertices, edge_list):
-        degree = dict.fromkeys(vertices, 0)
-        for u, v in edge_list:
-            degree[u] += 1
-            degree[v] += 1
-        ranges = [range(degree[v] + 1) for v in vertices]
-        for profile in product(*ranges):
-            demands = dict(zip(vertices, profile))
-            negative = {
-                v: profile[i] - degree[v] for i, v in enumerate(vertices)
-            }
-            labeled = [(u, v, f"e{i}") for i, (u, v) in enumerate(edge_list)]
-            instances.append(DemandGraph.build(vertices, labeled, demands))
-            if negative != demands:
-                instances.append(DemandGraph.build(vertices, labeled, negative))
-
-    verts4 = ("a", "b", "c", "d")
-    pairs4 = list(combinations(verts4, 2))
-    for k in range(len(pairs4) + 1):
-        for chosen in combinations(pairs4, k):
-            add_graph(verts4, list(chosen))
-
-    verts5 = ("a", "b", "c", "d", "e")
-    pairs5 = list(combinations(verts5, 2))
-    for k in range(5):
-        for chosen in combinations(pairs5, k):
-            add_graph(verts5, list(chosen))
-
-    verts3 = ("a", "b", "c")
-    pairs3 = list(combinations(verts3, 2))
-    for k in range(1, 5):
-        for chosen in combinations_with_replacement(pairs3, k):
-            add_graph(verts3, list(chosen))
-
-    return instances
-
-
 def test_criterion_6_orientation(corpus):
     violations = []
-    exhaustive = _exhaustive_orientation_family()
+    exhaustive = exhaustive_orientation_family()
     for g in exhaustive:
         out = orient_solve(g)
         brute = brute_orientations(g)

@@ -245,6 +245,18 @@ def test_concat_sum_slicewise():
         assert s._indep(mask) == ((mask & 0b0011).bit_count() <= 1)
 
 
+def test_relabel_onto_moves_elements_by_label():
+    # {a, b} is a parallel pair of the partition; on G4 it sits at 0 and 1
+    m = C.partition([(["b", "a"], 1), (["d", "c"], 2)])
+    moved = C.relabel_onto(m, G4)
+    assert moved.ground.labels == G4.labels
+    for mask in iter_submasks(G4.full_mask):
+        assert moved._indep(mask) == ((mask & 0b0011).bit_count() <= 1)
+    assert C.relabel_onto(moved, GroundSet(G4.labels)) is moved
+    with pytest.raises(C.UniverseMismatch):
+        C.relabel_onto(m, G3)
+
+
 def test_relabel_requires_injection():
     m = C.uniform(G3, 1)
     with pytest.raises(C.MatroidKitError):

@@ -20,6 +20,7 @@ from matroidkit.intersect import (
     _check_chordless,
     _classic_run,
     _classic_step,
+    _common_independent_part,
     _first_path,
     _mask,
     _same_span,
@@ -45,6 +46,7 @@ from conftest import (
     brute_heads,
     drive_mixed,
     full_digraph_coreach,
+    greedy_common_part,
     replay_arc_persistence,
 )
 
@@ -92,8 +94,7 @@ def five_element_split():
         ]
     )
     # concat_sum reorders labels: bring N onto the same ground as M
-    mapping = {i: ground.index(n.ground.label(i)) for i in bit_indices(n.universe_mask)}
-    n = C.RelabelMatroid(ground, n, mapping)
+    n = C.relabel_onto(n, ground)
     ctx = PairContext(m, n, ground.subset("de"))
     state = FeasibleState(ctx, ground.subset("xd"))
     return ground, ctx, state
@@ -439,6 +440,16 @@ def classic_states(corpus, limit):
     return out
 
 
+def _random_common_independent(rng, m, n):
+    """A random common independent set, each element kept with chance 0.7."""
+    imask = 0
+    for e in rng.sample(list(bit_indices(m.universe_mask)), m.size):
+        grown = imask | 1 << e
+        if m._indep(grown) and n._indep(grown) and rng.random() < 0.7:
+            imask = grown
+    return imask
+
+
 def mixed_states(corpus, limit):
     """Feasible states on corpus splits with E1 nonempty: those the mixed loop
     passes through, and random dually safe common independent sets, which
@@ -454,11 +465,7 @@ def mixed_states(corpus, limit):
             out += [record[0] for record in records] + [final]
             ctx = PairContext(m, n, e1)
             for _ in range(4):
-                imask = 0
-                for e in rng.sample(list(bit_indices(m.universe_mask)), m.size):
-                    grown = imask | 1 << e
-                    if m._indep(grown) and n._indep(grown) and rng.random() < 0.7:
-                        imask = grown
+                imask = _random_common_independent(rng, m, n)
                 try:
                     out.append(FeasibleState(ctx, ElementSet(m.ground, imask)))
                 except C.StateInvariantBroken:
@@ -752,6 +759,27 @@ def test_extension_postcondition_fires_on_a_short_common_base(monkeypatch):
         extend_to_nice(state)
 
 
+def test_common_independent_part_is_the_greedy_and_keeps_a_whole_set_in_two_queries(corpus):
+    # on the pair and on quotients by common independent sets, as the
+    # extension asks it; when the greedy would keep every element, one
+    # query to each member answers
+    rng = random.Random(9)
+    whole = 0
+    for inst in corpus.pairs[:200]:
+        ctx = PairContext(inst.M, inst.N)
+        for _ in range(4):
+            pair = ctx.quotient(_random_common_independent(rng, inst.M, inst.N))
+            pair = PairContext(CountingIndep(pair.M), CountingIndep(pair.N))
+            universe = list(bit_indices(pair.universe_mask))
+            s = ElementSet(pair.ground, _mask(rng.sample(universe, rng.randint(0, len(universe)))))
+            expected = greedy_common_part(pair.M.inner, pair.N.inner, s.mask)
+            assert _common_independent_part(pair, s).mask == expected, inst.name
+            if expected == s.mask:
+                assert (pair.M.calls, pair.N.calls) == (1, 1), inst.name
+                whole += 1
+    assert whole >= 100
+
+
 def test_key_step_noop_when_already_spanned():
     ground, ctx, state = five_element_split()
     spanned = next(iter(bit_indices(ctx.N._span(state.I.mask) & ctx.E0.mask)))
@@ -919,6 +947,38 @@ def test_state_safe_base_dependent_in_dual_detected():
     ctx = PairContext(C.zero(g), C.uniform(g, 1), g.full())
     with pytest.raises(C.StateInvariantBroken, match="dependent in the dual"):
         FeasibleState(ctx, g.empty())
+
+
+def test_dual_safety_check_matches_the_full_dual_span(corpus):
+    # random common independent sets on splits with E1 nonempty, not
+    # filtered for safety: construction raises exactly when the full dual
+    # span of the safe base says so, with the same message
+    rng = random.Random(7)
+    seen = {None: 0, "dependent in the dual": 0, "not dually safe": 0}
+    for inst in corpus.pairs[:120]:
+        m, n = inst.M, inst.N
+        nd = n.dual()
+        for _e0, e1 in inst.splits:
+            if not e1:
+                continue
+            ctx = PairContext(m, n, e1)
+            for _ in range(4):
+                imask = _random_common_independent(rng, m, n)
+                safe = _mask([x for x in bit_indices(e1.mask & ~imask) if not m._indep(imask | 1 << x)])
+                if not nd._indep(safe):
+                    expected = "dependent in the dual"
+                elif imask & e1.mask & ~nd._span(safe):
+                    expected = "not dually safe"
+                else:
+                    expected = None
+                try:
+                    FeasibleState(ctx, ElementSet(m.ground, imask))
+                    got = None
+                except C.StateInvariantBroken as exc:
+                    got = next(k for k in seen if k and k in str(exc))
+                assert got == expected, inst.name
+                seen[expected] += 1
+    assert all(seen.values()), seen
 
 
 def test_safe_base_asks_one_query_per_element_of_e1_outside_i():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from matroidkit import core as C
+from matroidkit import orient
+from matroidkit.intersect import solve
 from matroidkit.oracle import brute_orientations
 from matroidkit.orient import (
     DemandGraph,
@@ -16,6 +18,8 @@ from matroidkit.orient import (
     orient_solve,
     verify_outcome,
 )
+
+from conftest import exhaustive_orientation_family, oracle_equal, reference_orientation_blocks
 
 
 def path3(o=(1, 1, 1)):
@@ -75,25 +79,71 @@ def test_single_edge_instance_shape():
     assert len(inst.N.blocks) == 1 and inst.N.blocks[0][1] == 1
 
 
+def _in_arc_ranks(g):
+    """Rank of M on each vertex's in-arcs, with the arcs read off their labels."""
+    inst = build_instance(g)
+    ranks = {}
+    for v in g.vertices:
+        arcs = [f"{label}>" if w == v else f"{label}<" for u, w, label in g.edges if v in (u, w)]
+        ranks[v] = inst.M.rank(inst.ground.subset(arcs))
+    return ranks
+
+
 def test_negative_full_demand_gives_rank_zero_block():
     g = DemandGraph.build(["u", "v"], [("u", "v", "e")], {"u": -1, "v": 0})
-    inst = build_instance(g)
-    mv = dict((v, m) for v, m, _ in inst.vertex_blocks)["u"]
     # demand -degree leaves a lower bound of 0 on the in-arcs: rank zero
-    assert mv.rank() == 0
+    assert _in_arc_ranks(g)["u"] == 0
 
 
 def test_triangle_blocks_have_rank_one():
-    inst = build_instance(cycle3())
-    for v, mv, _mask in inst.vertex_blocks:
-        assert mv.rank() == 1
+    assert set(_in_arc_ranks(cycle3()).values()) == {1}
 
 
 def test_block_rank_equals_effective_lower_bound():
     g = path3((1, -1, 0))
-    inst = build_instance(g)
-    for v, mv, _mask in inst.vertex_blocks:
-        assert mv.rank() == effective_lower_bound(g, v)
+    ranks = _in_arc_ranks(g)
+    for v in g.vertices:
+        assert ranks[v] == effective_lower_bound(g, v)
+
+
+def test_m_is_the_sum_of_restricted_uniforms_and_v_prime_its_rank_test(monkeypatch):
+    """The partition M equals the per-vertex sum, and v_prime is read the same.
+
+    The reference test marks v deficient when I & E_M of the solver's
+    certificate has lower rank on v's restricted uniform than the whole
+    of it.  Graphs on at most four vertices with at most three edges
+    (six arcs) are compared on every subset, once per profile of
+    effective lower bounds, which is all that M depends on.
+    """
+    certs = []
+
+    def solve_and_keep(*args):
+        certs.append(solve(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(orient, "solve", solve_and_keep)
+    checked = deficient = 0
+    seen = set()
+    for g in exhaustive_orientation_family():
+        if len(g.vertices) > 4 or len(g.edges) > 3:
+            continue
+        key = (g.vertices, g.edges, tuple(effective_lower_bound(g, v) for v in g.vertices))
+        if key in seen:
+            continue
+        seen.add(key)
+        inst = build_instance(g)
+        blocks = reference_orientation_blocks(g)
+        ref = C.direct_sum([mv for _v, mv in blocks])
+        assert oracle_equal(inst.M, ref), g
+        out = orient_solve(g)
+        im = certs[-1].I.mask & certs[-1].E_M.mask
+        failing = tuple(sorted(
+            v for v, mv in blocks if mv._rank(im & mv.universe_mask) < mv._rank(mv.universe_mask)
+        ))
+        assert out.v_prime == (failing if out.verdict == "deficient" else ()), g
+        checked += 1
+        deficient += out.verdict == "deficient"
+    assert checked > 1_000 and 0 < deficient < checked
 
 
 # ---------------------------------------------------------------------------
