@@ -104,6 +104,7 @@ def main() -> int:
     print(f"  generator coverage : {dict(sorted(corpus.kind_counts.items()))}")
     print(f"  mixed-solver runs  : {mixed_runs} ({wave_checks} wave cross-checks)")
     print(f"  augmentations      : {trace.augmentations}")
+    print(f"  classic phases     : {trace.phases}")
     print(f"  extensions         : {trace.extensions}")
     print(f"  stuck/extension err: {stuck}")
     print(f"  disagreements      : {disagreements}")

@@ -327,17 +327,10 @@ class Matroid:
     def loops(self) -> ElementSet:
         return ElementSet(self.ground, self._loops_mask())
 
-    def is_circuit(self, s: ElementSet) -> bool:
-        return self._is_circuit(self._check_subset(s))
-
     def fundamental_circuit(self, e: int, independent: ElementSet) -> ElementSet:
         """The unique circuit through ``e`` inside ``independent + e``."""
         imask = self._check_subset(independent)
         return ElementSet(self.ground, self._fund_circuit(e, imask))
-
-    def fundamental_cocircuit(self, e: int, b: ElementSet) -> ElementSet:
-        """Fundamental circuit of ``e`` with respect to ``b`` in the dual."""
-        return self.dual().fundamental_circuit(e, b)
 
     def dual(self) -> "Matroid":
         if self._dual_cache is None:

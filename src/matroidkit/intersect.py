@@ -41,6 +41,7 @@ class Trace:
     events: list = field(default_factory=list)
     augmentations: int = 0
     extensions: int = 0
+    phases: int = 0
 
     def record(self, kind: str, **data) -> None:
         self.events.append({"kind": kind, **data})
@@ -49,6 +50,7 @@ class Trace:
         return {
             "augmentations": self.augmentations,
             "extensions": self.extensions,
+            "phases": self.phases,
             "events": self.events,
         }
 
@@ -276,18 +278,16 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 # shortest-path machinery
 
 
-def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
-    """Shortest path from ``source`` to the least nearest sink, lexicographically least.
+def _layered(dg: ExchangeDigraph, first: int, least: bool = False) -> list[int] | None:
+    """Layers of the shortest paths from ``first`` to its nearest sinks, or None.
 
     Distance layers grow forward until one holds a sink; only the
-    elements of each layer are tested as sinks.  Going back from the
-    least sink in that layer, each earlier layer keeps only the elements
-    with an arc into the next kept layer, so every kept element lies on
-    a shortest path to that sink; the path then takes the lowest kept
-    head at each step.
+    elements of each layer are tested as sinks.  The last layer keeps
+    its sinks, or with ``least`` the least one; going back, each layer
+    keeps the elements with an arc into the next kept layer.
     """
-    layers = [1 << source]
-    seen = layers[0]
+    layers = [first]
+    seen = first
     while True:
         hit = dg.sinks(layers[-1])
         if hit:
@@ -297,11 +297,23 @@ def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
             return None
         seen |= nxt
         layers.append(nxt)
-    kept = [hit & -hit]
+    kept = [hit & -hit if least else hit]
     for layer in reversed(layers[:-1]):
         kept.append(dg.tails_into(layer, kept[-1]))
+    kept.reverse()
+    return kept
+
+
+def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
+    """Shortest path from ``source`` to the least nearest sink, lexicographically least.
+
+    The path takes the lowest kept head at each step of ``_layered``.
+    """
+    kept = _layered(dg, 1 << source, least=True)
+    if kept is None:
+        return None
     path = [source]
-    for layer in reversed(kept[:-1]):
+    for layer in kept[1:]:
         heads = dg.heads(1 << path[-1], layer)
         path.append((heads & -heads).bit_length() - 1)
     return path
@@ -318,7 +330,7 @@ def _check_chordless(
 
 
 def _first_path(dg: ExchangeDigraph) -> list[int] | None:
-    """Checked shortest path from the least source that reaches a sink."""
+    """Checked shortest path from the least source that reaches a sink; the mixed search."""
     for s in dg.sources():
         path = _bfs_path(dg, s)
         if path is not None:
@@ -392,58 +404,83 @@ def _classic_run(
     """Run the classic solver to completion from ``start``; unverified.
 
     Augmenting paths reach a maximum set from any common independent
-    start (Edmonds 1970).  A start that is not one is a caller's bug and
-    raises PostconditionFailed.
+    start (Edmonds 1970).  Each phase (``_classic_step``) augments along
+    paths of one length, longer than the last phase's, until one finds
+    no path.  A start that is not common independent is a caller's bug
+    and raises PostconditionFailed.
     """
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
     universe = m.universe_mask
     if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
         raise PostconditionFailed("classic run start is not common independent")
-    # each augmentation grows I by one, and one more step returns the certificate
-    max_steps = universe.bit_count() + 1
     imask = start
-    for _ in range(max_steps):
+    # each phase but the last grows I by at least one
+    for _ in range(universe.bit_count() + 1):
+        if trace is not None:
+            trace.phases += 1
         step = _classic_step(m, n, imask)
         if isinstance(step, IntersectionCertificate):
             return step
-        new = _augmented(m, n, imask, step, universe)
-        if trace is not None:
-            trace.augmentations += 1
-            trace.record("classic-augment", before=imask, path=tuple(step), after=new)
-        imask = new
-    raise Stuck("classic solver exceeded its augmentation budget")
+        for path in step:
+            before, imask = imask, imask ^ _mask(path)
+            if trace is not None:
+                trace.augmentations += 1
+                trace.record("classic-augment", phase=trace.phases, before=before,
+                             path=tuple(path), after=imask)
+    raise Stuck("classic solver exceeded its phase budget")
 
 
-def _classic_step(m: Matroid, n: Matroid, imask: int) -> "list[int] | IntersectionCertificate":
-    """A shortest augmenting path, or the reachability certificate when there is none.
+def _classic_step(m: Matroid, n: Matroid, imask: int) -> list[list[int]] | IntersectionCertificate:
+    """One phase from ``imask``: the checked paths it applied in turn, or the certificate.
 
-    The path search asks only about the elements it reaches.  A step
-    that finds no path tests every element as a sink, and the
-    certificate's M-side is the complement of the co-reach of the sinks,
-    found by a search backward from them through ``tails_into``.  The
-    co-reach is a set fixed by the digraph, so the order of search
-    cannot change the certificate.
+    One breadth-first search from all sources keeps the elements on some
+    shortest path, of length d.  Augmenting along a shortest path shortens
+    no distance (Cunningham 1986), so each length-d path of a later digraph
+    runs through these layers.  A depth-first search through them asks the
+    arcs of the current digraph; used and dead-end elements leave the phase.
+
+    A phase that reaches no sink returns the certificate.  Its M-side is
+    the complement of the co-reach of all sinks, found backward through
+    ``tails_into``: a set fixed by the digraph, whatever the search order.
     """
     universe = m.universe_mask
     dg = ExchangeDigraph(m, n, imask, 0, 0)
-    path = _first_path(dg)
-    if path is not None:
-        return path
-    seen = frontier = dg.sinks(universe)
-    while frontier:
-        frontier = dg.tails_into(universe & ~seen, frontier)
-        seen |= frontier
-    ground = m.ground
-    e_m = universe & ~seen
-    return IntersectionCertificate(
-        ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
-    )
+    kept = _layered(dg, _mask(dg.sources()))
+    if kept is None:
+        seen = frontier = dg.sinks(universe)
+        while frontier:
+            frontier = dg.tails_into(universe & ~seen, frontier)
+            seen |= frontier
+        ground, e_m = m.ground, universe & ~seen
+        return IntersectionCertificate(
+            ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
+        )
+    alive = sum(kept)  # the layers are disjoint
+    paths = []
+    for s in bit_indices(kept[0]):
+        path = [] if _spans(n, imask, s) else [s]  # the N-span grows, so sources only leave
+        while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
+            v = path[-1]
+            nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
+            if nxt:
+                path.append((nxt & -nxt).bit_length() - 1)
+            else:
+                alive &= ~(1 << v)
+                path.pop()
+        if path:
+            _check_chordless(dg, path, PostconditionFailed)
+            imask = _augmented(m, n, imask, path, universe)
+            alive &= ~_mask(path)
+            paths.append(path)
+            dg = ExchangeDigraph(m, n, imask, 0, 0)
+    return paths
 
 
 def edmonds_solve(ctx: PairContext, trace: Trace | None = None) -> IntersectionCertificate:
     """Maximum common independent set with the two-sided spanning partition.
 
+    The run augments in phases (``_classic_step``), which ``trace`` counts.
     The emitted M-side is the set of elements that cannot reach an
     M-unspanned element in the final exchange digraph; this is the
     largest valid choice and coincides with the union of all waves.

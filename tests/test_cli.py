@@ -39,11 +39,20 @@ def test_intersect_classic(files, capsys):
     tmp, write = files
     m = write("m.json", UNIFORM)
     n = write("n.json", PARTITION)
-    code, out, err = run(capsys, ["intersect", "--m", m, "--n", n])
+    trace_path = tmp / "trace.json"
+    code, out, err = run(capsys, ["intersect", "--m", m, "--n", n, "--trace", str(trace_path)])
     assert code == 0 and not err
     payload = json.loads(out)
     assert payload["output"]["certificate"]["size"] == 2
     assert payload["verification"]["certificate_valid"] is True
+    # one phase takes both single-element paths, a second finds none
+    assert payload["telemetry"]["phases"] == 2
+    trace = json.loads(trace_path.read_text())
+    assert trace["phases"] == 2 and trace["augmentations"] == 2
+    assert [(ev["kind"], ev["phase"], len(ev["path"])) for ev in trace["events"]] == [
+        ("classic-augment", 1, 1),
+        ("classic-augment", 1, 1),
+    ]
 
 
 def test_intersect_mixed_with_split_and_trace(files, capsys):
@@ -71,7 +80,9 @@ def test_intersect_mixed_with_split_and_trace(files, capsys):
     assert code == 0
     assert json.loads(out)["output"]["certificate"]["size"] == 2
     trace = json.loads(trace_path.read_text())
-    assert set(trace) == {"augmentations", "extensions", "events"}
+    assert set(trace) == {"augmentations", "extensions", "phases", "events"}
+    # the mixed loop's wave and tail runs are untraced: no classic phase is counted
+    assert trace["phases"] == 0
 
 
 def test_output_is_byte_identical(files, capsys):

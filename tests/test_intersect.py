@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -113,25 +114,32 @@ def test_edmonds_step_returns_certificate_at_maximum():
 
 
 def test_edmonds_step_singleton_path_on_free_pair():
+    # every element is a source and a sink, so one phase takes them all
     step = _classic_step(C.free(G3), C.free(G3), 0)
-    assert isinstance(step, list) and len(step) == 1
+    assert step == [[0], [1], [2]]
 
 
 def test_edmonds_step_asks_only_about_the_elements_it_reaches():
-    # the least source is a sink itself: one query in each matroid, where
-    # two full spans would ask about every element
+    # the phase asks N once per element to find the sources; with one
+    # source that is a sink itself, M is asked only about that element,
+    # where two full spans would ask about every element
     g = GroundSet(tuple(f"e{i}" for i in range(64)))
+    n = C.PartitionMatroid(g, ((1, 1), (g.full_mask & ~1, 0)))
+    m, n = CountingIndep(C.free(g)), CountingIndep(n)
+    assert _classic_step(m, n, 0) == [[0]]
+    assert m.asked == {1} and m.calls <= 4 and n.calls <= 64 + 3
+    # on a free pair every element is its own path, each checked in a
+    # bounded number of queries, where a full digraph has 64 * 64 arcs to ask
     m, n = CountingIndep(C.free(g)), CountingIndep(C.free(g))
-    assert _classic_step(m, n, 0) == [0]
-    assert m.calls <= 2 and n.calls <= 2
+    assert _classic_step(m, n, 0) == [[e] for e in range(64)]
+    assert m.calls <= 4 * 64 and n.calls <= 4 * 64
 
 
 def test_edmonds_step_three_element_path():
     m = C.PartitionMatroid(G3, ((0b011, 1), (0b100, 1)))
     n = C.PartitionMatroid(G3, ((0b001, 1), (0b110, 1)))
     step = _classic_step(m, n, G3.subset("b").mask)
-    assert isinstance(step, list)
-    assert [G3.label(i) for i in step] == ["a", "b", "c"]
+    assert [[G3.label(i) for i in path] for path in step] == [["a", "b", "c"]]
 
 
 def test_edmonds_step_k4_against_partition_three_path():
@@ -143,9 +151,8 @@ def test_edmonds_step_k4_against_partition_three_path():
         g, ((g.subset(["e3"]).mask, 1), (g.subset(["e0", "e1", "e2", "e4", "e5"]).mask, 2))
     )
     step = _classic_step(m, n, g.subset(["e0", "e1"]).mask)
-    assert isinstance(step, list)
-    assert [g.label(i) for i in step] == ["e3", "e0", "e2"]
-    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, AugPath(tuple(step)).mask)
+    assert [[g.label(i) for i in path] for path in step] == [["e3", "e0", "e2"]]
+    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, AugPath(tuple(step[0])).mask)
     assert m.is_independent(swapped) and n.is_independent(swapped)
 
 
@@ -547,31 +554,39 @@ class Recording(C.Matroid):
         return self.inner._indep(mask)
 
 
+def full_build_queries(m, n, imask):
+    """Distinct masks a full build of the classic digraph at I asks: the
+    spans, and the fundamental circuit of I in M and in N of every element
+    they span outside I."""
+    full_m, full_n = Recording(m), Recording(n)
+    for full in (full_m, full_n):
+        full._span(imask)
+        for x in bit_indices(m.universe_mask & ~imask):
+            if not full._indep(imask | 1 << x):
+                full._fund_circuit(x, imask)
+    return len(full_m.asked) + len(full_n.asked)
+
+
 def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
-    fewer = 0
+    # a phase reads the digraph at its start and after each of its paths;
+    # it asks fewer distinct masks than full builds of all those digraphs
     states = classic_states(corpus, 60)
     for m, n, imask in states:
         step_m, step_n = Recording(m), Recording(n)
         step = _classic_step(step_m, step_n, imask)
         assert step == _classic_step(m, n, imask)
-        # the full digraph: the spans the step reads, and the fundamental
-        # circuit of I in M and in N of every element they span outside I
-        full_m, full_n = Recording(m), Recording(n)
-        for full in (full_m, full_n):
-            full._span(imask)
-            for x in bit_indices(m.universe_mask & ~imask):
-                if not full._indep(imask | 1 << x):
-                    full._fund_circuit(x, imask)
-        # halving asks masks I - S + z that a full build never asks, so
-        # the distinct masks are counted, not compared as sets
-        asked = len(step_m.asked) + len(step_n.asked)
-        full_asked = len(full_m.asked) + len(full_n.asked)
-        assert asked <= full_asked
-        fewer += asked < full_asked
+        full_asked = full_build_queries(m, n, imask)
         if isinstance(step, IntersectionCertificate):
             coreach = full_digraph_coreach(m, n, imask)
             assert step.E_M.mask == m.universe_mask & ~coreach
-    assert fewer > len(states) // 4
+        else:
+            for path in step:
+                imask ^= _mask(path)
+                full_asked += full_build_queries(m, n, imask)
+        # halving asks masks I - S + z that a full build never asks, so
+        # the distinct masks are counted, not compared as sets
+        assert len(step_m.asked) + len(step_n.asked) < full_asked
+    assert len(states) > 150
 
 
 def random_independent(rng, m, among):
@@ -655,12 +670,16 @@ def test_augmentation_check_asks_a_path_sized_number_of_queries(corpus):
     # asks one per element of the path, and three more at most
     cases = []
     states = classic_states(corpus, 60)
-    for seed in range(6):
+    # a phase's paths are shortest over all sources and most are single
+    # elements, so twelve graphic pairs give enough paths past one element
+    for seed in range(12):
         states += classic_states_of(*graphic_pair(random.Random(seed), 48, 24))
     for m, n, imask in states:
-        path = _classic_step(m, n, imask)
-        if not isinstance(path, IntersectionCertificate):
-            cases.append((m, n, imask, path, m.universe_mask))
+        step = _classic_step(m, n, imask)
+        if not isinstance(step, IntersectionCertificate):
+            for path in step:
+                cases.append((m, n, imask, path, m.universe_mask))
+                imask ^= _mask(path)
     for state in mixed_states(corpus, 40):
         path = find_aug_path(state)
         if path is not None:
@@ -687,25 +706,36 @@ def test_unknown_solver_raises_one_error_type():
 
 
 def test_mixed_path_search_matches_classic_augmentations(corpus):
-    # with an empty E1 the mixed search must find the same paths the
-    # classic stepper does, state by state
-    count = 0
-    for inst in corpus.pairs:
+    # with an empty E1, at every state a classic phase passes through, the
+    # mixed search finds a path exactly when the phase does.  The phase's
+    # paths are as long as the shortest path of the mixed digraph from
+    # any source; the mixed search stops at the least source that reaches
+    # a sink, so its path is never shorter, and most often just as long
+    states = paths = same = 0
+    for inst in corpus.pairs[:120]:
         m, n = inst.M, inst.N
         ctx = PairContext(m, n)
-        state = FeasibleState(ctx, m.ground.empty())
+        imask = 0
         while True:
-            step = _classic_step(m, n, state.I.mask)
-            path = find_aug_path(state)
+            step = _classic_step(m, n, imask)
             if isinstance(step, IntersectionCertificate):
-                assert path is None, inst.name
+                assert find_aug_path(FeasibleState(ctx, ElementSet(m.ground, imask))) is None
+                states += 1
                 break
-            assert path is not None and path.elements == tuple(step), inst.name
-            state = FeasibleState(ctx, state.I ^ ElementSet(m.ground, path.mask))
-        count += 1
-        if count == 15:
-            break
-    assert count == 15
+            for classic in step:
+                state = FeasibleState(ctx, ElementSet(m.ground, imask))
+                path = find_aug_path(state)
+                assert path is not None, inst.name
+                shortest = min(
+                    len(found)
+                    for s in state.digraph.sources()
+                    if (found := _bfs_path(state.digraph, s)) is not None
+                )
+                assert len(classic) == shortest <= len(path), inst.name
+                same += len(path) == shortest
+                paths += 1
+                imask ^= _mask(classic)
+    assert states > 100 and paths > 200 and same > 0.9 * paths
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +891,60 @@ def test_mixed_matches_classic_past_enumeration_sizes(size):
         assert verify_certificate(m, n, cert)
 
 
+def connected_graphic(rng, size):
+    """Graphic matroid on 3n/4 vertices: a random spanning tree, then random extra edges."""
+    labels = [f"e{i}" for i in range(size)]
+    vs = [f"v{i}" for i in range(size * 3 // 4)]
+    ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
+    while len(ends) < size:
+        ends.append(tuple(rng.sample(range(len(vs)), 2)))
+    rng.shuffle(ends)
+    return C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
+
+
+def capped_partition(rng, ground):
+    """Partition matroid of random blocks of 2-4 elements, each capped at half its size."""
+    order = list(range(ground.size))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        take = min(len(order), rng.randint(2, 4))
+        blocks.append((sum(1 << e for e in order[:take]), take // 2))
+        order = order[take:]
+    return C.PartitionMatroid(ground, tuple(blocks))
+
+
+@pytest.mark.parametrize("size", [64, 96, 128])
+def test_classic_phases_past_enumeration_sizes(size):
+    # Cunningham (1986): augmenting along shortest paths never shortens a
+    # distance, and a path at |I| = k has at most 2k / (r - k) + 1
+    # elements, so the path lengths only grow and a run takes at most
+    # 2 * ceil(sqrt(r)) + 2 phases, the last of which finds no path
+    rng = random.Random(size)
+    m = connected_graphic(rng, size)
+    most_phases = 0
+    for n in (capped_partition(rng, m.ground), connected_graphic(rng, size)):
+        trace = Trace()
+        cert = edmonds_solve(PairContext(m, n), trace)
+        assert verify_certificate(m, n, cert)
+        r = len(cert.I)
+        assert trace.augmentations == r
+        lengths = {}
+        for before, after in zip(trace.events, trace.events[1:]):
+            assert len(before["path"]) <= len(after["path"])
+        for event in trace.events:
+            lengths.setdefault(event["phase"], set()).add(len(event["path"]))
+        assert all(len(found) == 1 for found in lengths.values())
+        assert sorted(lengths) == list(range(1, trace.phases))
+        assert trace.phases <= 2 * (math.isqrt(r - 1) + 1) + 2
+        most_phases = max(most_phases, trace.phases)
+        # weak duality: the mixed solver reaches the same size and M-side
+        mixed = mixed_solve(m, SplitInput(n, m.elements(), m.ground.empty()))
+        assert len(mixed.I) == r and mixed.E_M == cert.E_M
+    # the graphic pair needs paths through I, so lengths do grow
+    assert most_phases >= 4
+
+
 def test_mixed_loop_at_bench_size_warm_starts_every_postcondition(monkeypatch):
     # n = 48: graphic M of rank 35 against a partition N of blocks of 2-4
     # elements, capped at half, so the largest wave is small and the
@@ -868,22 +952,8 @@ def test_mixed_loop_at_bench_size_warm_starts_every_postcondition(monkeypatch):
     import matroidkit.intersect as intersect
 
     rng = random.Random(48)
-    size = 48
-    labels = [f"e{i}" for i in range(size)]
-    vs = [f"v{i}" for i in range(size * 3 // 4)]
-    ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
-    while len(ends) < size:
-        ends.append(tuple(rng.sample(range(len(vs)), 2)))
-    rng.shuffle(ends)
-    m = C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
-    order = list(range(size))
-    rng.shuffle(order)
-    blocks = []
-    while order:
-        take = min(len(order), rng.randint(2, 4))
-        blocks.append((sum(1 << e for e in order[:take]), take // 2))
-        order = order[take:]
-    n = C.PartitionMatroid(m.ground, tuple(blocks))
+    m = connected_graphic(rng, 48)
+    n = capped_partition(rng, m.ground)
 
     steps = [0]
     postcondition_steps = []
