@@ -89,10 +89,14 @@ class ExchangeDigraph:
         self.e1 = e1
         self.safe = safe
 
-    def sources(self) -> Iterator[int]:
-        """The elements of E0 - I that are not N-spanned, ascending, asked one by one."""
+    def sources(self, among: int = -1) -> Iterator[int]:
+        """The elements of ``among`` (default all) in E0 - I that are not N-spanned.
+
+        They come ascending and are asked one by one, so a caller that
+        stops early pays only for the elements it took.
+        """
         imask, n = self.imask, self.n
-        for z in bit_indices(self.e0 & ~imask):
+        for z in bit_indices(among & self.e0 & ~imask):
             if n._indep(imask | 1 << z):
                 yield z
 
@@ -278,16 +282,17 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 # shortest-path machinery
 
 
-def _layered(dg: ExchangeDigraph, first: int, least: bool = False) -> list[int] | None:
-    """Layers of the shortest paths from ``first`` to its nearest sinks, or None.
+def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
+    """Shortest path from ``source`` to the least nearest sink, lexicographically least.
 
     Distance layers grow forward until one holds a sink; only the
-    elements of each layer are tested as sinks.  The last layer keeps
-    its sinks, or with ``least`` the least one; going back, each layer
-    keeps the elements with an arc into the next kept layer.
+    elements of each layer are tested as sinks.  Going back from the
+    least sink of the last layer, each layer keeps the elements with an
+    arc into the next kept layer, and the path takes the lowest kept
+    head at each step.
     """
-    layers = [first]
-    seen = first
+    layers = [1 << source]
+    seen = layers[0]
     while True:
         hit = dg.sinks(layers[-1])
         if hit:
@@ -297,21 +302,10 @@ def _layered(dg: ExchangeDigraph, first: int, least: bool = False) -> list[int] 
             return None
         seen |= nxt
         layers.append(nxt)
-    kept = [hit & -hit if least else hit]
+    kept = [hit & -hit]
     for layer in reversed(layers[:-1]):
         kept.append(dg.tails_into(layer, kept[-1]))
     kept.reverse()
-    return kept
-
-
-def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
-    """Shortest path from ``source`` to the least nearest sink, lexicographically least.
-
-    The path takes the lowest kept head at each step of ``_layered``.
-    """
-    kept = _layered(dg, 1 << source, least=True)
-    if kept is None:
-        return None
     path = [source]
     for layer in kept[1:]:
         heads = dg.heads(1 << path[-1], layer)
@@ -331,7 +325,7 @@ def _check_chordless(
 
 def _first_path(dg: ExchangeDigraph) -> list[int] | None:
     """Checked shortest path from the least source that reaches a sink; the mixed search."""
-    for s in dg.sources():
+    for s in dg.sources(dg.e0):
         path = _bfs_path(dg, s)
         if path is not None:
             _check_chordless(dg, path, PostconditionFailed)
@@ -404,10 +398,11 @@ def _classic_run(
     """Run the classic solver to completion from ``start``; unverified.
 
     Augmenting paths reach a maximum set from any common independent
-    start (Edmonds 1970).  Each phase (``_classic_step``) augments along
-    paths of one length, longer than the last phase's, until one finds
-    no path.  A start that is not common independent is a caller's bug
-    and raises PostconditionFailed.
+    start (Edmonds 1970).  Each phase (``_classic_step``) searches
+    backward from the sinks and augments along paths of one length,
+    longer than the last phase's, until a search meets no source; that
+    search gives the certificate.  A start that is not common
+    independent is a caller's bug and raises PostconditionFailed.
     """
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
@@ -434,28 +429,41 @@ def _classic_run(
 def _classic_step(m: Matroid, n: Matroid, imask: int) -> list[list[int]] | IntersectionCertificate:
     """One phase from ``imask``: the checked paths it applied in turn, or the certificate.
 
-    One breadth-first search from all sources keeps the elements on some
-    shortest path, of length d.  Augmenting along a shortest path shortens
-    no distance (Cunningham 1986), so each length-d path of a later digraph
-    runs through these layers.  A depth-first search through them asks the
-    arcs of the current digraph; used and dead-end elements leave the phase.
+    One breadth-first search grows backward from all sinks through
+    ``tails_into``: layer k holds the elements at distance k to the
+    sinks, and only the elements of each new layer are tested as
+    sources.  When a layer Ld holds sources, the shortest paths have
+    length d.  Augmenting along a shortest path shortens neither the
+    distance from the sources nor the distance to the sinks (Cunningham
+    1986).  So the element at position i of a length-d path in a later
+    digraph of the phase was, at the start, at most i from a source and
+    at most d - i from a sink; no path was shorter than d, so it was
+    exactly d - i from the sinks.  It lies in L(d - i), and each later
+    length-d path runs through [sources of Ld, L(d-1), ..., L0].  A
+    depth-first search through them asks the arcs of the current
+    digraph; used and dead-end elements leave the phase.
 
-    A phase that reaches no sink returns the certificate.  Its M-side is
-    the complement of the co-reach of all sinks, found backward through
-    ``tails_into``: a set fixed by the digraph, whatever the search order.
+    A search that meets no source has walked the whole co-reach of the
+    sinks, a set fixed by the digraph, whatever the search order.  Its
+    complement is the certificate's M-side, and nothing else runs.
     """
     universe = m.universe_mask
     dg = ExchangeDigraph(m, n, imask, 0, 0)
-    kept = _layered(dg, _mask(dg.sources()))
-    if kept is None:
-        seen = frontier = dg.sinks(universe)
-        while frontier:
-            frontier = dg.tails_into(universe & ~seen, frontier)
-            seen |= frontier
-        ground, e_m = m.ground, universe & ~seen
-        return IntersectionCertificate(
-            ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, universe & ~e_m)
-        )
+    layers = [dg.sinks(universe)]
+    seen = layers[0]
+    while True:
+        first = _mask(dg.sources(layers[-1]))
+        if first:
+            break
+        nxt = dg.tails_into(universe & ~seen, layers[-1])
+        if not nxt:
+            ground, e_m = m.ground, universe & ~seen
+            return IntersectionCertificate(
+                ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, seen)
+            )
+        seen |= nxt
+        layers.append(nxt)
+    kept = [first, *reversed(layers[:-1])]
     alive = sum(kept)  # the layers are disjoint
     paths = []
     for s in bit_indices(kept[0]):
@@ -482,8 +490,9 @@ def edmonds_solve(ctx: PairContext, trace: Trace | None = None) -> IntersectionC
 
     The run augments in phases (``_classic_step``), which ``trace`` counts.
     The emitted M-side is the set of elements that cannot reach an
-    M-unspanned element in the final exchange digraph; this is the
-    largest valid choice and coincides with the union of all waves.
+    M-unspanned element in the final exchange digraph, the complement of
+    the last phase's backward search; this is the largest valid choice
+    and coincides with the union of all waves.
     """
     cert = _classic_run(ctx.M, ctx.N, trace)
     if not verify_certificate(ctx.M, ctx.N, cert):

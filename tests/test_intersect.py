@@ -120,14 +120,14 @@ def test_edmonds_step_singleton_path_on_free_pair():
 
 
 def test_edmonds_step_asks_only_about_the_elements_it_reaches():
-    # the phase asks N once per element to find the sources; with one
-    # source that is a sink itself, M is asked only about that element,
-    # where two full spans would ask about every element
+    # the phase asks M once per element to find the sinks; with one sink
+    # that is a source itself, N is asked only about that element, where
+    # two full spans would ask about every element
     g = GroundSet(tuple(f"e{i}" for i in range(64)))
-    n = C.PartitionMatroid(g, ((1, 1), (g.full_mask & ~1, 0)))
-    m, n = CountingIndep(C.free(g)), CountingIndep(n)
+    m = C.PartitionMatroid(g, ((1, 1), (g.full_mask & ~1, 0)))
+    m, n = CountingIndep(m), CountingIndep(C.free(g))
     assert _classic_step(m, n, 0) == [[0]]
-    assert m.asked == {1} and m.calls <= 4 and n.calls <= 64 + 3
+    assert n.asked == {1} and n.calls <= 4 and m.calls <= 64 + 3
     # on a free pair every element is its own path, each checked in a
     # bounded number of queries, where a full digraph has 64 * 64 arcs to ask
     m, n = CountingIndep(C.free(g)), CountingIndep(C.free(g))

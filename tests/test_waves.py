@@ -27,6 +27,7 @@ from conftest import (
     brute_cond_plus,
     brute_is_wave,
     brute_largest_wave_mask,
+    full_digraph_coreach,
     oracle_equal,
 )
 
@@ -175,6 +176,47 @@ def test_largest_wave_is_the_same_from_any_start(corpus):
             assert wave.W == cold.W
             assert len(wave.witness) + len(wave.rest) == size
             assert check_cond_plus(PairContext(m.contract(wave.W), n.delete(wave.W)), wave.rest)
+
+
+def test_a_phase_that_meets_no_source_is_one_backward_search(corpus, monkeypatch):
+    # a classic run ends with a phase whose backward search from the
+    # sinks meets no source: that search is the co-reach of the sinks, so
+    # the phase asks no arc forward.  Checked on the corpus pairs at their
+    # final I, then on the classic runs of the largest wave, its witness
+    # check and the classic certificate of a pair past brute-force sizes
+    import matroidkit.intersect as intersect
+
+    real_heads, real_step = intersect.ExchangeDigraph.heads, intersect._classic_step
+    heads_calls = [0]
+    sizes = []
+
+    def counted_heads(self, layer, among):
+        heads_calls[0] += 1
+        return real_heads(self, layer, among)
+
+    def checked_step(m, n, imask):
+        before = heads_calls[0]
+        step = real_step(m, n, imask)
+        if isinstance(step, intersect.IntersectionCertificate):
+            assert heads_calls[0] == before
+            assert step.E_M.mask == m.universe_mask & ~full_digraph_coreach(m, n, imask)
+            sizes.append(m.universe_mask.bit_count())
+        return step
+
+    monkeypatch.setattr(intersect.ExchangeDigraph, "heads", counted_heads)
+    monkeypatch.setattr(intersect, "_classic_step", checked_step)
+    for inst in corpus.pairs:
+        edmonds_solve(PairContext(inst.M, inst.N))
+    assert len(sizes) == len(corpus.pairs)
+    m, n = graphic_partition_pair(48)
+    ctx = PairContext(m, n)
+    wave = largest_wave(ctx)
+    assert 0 < wave.W.mask < m.universe_mask
+    assert is_wave(ctx, wave.W) == wave.witness
+    edmonds_solve(ctx)
+    assert sizes[len(corpus.pairs):] == [48, len(wave.W), 48]
+    # the phases with paths do ask arcs forward
+    assert heads_calls[0] > 0
 
 
 # ---------------------------------------------------------------------------
