@@ -91,6 +91,14 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask(elements: Iterable[int]) -> int:
+    """The bit set of ``elements``."""
+    out = 0
+    for e in elements:
+        out |= 1 << e
+    return out
+
+
 # ---------------------------------------------------------------------------
 # ground sets and element sets
 
@@ -184,12 +192,6 @@ class ElementSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def add(self, index: int) -> "ElementSet":
-        return ElementSet(self.ground, self.mask | (1 << index))
-
-    def remove(self, index: int) -> "ElementSet":
-        return ElementSet(self.ground, self.mask & ~(1 << index))
-
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in self)
 
@@ -269,6 +271,44 @@ class Matroid:
     def _loops_mask(self) -> int:
         return self._span(0)
 
+    def _spans(self, imask: int, part: int) -> bool:
+        """Whether the independent set ``imask`` spans every element of ``part``.
+
+        An element outside an independent set is spanned by it exactly
+        when adding it makes the set dependent, so this asks one query per
+        element of ``part - imask``, and stops at the first it is not.
+        """
+        for x in bit_indices(part & ~imask):
+            if self._indep(imask | 1 << x):
+                return False
+        return True
+
+    def _circuit(self, dep: int, among: int) -> int:
+        """The elements of ``among`` in the one circuit of ``dep``, found by halving.
+
+        ``dep`` is an independent set plus one element, so it holds exactly
+        one circuit C, and dep - S is independent exactly when S meets C.
+        Every part on the stack meets C and is split in two; when the first
+        half misses C, the second half meets it, and that is not asked.
+        """
+        if not among or not self._indep(dep & ~among):
+            return 0
+        found = 0
+        stack = [list(bit_indices(among))]
+        while stack:
+            part = stack.pop()
+            if len(part) == 1:
+                found |= 1 << part[0]
+                continue
+            mid = len(part) // 2
+            low, high = part[:mid], part[mid:]
+            low_meets = self._indep(dep & ~_mask(low))
+            if low_meets:
+                stack.append(low)
+            if not low_meets or self._indep(dep & ~_mask(high)):
+                stack.append(high)
+        return found
+
     def _fund_circuit(self, e: int, imask: int) -> int:
         be = 1 << e
         if not be & self.universe_mask:
@@ -279,16 +319,7 @@ class Matroid:
             raise NotDefined("reference set is dependent")
         if self._indep(imask | be):
             raise NotDefined("element is not spanned by the independent set")
-        # The unique circuit in I+e consists of e and exactly those f in I
-        # whose removal makes I+e independent.
-        circ = be
-        rest = imask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self._indep((imask | be) ^ low):
-                circ |= low
-        return circ
+        return be | self._circuit(imask | be, imask)
 
     def _is_circuit(self, mask: int) -> bool:
         if mask == 0 or self._indep(mask):
@@ -313,9 +344,6 @@ class Matroid:
 
     def elements(self) -> ElementSet:
         return ElementSet(self.ground, self.universe_mask)
-
-    def is_independent(self, s: ElementSet) -> bool:
-        return self._indep(self._check_subset(s))
 
     def rank(self, s: ElementSet | None = None) -> int:
         mask = self.universe_mask if s is None else self._check_subset(s)
@@ -370,13 +398,15 @@ class Matroid:
 
         Two elements share a class exactly when the fundamental circuits
         of one greedy base link them (Krogdahl, "The dependence graph for
-        bases in matroids", 1977), so this costs O(n*r) oracle calls.
-        Loops and coloops come out as singleton classes.
+        bases in matroids", 1977).  The base is maximal, so it spans every
+        x outside it, and halving (``_circuit``) finds the circuit C of
+        base + x in at most 1 + 2|C|ceil(log2(r)) queries, not r.  Loops and
+        coloops come out as singleton classes.
         """
         base = self._max_indep(self.universe_mask)
         classes: list[int] = []
         for x in bit_indices(self.universe_mask & ~base):
-            merged = self._fund_circuit(x, base)
+            merged = 1 << x | self._circuit(base | 1 << x, base)
             keep = []
             for c in classes:
                 if c & merged:

@@ -25,6 +25,7 @@ from .core import (
     StateInvariantBroken,
     Stuck,
     UniverseMismatch,
+    _mask,
     bit_indices,
 )
 from .waves import PairContext, check_cond_plus, common_base_B, largest_wave
@@ -89,8 +90,8 @@ class ExchangeDigraph:
         self.e1 = e1
         self.safe = safe
 
-    def sources(self, among: int = -1) -> Iterator[int]:
-        """The elements of ``among`` (default all) in E0 - I that are not N-spanned.
+    def sources(self, among: int) -> Iterator[int]:
+        """The elements of ``among`` in E0 - I that are not N-spanned.
 
         They come ascending and are asked one by one, so a caller that
         stops early pays only for the elements it took.
@@ -144,7 +145,7 @@ class ExchangeDigraph:
         if l1 and cand:
             nd = n.dual()
             for x in bit_indices(l1):
-                found = _circuit_members(nd, self.safe | 1 << x, cand)
+                found = nd._circuit(self.safe | 1 << x, cand)
                 out |= found
                 cand &= ~found
                 if not cand:
@@ -158,7 +159,7 @@ class ExchangeDigraph:
           of ``heads`` exactly when I - H + x is M-independent, one query
           per x.
         - N-rule: the tails into an N-spanned z outside I are
-          C_N(z, I) - z, found by halving (``_circuit_members``).
+          C_N(z, I) - z, found by halving (``Matroid._circuit``).
         - N*-rule: an x of I in E1 has an arc into the safe part H of
           ``heads`` exactly when safe - H + x is independent in the dual
           of N, one query per x.
@@ -178,7 +179,7 @@ class ExchangeDigraph:
             for z in bit_indices(heads & ~imask):
                 dep = imask | 1 << z
                 if not n._indep(dep):
-                    found = _circuit_members(n, dep, cand)
+                    found = n._circuit(dep, cand)
                     out |= found
                     cand &= ~found
                     if not cand:
@@ -194,40 +195,6 @@ class ExchangeDigraph:
 
     def has_arc(self, x: int, y: int) -> bool:
         return bool(self.heads(1 << x, 1 << y))
-
-
-def _mask(elements: Sequence[int]) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << e
-    return out
-
-
-def _circuit_members(mat: Matroid, dep: int, among: int) -> int:
-    """The elements of ``among`` in the one circuit of ``dep``, found by halving.
-
-    ``dep`` is an independent set plus one element, so it holds exactly
-    one circuit C, and dep - S is independent exactly when S meets C.
-    Every part on the stack meets C and is split in two; when the first
-    half misses C, the second half meets it, and that is not asked.
-    """
-    if not among or not mat._indep(dep & ~among):
-        return 0
-    found = 0
-    stack = [list(bit_indices(among))]
-    while stack:
-        part = stack.pop()
-        if len(part) == 1:
-            found |= 1 << part[0]
-            continue
-        mid = len(part) // 2
-        low, high = part[:mid], part[mid:]
-        low_meets = mat._indep(dep & ~_mask(low))
-        if low_meets:
-            stack.append(low)
-        if not low_meets or mat._indep(dep & ~_mask(high)):
-            stack.append(high)
-    return found
 
 
 @dataclass(frozen=True)
@@ -271,11 +238,7 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
         return False
     if not (m._indep(imask) and n._indep(imask)):
         return False
-    if am & ~m._span(imask & am):
-        return False
-    if an & ~n._span(imask & an):
-        return False
-    return True
+    return m._spans(imask & am, am) and n._spans(imask & an, an)
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +296,6 @@ def _first_path(dg: ExchangeDigraph) -> list[int] | None:
     return None
 
 
-def _spans(mat: Matroid, imask: int, e: int) -> bool:
-    """Whether the independent set ``imask`` spans element ``e``: one query."""
-    return bool(imask >> e & 1) or not mat._indep(imask | 1 << e)
-
-
 def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
     """Whether independent ``a`` and ``b`` span the same elements of ``part``.
 
@@ -348,11 +306,7 @@ def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
     smaller ``part`` this test over (a ^ b) & part is exact when ``mat``
     is the direct sum of its restrictions to ``part`` and to the rest.
     """
-    for x in bit_indices((a ^ b) & part):
-        bx = 1 << x
-        if mat._indep((b if bx & a else a) | bx):
-            return False
-    return True
+    return mat._spans(b, a & part) and mat._spans(a, b & part)
 
 
 def _plus(mat: Matroid, imask: int, e: int) -> int:
@@ -467,7 +421,7 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> list[list[int]] | Inter
     alive = sum(kept)  # the layers are disjoint
     paths = []
     for s in bit_indices(kept[0]):
-        path = [] if _spans(n, imask, s) else [s]  # the N-span grows, so sources only leave
+        path = [] if n._spans(imask, 1 << s) else [s]  # the N-span grows, so sources only leave
         while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
             v = path[-1]
             nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
@@ -556,18 +510,16 @@ class FeasibleState:
         safe = self.safe_base.mask
         if not nd._indep(safe):
             raise StateInvariantBroken("safe base is dependent in the dual")
-        # dually safe: I & E1 lies in the dual span of the safe base; the
-        # safe base is dual-independent and disjoint from I, so x of I is
-        # in that span exactly when adding it makes the base dependent
-        for x in bit_indices(imask & ctx.E1.mask):
-            if nd._indep(safe | 1 << x):
-                raise StateInvariantBroken("state is not dually safe")
+        # dually safe: I & E1 lies in the dual span of the safe base, which
+        # the check above found dual-independent
+        if not nd._spans(safe, imask & ctx.E1.mask):
+            raise StateInvariantBroken("state is not dually safe")
 
     @cached_property
     def safe_base(self) -> ElementSet:
         """One query per element of E1 - I, none when E1 is empty."""
         m, imask = self.ctx.M, self.I.mask
-        spanned = [x for x in bit_indices(self.ctx.E1.mask & ~imask) if _spans(m, imask, x)]
+        spanned = [x for x in bit_indices(self.ctx.E1.mask & ~imask) if m._spans(imask, 1 << x)]
         return ElementSet(self.ctx.ground, _mask(spanned))
 
     @cached_property
@@ -588,9 +540,9 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
         raise PreconditionViolated("path must be an odd sequence of distinct elements")
     first, last = path[0], path[-1]
     imask = state.I.mask
-    if not (1 << first) & ctx.E0.mask or _spans(ctx.N, imask, first):
+    if not (1 << first) & ctx.E0.mask or ctx.N._spans(imask, 1 << first):
         raise PreconditionViolated("path must start at an E0 element unspanned in N")
-    if not (1 << last) & ctx.E0.mask or _spans(ctx.M, imask, last):
+    if not (1 << last) & ctx.E0.mask or ctx.M._spans(imask, 1 << last):
         raise PreconditionViolated("path must end at an E0 element unspanned in M")
     dg = state.digraph
     for k in range(len(path) - 1):
@@ -696,7 +648,7 @@ def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> Feasib
     # then caps the rounds at |E|
     max_rounds = size
     rounds = 0
-    while not _spans(ctx.N, state.I.mask, e):
+    while not ctx.N._spans(state.I.mask, 1 << e):
         rounds += 1
         if rounds > max_rounds:
             raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
@@ -707,10 +659,9 @@ def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> Feasib
         state = augment(state, path, trace)
         state = extend_to_nice(state, trace)
         # N is N|E0 + N|E1, so the E0 part of the N-span grows exactly when
-        # the new set spans each element of E0 that left the old one
-        for x in bit_indices(before & ~state.I.mask & ctx.E0.mask):
-            if not _spans(ctx.N, state.I.mask, x):
-                raise PostconditionFailed("N-span on E0 stopped being ascending")
+        # the new set spans the E0 part of the old one
+        if not ctx.N._spans(state.I.mask, before & ctx.E0.mask):
+            raise PostconditionFailed("N-span on E0 stopped being ascending")
     return state
 
 
@@ -736,14 +687,14 @@ def mixed_solve(
     ctx = PairContext(mq, nq, split.E1 & e_n)
     state = FeasibleState(ctx, ElementSet(ground, 0), wave.rest)
     for e in bit_indices(ctx.E0.mask):
-        if not _spans(ctx.N, state.I.mask, e):
+        if not ctx.N._spans(state.I.mask, 1 << e):
             state = key_step(state, e, trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)
     tail_m = mq.contract(state.I).restrict(rest)
     tail_n = nq.onto(rest)
     tail = edmonds_solve(PairContext(tail_m, tail_n))
-    if len(tail.I) != tail_n.rank():
+    if not tail_n._spans(tail.I.mask, rest.mask):
         raise Stuck("cofinitary tail admits no spanning base")
 
     imask = wave.witness.mask | state.I.mask | tail.I.mask

@@ -186,11 +186,11 @@ def derive_intersection(
     s_m = pc.S[0]
     r_n = pc.I[1]
     i_m = m._max_indep(s_m.mask)
-    if pc.E_p.mask & ~m._span(i_m):
+    if not m._spans(i_m, pc.E_p.mask):
         raise InvalidInputPackCov("packing member does not span the packed part in M")
     candidates = pc.E_c.mask & ~r_n.mask
     i_n = n._max_indep(candidates)
-    if pc.E_c.mask & ~n._span(i_n):
+    if not n._spans(i_n, pc.E_c.mask):
         raise InvalidInputPackCov("covering member does not span the covered part in N")
     cert = IntersectionCertificate(
         ElementSet(m.ground, i_m | i_n), pc.E_p, pc.E_c

@@ -21,7 +21,6 @@ from .core import (
     NotCommonIndependent,
     PostconditionFailed,
     UniverseMismatch,
-    bit_indices,
 )
 
 
@@ -71,15 +70,13 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
 
     A witness is a base of M restricted to ``w`` that is independent in
     N contracted onto ``w``; it is found by solving the intersection of
-    those two minors and testing for M-spanningness.
+    those two minors and testing whether it spans ``w`` in M.
     """
     from .intersect import _classic_run
 
     wmask = ctx.M._check_subset(w)
-    mw = ctx.M.restrict(w)
-    nw = ctx.N.onto(w)
-    common = _classic_run(mw, nw).I
-    if len(common) == mw._rank(wmask):
+    common = _classic_run(ctx.M.restrict(w), ctx.N.onto(w)).I
+    if ctx.M._spans(common.mask, wmask):
         return common
     return None
 
@@ -124,10 +121,8 @@ def _verify_wave(ctx: PairContext, wave: "Wave") -> None:
         raise PostconditionFailed("wave witness leaves the wave")
     if not ctx.M._indep(bmask):
         raise PostconditionFailed("wave witness is dependent in M")
-    # the witness is independent, so it spans x exactly when witness + x is dependent
-    for x in bit_indices(wmask & ~bmask):
-        if ctx.M._indep(bmask | 1 << x):
-            raise PostconditionFailed("wave witness does not span the wave in M")
+    if not ctx.M._spans(bmask, wmask):
+        raise PostconditionFailed("wave witness does not span the wave in M")
     if not ctx.N.onto(wave.W)._indep(bmask):
         raise PostconditionFailed("wave witness is dependent in N contracted onto W")
 
@@ -164,10 +159,8 @@ def check_cond_plus(ctx: PairContext, start: ElementSet | None = None) -> bool:
 
 def is_clean(ctx: PairContext, wave: Wave) -> bool:
     """``wave`` consists of M-loops and N contracted onto it has rank 0."""
-    for x in bit_indices(wave.W.mask):
-        if ctx.M._indep(1 << x):
-            return False
-    return ctx.N.onto(wave.W)._rank(wave.W.mask) == 0
+    wmask = wave.W.mask
+    return ctx.M._spans(0, wmask) and ctx.N.onto(wave.W)._spans(0, wmask)
 
 
 def _require_common_independent(ctx: PairContext, s: ElementSet) -> int:
@@ -186,15 +179,12 @@ def nice_feasible(ctx: PairContext, s: ElementSet) -> bool:
 def common_base_B(ctx: PairContext, x: ElementSet) -> ElementSet | None:
     """A common base of M restricted to ``x`` and N contracted onto ``x``.
 
-    Deterministic smallest-index choice among solver outputs; None when
-    the two minors have no common base.
+    The wave witness of ``x`` (``is_wave``) when it also spans ``x`` in N
+    contracted onto ``x``; None when the two minors have no common base.
+    The witness is a maximum common independent set of the minors, so
+    no other set is a common base when it is not.
     """
-    from .intersect import _classic_run
-
-    xmask = ctx.M._check_subset(x)
-    mx = ctx.M.restrict(x)
-    nx = ctx.N.onto(x)
-    common = _classic_run(mx, nx).I
-    if len(common) == mx._rank(xmask) == nx._rank(xmask):
-        return common
+    witness = is_wave(ctx, x)
+    if witness is not None and ctx.N.onto(x)._spans(witness.mask, x.mask):
+        return witness
     return None

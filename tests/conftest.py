@@ -86,6 +86,32 @@ def brute_common_bases(m: C.Matroid, n: C.Matroid, xmask: int) -> set[int]:
     return out
 
 
+def scan_circuit(m: C.Matroid, e: int, imask: int) -> int:
+    """The circuit of I + e, for an independent I that spans e, by a scan.
+
+    It holds e and exactly those f of I whose removal makes I + e
+    independent: one query per element of I.  The reference for the
+    halving of ``Matroid._circuit``.
+    """
+    dep = imask | 1 << e
+    return 1 << e | sum(1 << f for f in bit_indices(imask) if m._indep(dep ^ 1 << f))
+
+
+def scan_components(m: C.Matroid) -> list[int]:
+    """Components as masks, least element first: the scan circuits of the
+    elements outside one greedy base, merged when they meet."""
+    base = m._max_indep(m.universe_mask)
+    classes = [1 << e for e in bit_indices(m.universe_mask)]
+    for x in bit_indices(m.universe_mask & ~base):
+        circ = scan_circuit(m, x, base)
+        merged = circ
+        for c in classes:
+            if c & circ:
+                merged |= c
+        classes = [c for c in classes if not c & circ] + [merged]
+    return sorted(classes, key=lambda c: c & -c)
+
+
 def brute_is_wave(m: C.Matroid, n: C.Matroid, wmask: int) -> int | None:
     """Definition-level wave test; returns a witness mask or None."""
     nd = n.dual()
@@ -213,8 +239,8 @@ class DictDigraph:
         self.source_mask = sources
         self.sink_mask = sinks
 
-    def sources(self):
-        return bit_indices(self.source_mask)
+    def sources(self, among: int):
+        return bit_indices(among & self.source_mask)
 
     def sinks(self, among: int) -> int:
         return among & self.sink_mask

@@ -294,7 +294,7 @@ def test_criterion_5_packing_covering(corpus):
             violations.append(f"{inst.name}:formula")
         union = fam.ground.empty()
         for i, m in enumerate(members):
-            if not m.is_independent(res.J[i]):
+            if not m._indep(res.J[i].mask):
                 violations.append(f"{inst.name}:indep")
             if res.E_p.mask & ~m._span(res.S[i].mask):
                 violations.append(f"{inst.name}:span")

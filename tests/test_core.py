@@ -14,7 +14,7 @@ from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.oracle import axiom_check, iter_submasks
 
-from conftest import enumerate_matroids, oracle_equal
+from conftest import enumerate_matroids, oracle_equal, scan_circuit, scan_components
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -76,14 +76,14 @@ def test_element_set_universe_mismatch():
 
 def test_uniform_independence():
     m = C.uniform(G4, 2)
-    assert m.is_independent(G4.subset("ab"))
-    assert not m.is_independent(G4.subset("abc"))
+    assert m._indep(G4.subset("ab").mask)
+    assert not m._indep(G4.subset("abc").mask)
 
 
 def test_graphic_triangle_dependent():
     m = k4()
     tri = m.ground.subset(["e0", "e1", "e3"])  # p-q, p-r, q-r
-    assert not m.is_independent(tri)
+    assert not m._indep(tri.mask)
     assert m._is_circuit(tri.mask)
 
 
@@ -155,6 +155,7 @@ def test_fundamental_circuit_is_minimal_dependent_scan():
                 continue
             for e in bit_indices(m._span(imask) & ~imask):
                 circ = m._fund_circuit(e, imask)
+                assert circ == scan_circuit(m, e, imask)
                 assert not m._indep(circ)
                 for x in bit_indices(circ):
                     assert m._indep(circ ^ (1 << x))
@@ -302,6 +303,58 @@ def test_components_structural_matches_brute(corpus):
         assert m.size <= 10
         want = [c.mask for c in brute_components(m)]
         assert [c.mask for c in m.components()] == want, m.kind
+
+
+def test_circuit_components_and_spans_match_scans(corpus):
+    # on the corpus matroids, their duals and their contractions: halving
+    # finds the scan's circuit (and its part in any ``among``), components()
+    # merges the same circuits, and _spans agrees with the full _span
+    rng = random.Random(31)
+    cases = []
+    for inst in corpus.pairs[:150]:
+        half = ElementSet(inst.M.ground, inst.M.universe_mask & 0x5555)
+        cases += [inst.M, inst.N, inst.M.dual(), inst.N.contract(half)]
+    kinds = set()
+    circuits = spans = 0
+    for m in cases:
+        assert [c.mask for c in m.components()] == scan_components(m), m.kind
+        kinds.add(m.kind)
+        universe = m.universe_mask
+        for _ in range(4):
+            imask = m._max_indep(rng.getrandbits(universe.bit_length()) & universe)
+            for e in bit_indices(m._span(imask) & ~imask):
+                dep = imask | 1 << e
+                circ = scan_circuit(m, e, imask)
+                among = rng.getrandbits(universe.bit_length()) & imask
+                assert m._circuit(dep, imask) == circ & ~(1 << e), m.kind
+                assert m._circuit(dep, among) == circ & among, m.kind
+                circuits += 1
+            part = rng.getrandbits(universe.bit_length()) & universe
+            assert m._spans(imask, part) == (part & ~m._span(imask) == 0), m.kind
+            spans += m._spans(imask, part)
+    assert kinds >= {"dual", "contract", "graphic", "partition"}
+    assert circuits > 1000 and 50 < spans < len(cases) * 4 - 50
+
+
+def test_components_halving_asks_fewer_queries_than_a_scan():
+    # a partition matroid of n = 64 with blocks of 2-4: a scan asks r
+    # queries for each of the n - r elements outside the base
+    rng = random.Random(64)
+    blocks, start = [], 0
+    while start < 64:
+        size = min(rng.randint(2, 4), 64 - start)
+        blocks.append(((1 << size) - 1 << start, rng.randint(1, max(1, size - 1))))
+        start += size
+    ground = GroundSet(tuple(f"e{i}" for i in range(64)))
+    m = C.PartitionMatroid(ground, tuple(blocks))
+    asked = []
+    raw = m._indep_raw
+    m._indep_raw = lambda mask: asked.append(mask) or raw(mask)
+    got = [c.mask for c in m.components()]
+    halving = len(asked)
+    r = m._rank(m.universe_mask)
+    assert got == scan_components(m)
+    assert 0 < halving < (64 - r) * r
 
 
 # ---------------------------------------------------------------------------
