@@ -105,6 +105,7 @@ def main() -> int:
     print(f"  mixed-solver runs  : {mixed_runs} ({wave_checks} wave cross-checks)")
     print(f"  augmentations      : {trace.augmentations}")
     print(f"  classic phases     : {trace.phases}")
+    print(f"  wave runs          : {trace.wave_runs}")
     print(f"  extensions         : {trace.extensions}")
     print(f"  stuck/extension err: {stuck}")
     print(f"  disagreements      : {disagreements}")

@@ -19,7 +19,6 @@ from .core import (
     Matroid,
     MatroidKitError,
     NotCommonIndependent,
-    NotDefined,
     OverlappingUniverses,
     PostconditionFailed,
     PreconditionViolated,

@@ -31,10 +31,6 @@ class OverlappingUniverses(MatroidKitError):
     """Direct-sum parts must occupy pairwise disjoint universes."""
 
 
-class NotDefined(MatroidKitError):
-    """A fundamental circuit or cocircuit does not exist."""
-
-
 class PreconditionViolated(MatroidKitError):
     """An operation was called outside its contract."""
 
@@ -309,26 +305,6 @@ class Matroid:
                 stack.append(high)
         return found
 
-    def _fund_circuit(self, e: int, imask: int) -> int:
-        be = 1 << e
-        if not be & self.universe_mask:
-            raise UniverseMismatch("element outside the matroid universe")
-        if be & imask:
-            raise NotDefined("element already belongs to the independent set")
-        if not self._indep(imask):
-            raise NotDefined("reference set is dependent")
-        if self._indep(imask | be):
-            raise NotDefined("element is not spanned by the independent set")
-        return be | self._circuit(imask | be, imask)
-
-    def _is_circuit(self, mask: int) -> bool:
-        if mask == 0 or self._indep(mask):
-            return False
-        for x in bit_indices(mask):
-            if not self._indep(mask ^ (1 << x)):
-                return False
-        return True
-
     def _check_subset(self, s: ElementSet) -> int:
         if s.ground.labels != self.ground.labels:
             raise UniverseMismatch("set lives on a different ground set")
@@ -354,11 +330,6 @@ class Matroid:
 
     def loops(self) -> ElementSet:
         return ElementSet(self.ground, self._loops_mask())
-
-    def fundamental_circuit(self, e: int, independent: ElementSet) -> ElementSet:
-        """The unique circuit through ``e`` inside ``independent + e``."""
-        imask = self._check_subset(independent)
-        return ElementSet(self.ground, self._fund_circuit(e, imask))
 
     def dual(self) -> "Matroid":
         if self._dual_cache is None:

@@ -28,7 +28,7 @@ from .core import (
     _mask,
     bit_indices,
 )
-from .waves import PairContext, check_cond_plus, common_base_B, largest_wave
+from .waves import PairContext, _wave_of, check_cond_plus, common_base_B, is_clean, largest_wave
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +37,24 @@ from .waves import PairContext, check_cond_plus, common_base_B, largest_wave
 
 @dataclass
 class Trace:
-    """Event log and counters for replay tests and telemetry."""
+    """Event log and counters for replay tests and telemetry.
+
+    ``phases`` counts the phases of traced classic runs.  ``wave_runs``
+    counts the mixed loop's wave questions by how they were answered:
+    ``cold`` and ``warm`` are full classic runs from the empty set and
+    from a set in hand (``largest_wave``), ``resumed`` are runs that
+    grow a carried backward search, and ``reused`` are postconditions
+    answered from the wave in hand with no run (``extend_to_nice``);
+    ``phases`` there counts the classic phases of the full runs.
+    """
 
     events: list = field(default_factory=list)
     augmentations: int = 0
     extensions: int = 0
     phases: int = 0
+    wave_runs: dict = field(
+        default_factory=lambda: dict.fromkeys(("cold", "warm", "resumed", "reused", "phases"), 0)
+    )
 
     def record(self, kind: str, **data) -> None:
         self.events.append({"kind": kind, **data})
@@ -52,6 +64,7 @@ class Trace:
             "augmentations": self.augmentations,
             "extensions": self.extensions,
             "phases": self.phases,
+            "wave_runs": dict(self.wave_runs),
             "events": self.events,
         }
 
@@ -221,11 +234,17 @@ class AugPath:
 
 @dataclass(frozen=True)
 class IntersectionCertificate:
-    """A common independent set with a two-sided spanning partition."""
+    """A common independent set with a two-sided spanning partition.
+
+    ``layers`` (default none) are the backward layers of the classic
+    phase that found no path: layer k holds the elements at distance k
+    to the sinks, and together they are E_N (``_classic_step``).
+    """
 
     I: ElementSet
     E_M: ElementSet
     E_N: ElementSet
+    layers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) -> bool:
@@ -347,7 +366,8 @@ def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int)
 
 
 def _classic_run(
-    m: Matroid, n: Matroid, trace: Trace | None = None, start: int = 0
+    m: Matroid, n: Matroid, trace: Trace | None = None, start: int = 0,
+    carried: tuple[int, ...] = (),
 ) -> IntersectionCertificate:
     """Run the classic solver to completion from ``start``; unverified.
 
@@ -357,6 +377,7 @@ def _classic_run(
     longer than the last phase's, until a search meets no source; that
     search gives the certificate.  A start that is not common
     independent is a caller's bug and raises PostconditionFailed.
+    ``carried`` layers resume the first phase's search (``_classic_step``).
     """
     if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
         raise UniverseMismatch("intersection needs a shared universe")
@@ -368,7 +389,8 @@ def _classic_run(
     for _ in range(universe.bit_count() + 1):
         if trace is not None:
             trace.phases += 1
-        step = _classic_step(m, n, imask)
+        step = _classic_step(m, n, imask, carried)
+        carried = ()
         if isinstance(step, IntersectionCertificate):
             return step
         for path in step:
@@ -380,7 +402,9 @@ def _classic_run(
     raise Stuck("classic solver exceeded its phase budget")
 
 
-def _classic_step(m: Matroid, n: Matroid, imask: int) -> list[list[int]] | IntersectionCertificate:
+def _classic_step(
+    m: Matroid, n: Matroid, imask: int, carried: tuple[int, ...] = ()
+) -> list[list[int]] | IntersectionCertificate:
     """One phase from ``imask``: the checked paths it applied in turn, or the certificate.
 
     One breadth-first search grows backward from all sinks through
@@ -399,24 +423,33 @@ def _classic_step(m: Matroid, n: Matroid, imask: int) -> list[list[int]] | Inter
 
     A search that meets no source has walked the whole co-reach of the
     sinks, a set fixed by the digraph, whatever the search order.  Its
-    complement is the certificate's M-side, and nothing else runs.
+    complement is the certificate's M-side, and nothing else runs; the
+    certificate keeps the layers.
+
+    ``carried`` layers, when given, are the first layers of such a
+    search, kept at their distances and free of sources (the lemma in
+    ``extend_to_nice``).  The search then skips the sink scan and grows
+    on from the last of them.  It must find no path, so a source in a
+    new layer raises PostconditionFailed.
     """
     universe = m.universe_mask
     dg = ExchangeDigraph(m, n, imask, 0, 0)
-    layers = [dg.sinks(universe)]
-    seen = layers[0]
-    while True:
-        first = _mask(dg.sources(layers[-1]))
-        if first:
-            break
+    layers = list(carried) or [dg.sinks(universe)]
+    seen = sum(layers)  # the layers are disjoint
+    first = 0 if carried else _mask(dg.sources(layers[0]))
+    while not first:
         nxt = dg.tails_into(universe & ~seen, layers[-1])
         if not nxt:
             ground, e_m = m.ground, universe & ~seen
             return IntersectionCertificate(
-                ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, seen)
+                ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, seen),
+                tuple(layers),
             )
         seen |= nxt
         layers.append(nxt)
+        first = _mask(dg.sources(nxt))
+        if first and carried:
+            raise PostconditionFailed("a resumed backward search met a source")
     kept = [first, *reversed(layers[:-1])]
     alive = sum(kept)  # the layers are disjoint
     paths = []
@@ -493,11 +526,15 @@ class FeasibleState:
     raises StateInvariantBroken when one fails.
     ``warm`` (default empty) is a set outside I left by the last wave
     run; the next wave run starts from its common independent part.
+    ``layers`` (default none) are the first backward layers of the
+    pathless classic phase at ``warm`` in the quotient by I, when the
+    lemma in ``extend_to_nice`` lets the next wave run resume them.
     """
 
     ctx: PairContext
     I: ElementSet
     warm: ElementSet | None = field(default=None, compare=False)
+    layers: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         ctx = self.ctx
@@ -572,7 +609,7 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
         raise PostconditionFailed("dual span was not preserved by the augmentation")
     warm = ElementSet(ctx.ground, state.warm.mask & ~path.mask)
     try:
-        out = FeasibleState(ctx, ElementSet(ctx.ground, new), warm)
+        out = FeasibleState(ctx, ElementSet(ctx.ground, new), warm, _carried_layers(state, path))
     except StateInvariantBroken as exc:
         raise PostconditionFailed(f"augmented state invalid: {exc}") from exc
     if trace is not None:
@@ -581,17 +618,35 @@ def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> 
     return out
 
 
+def _carried_layers(state: FeasibleState, path: AugPath) -> tuple[int, ...]:
+    """The layers of ``state`` that keep their distances after augmenting along ``path``.
+
+    When the path is one element z of the warm set, these are the layers
+    up to z's, less z (the lemma in ``extend_to_nice``); else none.
+    """
+    bz = 1 << path.first
+    if len(path) == 1 and bz & state.warm.mask:
+        for k, layer in enumerate(state.layers):
+            if layer & bz:
+                return (*state.layers[:k], layer & ~bz)
+    return ()
+
+
 def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> FeasibleState:
     """Adjoin a common base of the quotient's largest wave.
 
     Raises ExtensionFailed when no common base exists, which a valid
     augmentation never allows.
 
-    Both wave runs start warm.  The extension's run on the quotient by I
-    starts from the part of ``state.warm`` that is common independent
-    there.  It ends at a maximum common independent J with wave W, and
-    B is the common base adjoined.  The postcondition's run on the
-    quotient by I + B starts from J - W, which is already maximum there:
+    The extension's wave run on the quotient by I either resumes the
+    layers the state carries or starts warm from the part of
+    ``state.warm`` that is common independent there.  It ends at a
+    maximum common independent J with wave W, and B is the common base
+    adjoined.  The postcondition asks whether the quotient by I + B is
+    clean.  When B is empty, that quotient is the pair just solved, and
+    the largest wave does not depend on the start, so W answers it with
+    no run.  Otherwise a run on the quotient by I + B starts from J - W,
+    which is already maximum there:
 
     - In M/I, B spans W just as J & W does, so J - W is independent in
       M/(I + B).  In N/I, B is independent in N contracted onto W and
@@ -601,19 +656,53 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
       is still the N-rank of the quotient outside W, which bounds every
       common independent set there because W becomes M-loops.
 
-    So the postcondition's run makes no augmentation, and J - W is what
-    the new state carries for the next extension.
+    So that run makes no augmentation, and J - W is what the new state
+    carries for the next extension.
+
+    Lemma (when a run resumes).  Let B be empty.  B is a base of M
+    restricted to W, so W holds no element of J, and the new state
+    carries J itself with the layers of the phase that found J maximum.
+    Let the next augmenting path be one element z of J.  Then J - z
+    is maximum in the quotient by I + z, and its exchange digraph there
+    is the one of J in the quotient by I with z deleted, sources and
+    sinks included.
+
+    Proof.  Every arc, source and sink is one question "is J - y + x
+    independent" or "is J + x independent" in M/I or N/I, for x outside
+    J and y in J.  For x and y other than z, J - y + x is independent in
+    M/I exactly when J - y + x + I is independent in M, and J - z - y + x
+    is independent in M/(I + z) exactly when (J - z - y + x) + (I + z),
+    the same set, is; likewise for J + x and for N.  So the digraphs
+    agree once z is deleted.  J had no path, so J - z has none, and it
+    is maximum.  z lies in J, so it is no sink, and the sinks agree.
+    Deleting an element shortens no distance to the sinks.  A shortest
+    path to a sink from layer k or below passes only through lower
+    layers, so deleting z, which lies in some layer k, keeps the
+    distance of every element of layers 0..k.  The resumed search
+    (``_classic_step``) keeps those layers less z and builds the rest
+    anew.  Every other round runs warm from the start.
     """
     ctx = state.ctx
     pair = ctx.quotient(state.I.mask)
-    wave = largest_wave(pair, _common_independent_part(pair, state.warm))
+    if state.layers:
+        cert = _classic_run(pair.M, pair.N, start=state.warm.mask, carried=state.layers)
+        wave = _wave_of(pair, cert)
+    else:
+        wave = largest_wave(pair, _common_independent_part(pair, state.warm), trace)
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
-    new = FeasibleState(ctx, state.I | base, wave.rest)
-    if not check_cond_plus(ctx.quotient(new.I.mask), wave.rest):
+    if base:
+        new = FeasibleState(ctx, state.I | base, wave.rest)
+        clean = check_cond_plus(ctx.quotient(new.I.mask), wave.rest, trace)
+    else:
+        new = FeasibleState(ctx, state.I, wave.rest, wave.layers)
+        clean = is_clean(pair, wave)
+    if not clean:
         raise PostconditionFailed("extension did not reach a nice state")
     if trace is not None:
+        trace.wave_runs["resumed"] += bool(state.layers)
+        trace.wave_runs["reused"] += not base
         trace.extensions += 1
         trace.record(
             "extend", before=state.I.mask, added=base.mask, wave=wave.W.mask
@@ -672,7 +761,7 @@ def mixed_solve(
     split.validate()
     n = split.N
     ground = m.ground
-    wave = largest_wave(PairContext(m, n))
+    wave = largest_wave(PairContext(m, n), trace=trace)
     e_m = wave.W
     e_n = ElementSet(ground, m.universe_mask & ~e_m.mask)
     if trace is not None:
@@ -681,7 +770,7 @@ def mixed_solve(
     # wave.rest is maximum in the quotient, so the check's run makes no augmentation
     mq = m.contract(e_m)
     nq = n.delete(e_m)
-    if not check_cond_plus(PairContext(mq, nq), wave.rest):
+    if not check_cond_plus(PairContext(mq, nq), wave.rest, trace):
         raise PostconditionFailed("quotient after wave removal is not clean")
 
     ctx = PairContext(mq, nq, split.E1 & e_n)

@@ -111,6 +111,13 @@ def brute_minmax(m: Matroid, n: Matroid) -> int:
     return best if best is not None else 0
 
 
+def is_circuit(m: Matroid, mask: int) -> bool:
+    """Whether ``mask`` is dependent and every one-element deletion of it independent."""
+    if mask == 0 or m._indep(mask):
+        return False
+    return all(m._indep(mask ^ 1 << x) for x in bit_indices(mask))
+
+
 def brute_components(m: Matroid) -> list[ElementSet]:
     """Classes of elements linked by chains of circuits, over every subset.
 
@@ -122,7 +129,7 @@ def brute_components(m: Matroid) -> list[ElementSet]:
         raise TooLarge(f"component enumeration over {size} elements")
     classes = [1 << e for e in bit_indices(m.universe_mask)]
     for mask in iter_submasks(m.universe_mask):
-        if m._is_circuit(mask):
+        if is_circuit(m, mask):
             linked = [c for c in classes if c & mask]
             if len(linked) > 1:
                 # The classes are disjoint, so their sum is their union.

@@ -81,7 +81,7 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
     return None
 
 
-def largest_wave(ctx: PairContext, start: ElementSet | None = None) -> "Wave":
+def largest_wave(ctx: PairContext, start: ElementSet | None = None, trace=None) -> "Wave":
     """The union of all waves, read off one classic certificate.
 
     Fix a maximum common independent set I and let
@@ -104,11 +104,30 @@ def largest_wave(ctx: PairContext, start: ElementSet | None = None) -> "Wave":
     largest wave needs a transfinite accumulation over quotients; on
     finite ones that loop stops after this one step.  The witness is
     re-checked against the raw oracles.
-    """
-    from .intersect import _classic_run
 
-    cert = _classic_run(ctx.M, ctx.N, start=0 if start is None else start.mask)
-    wave = Wave(cert.E_M, cert.I & cert.E_M, cert.I - cert.E_M)
+    A ``trace`` (an ``intersect.Trace``) counts the run in ``wave_runs``:
+    as cold from the empty set, else as warm, and its classic phases.
+    """
+    from .intersect import Trace, _classic_run
+
+    smask = 0 if start is None else start.mask
+    run = None if trace is None else Trace()
+    cert = _classic_run(ctx.M, ctx.N, run, smask)
+    if trace is not None:
+        trace.wave_runs["warm" if smask else "cold"] += 1
+        trace.wave_runs["phases"] += run.phases
+    return _wave_of(ctx, cert)
+
+
+def _wave_of(ctx: PairContext, cert) -> "Wave":
+    """The wave a classic certificate of ``ctx`` gives, re-checked from raw oracles.
+
+    W is the certificate's M-side, the witness the part of its set in
+    W, and the wave keeps the layers of the search that found it.  The
+    set of every ``_classic_run`` certificate is maximum, so W is the
+    largest wave.
+    """
+    wave = Wave(cert.E_M, cert.I & cert.E_M, cert.I - cert.E_M, cert.layers)
     _verify_wave(ctx, wave)
     return wave
 
@@ -136,25 +155,28 @@ class Wave:
     from.  It is independent in M/W, since the witness spans W, and it
     spans E - W in N, so it is a maximum common independent set of the
     quotient pair (M/W, N - W), and a run there can start from it.
+    ``layers`` (default none) are the backward layers of the classic
+    phase that found no path, ``IntersectionCertificate.layers``.
     """
 
     W: ElementSet
     witness: ElementSet
     rest: ElementSet | None = field(default=None, compare=False)
+    layers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rest is None:
             object.__setattr__(self, "rest", ElementSet(self.W.ground, 0))
 
 
-def check_cond_plus(ctx: PairContext, start: ElementSet | None = None) -> bool:
+def check_cond_plus(ctx: PairContext, start: ElementSet | None = None, trace=None) -> bool:
     """The largest wave consists of M-loops and N contracted onto it has rank 0.
 
     ``start`` is any common independent set of the pair to start the wave
     run from; the largest wave, and so the answer, is the same for every
-    start (see ``largest_wave``).
+    start (see ``largest_wave``, which counts the run in ``trace``).
     """
-    return is_clean(ctx, largest_wave(ctx, start))
+    return is_clean(ctx, largest_wave(ctx, start, trace))
 
 
 def is_clean(ctx: PairContext, wave: Wave) -> bool:

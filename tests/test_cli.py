@@ -80,9 +80,16 @@ def test_intersect_mixed_with_split_and_trace(files, capsys):
     assert code == 0
     assert json.loads(out)["output"]["certificate"]["size"] == 2
     trace = json.loads(trace_path.read_text())
-    assert set(trace) == {"augmentations", "extensions", "phases", "events"}
+    assert set(trace) == {"augmentations", "extensions", "phases", "wave_runs", "events"}
     # the mixed loop's wave and tail runs are untraced: no classic phase is counted
     assert trace["phases"] == 0
+    # the wave runs are counted apart: the solver's wave and its check,
+    # then the extension's wave and its postcondition in every round
+    runs = trace["wave_runs"]
+    assert set(runs) == {"cold", "warm", "resumed", "reused", "phases"}
+    kinds = runs["cold"] + runs["warm"] + runs["resumed"] + runs["reused"]
+    assert kinds == 2 * trace["extensions"] + 2
+    assert runs["phases"] >= runs["cold"] + runs["warm"]
 
 
 def test_output_is_byte_identical(files, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
-from matroidkit.oracle import axiom_check, iter_submasks
+from matroidkit.oracle import axiom_check, is_circuit, iter_submasks
 
 from conftest import enumerate_matroids, oracle_equal, scan_circuit, scan_components
 
@@ -84,7 +84,7 @@ def test_graphic_triangle_dependent():
     m = k4()
     tri = m.ground.subset(["e0", "e1", "e3"])  # p-q, p-r, q-r
     assert not m._indep(tri.mask)
-    assert m._is_circuit(tri.mask)
+    assert is_circuit(m, tri.mask)
 
 
 def test_rank_examples():
@@ -120,6 +120,11 @@ def test_span_closure_properties():
     assert m._span(a) & ~m._span(b) == 0
 
 
+def fundamental_circuit(m: C.Matroid, e: int, imask: int) -> int:
+    """The circuit of I + e by halving, for an independent I that spans e."""
+    return 1 << e | m._circuit(imask | 1 << e, imask)
+
+
 def test_span_iff_fundamental_circuit_exists():
     m = k4()
     for s in iter_submasks(m.universe_mask):
@@ -127,24 +132,20 @@ def test_span_iff_fundamental_circuit_exists():
         for e in bit_indices(m.universe_mask & ~s):
             inside = bool(m._span(s) >> e & 1)
             if inside:
-                circ = m.fundamental_circuit(e, ElementSet(m.ground, base))
-                assert m._is_circuit(circ.mask) and e in circ
+                circ = fundamental_circuit(m, e, base)
+                assert is_circuit(m, circ) and circ >> e & 1
             else:
-                with pytest.raises(C.NotDefined):
-                    m.fundamental_circuit(e, ElementSet(m.ground, base))
+                # no circuit: the base stays independent with e
+                assert m._indep(base | 1 << e)
 
 
 def test_fundamental_circuit_examples():
     m = C.uniform(G4, 2)
-    assert m.fundamental_circuit(G4.index("c"), G4.subset("ab")).labels() == (
-        "a",
-        "b",
-        "c",
-    )
+    circ = fundamental_circuit(m, G4.index("c"), G4.subset("ab").mask)
+    assert ElementSet(G4, circ).labels() == ("a", "b", "c")
     t = triangle()
-    assert t.fundamental_circuit(
-        t.ground.index("c"), t.ground.subset("ab")
-    ).mask == t.ground.full_mask
+    circ = fundamental_circuit(t, t.ground.index("c"), t.ground.subset("ab").mask)
+    assert circ == t.ground.full_mask
 
 
 def test_fundamental_circuit_is_minimal_dependent_scan():
@@ -154,20 +155,12 @@ def test_fundamental_circuit_is_minimal_dependent_scan():
             if not m._indep(imask):
                 continue
             for e in bit_indices(m._span(imask) & ~imask):
-                circ = m._fund_circuit(e, imask)
+                circ = fundamental_circuit(m, e, imask)
                 assert circ == scan_circuit(m, e, imask)
                 assert not m._indep(circ)
                 for x in bit_indices(circ):
                     assert m._indep(circ ^ (1 << x))
                 assert circ & ~(imask | 1 << e) == 0
-
-
-def test_fundamental_circuit_not_defined():
-    m = C.uniform(G4, 2)
-    with pytest.raises(C.NotDefined):
-        m.fundamental_circuit(G4.index("a"), G4.subset("ab"))  # e in I
-    with pytest.raises(C.NotDefined):
-        m.fundamental_circuit(G4.index("b"), G4.subset("a"))  # not spanned
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from matroidkit.intersect import (
 from matroidkit.oracle import brute_max_common, brute_minmax
 from matroidkit.orient import DemandGraph, orient_solve
 from matroidkit.packcov import MatroidFamily, packcov_solve
-from matroidkit.waves import PairContext, nice_feasible
+from matroidkit.waves import PairContext, largest_wave, nice_feasible
 
 from conftest import (
     DictDigraph,
@@ -945,41 +945,67 @@ def test_classic_phases_past_enumeration_sizes(size):
     assert most_phases >= 4
 
 
-def test_mixed_loop_at_bench_size_warm_starts_every_postcondition(monkeypatch):
+def test_mixed_loop_at_bench_size_warm_starts_every_postcondition():
     # n = 48: graphic M of rank 35 against a partition N of blocks of 2-4
     # elements, capped at half, so the largest wave is small and the
-    # augment/extend loop runs many times.
-    import matroidkit.intersect as intersect
-
+    # augment/extend loop runs many times.  The counts come from the trace.
     rng = random.Random(48)
     m = connected_graphic(rng, 48)
     n = capped_partition(rng, m.ground)
-
-    steps = [0]
-    postcondition_steps = []
-    real_step, real_check = intersect._classic_step, intersect.check_cond_plus
-
-    def counted_step(*args):
-        steps[0] += 1
-        return real_step(*args)
-
-    def counted_check(*args):
-        before = steps[0]
-        out = real_check(*args)
-        postcondition_steps.append(steps[0] - before)
-        return out
-
-    monkeypatch.setattr(intersect, "_classic_step", counted_step)
-    monkeypatch.setattr(intersect, "check_cond_plus", counted_check)
     trace = Trace()
     cert = mixed_solve(m, SplitInput(n, m.elements(), m.ground.empty()), trace)
-    monkeypatch.undo()
     classic = edmonds_solve(PairContext(m, n))
     assert len(cert.I) == len(classic.I)
     assert cert.E_M == classic.E_M
     assert trace.augmentations >= 10 and trace.extensions >= 10
-    assert len(postcondition_steps) == trace.extensions + 1
-    assert set(postcondition_steps) == {1}
+    runs = trace.wave_runs
+    extends = [e for e in trace.events if e["kind"] == "extend"]
+    paths = [e["path"] for e in trace.events if e["kind"] == "augment"]
+    # the solver's own wave is the one cold run; every other full run is
+    # warm and a single phase
+    cold = Trace()
+    largest_wave(PairContext(m, n), trace=cold)
+    assert runs["cold"] == 1
+    assert runs["phases"] == cold.wave_runs["phases"] + runs["warm"]
+    # each round asks two wave questions and the solver one check, and a
+    # round answers its postcondition with no run exactly when B is empty
+    assert runs["warm"] + runs["resumed"] + runs["reused"] == 2 * trace.extensions + 1
+    assert runs["reused"] == sum(e["added"] == 0 for e in extends) > 0
+    # a run resumes only after a round with B empty whose next path is one
+    # element (of the warm set, which the trace does not show)
+    resumable = sum(
+        before["added"] == 0 and len(path) == 1 for before, path in zip(extends, paths[1:])
+    )
+    assert 0 < runs["resumed"] <= resumable
+
+
+@pytest.mark.parametrize("size, seed", [(48, 1), (48, 2), (256, 256)])
+def test_every_resumed_wave_equals_a_full_run_from_its_start(monkeypatch, size, seed):
+    # the lemma in extend_to_nice: a resumed backward search gives the W,
+    # witness and rest of a full wave run from the same start
+    import matroidkit.intersect as intersect
+
+    real_run = intersect._classic_run
+    resumed = []
+
+    def checked_run(m, n, trace=None, start=0, carried=()):
+        cert = real_run(m, n, trace, start, carried)
+        if carried:
+            full = largest_wave(PairContext(m, n), ElementSet(m.ground, start))
+            assert (full.W, full.witness, full.rest) == (
+                cert.E_M, cert.I & cert.E_M, cert.I - cert.E_M
+            )
+            resumed.append(cert)
+        return cert
+
+    monkeypatch.setattr(intersect, "_classic_run", checked_run)
+    rng = random.Random(seed)
+    m = connected_graphic(rng, size)
+    n = capped_partition(rng, m.ground)
+    trace = Trace()
+    cert = mixed_solve(m, SplitInput(n, m.elements(), m.ground.empty()), trace)
+    assert verify_certificate(m, n, cert)
+    assert len(resumed) == trace.wave_runs["resumed"] > 0
 
 
 def test_split_validation_rejects_crossing_component():

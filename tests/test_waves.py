@@ -194,9 +194,9 @@ def test_a_phase_that_meets_no_source_is_one_backward_search(corpus, monkeypatch
         heads_calls[0] += 1
         return real_heads(self, layer, among)
 
-    def checked_step(m, n, imask):
+    def checked_step(m, n, imask, carried=()):
         before = heads_calls[0]
-        step = real_step(m, n, imask)
+        step = real_step(m, n, imask, carried)
         if isinstance(step, intersect.IntersectionCertificate):
             assert heads_calls[0] == before
             assert step.E_M.mask == m.universe_mask & ~full_digraph_coreach(m, n, imask)
