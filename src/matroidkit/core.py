@@ -202,9 +202,12 @@ class ElementSet:
 class Matroid:
     """Oracle-backed matroid on a subset of a ground set.
 
-    Handles are immutable after construction.  The memo dictionaries only
-    cache pure oracle answers, so concurrent queries from several threads
-    are safe under CPython and always return the same verdicts.
+    Handles are immutable after construction, except for pure caches,
+    which are replaced atomically: the memo dictionaries, which only
+    gain pure oracle answers, and the graphic and partition kernels'
+    anchors, one attribute each that a query reads once and replaces with
+    one assignment.  So concurrent queries from several threads are safe
+    under CPython and always return the same verdicts.
     """
 
     kind = "abstract"
@@ -423,7 +426,17 @@ class UniformMatroid(Matroid):
 
 
 class GraphicMatroid(Matroid):
-    """Cycle matroid of a multigraph; self-loop edges are matroid loops."""
+    """Cycle matroid of a multigraph; self-loop edges are matroid loops.
+
+    The kernel answers from an anchor, the last edge set a full
+    union-find found to be a forest, kept as that forest rooted: per
+    vertex its root, parent, the bit of the edge to the parent, and its
+    depth.  A query inside the anchor is a forest.  A query that adds one
+    edge x = (u, v) to the anchor and drops a set D of its edges is a
+    forest exactly when u and v lie in different trees, or the tree path
+    between them, walked up by depth, meets D.  Any other query runs the
+    union-find and, when it finds a forest, becomes the new anchor.
+    """
 
     kind = "graphic"
 
@@ -439,16 +452,84 @@ class GraphicMatroid(Matroid):
         self.vertices = vertices
         self.endpoints = endpoints
         self._no_edges = list(range(len(vertices)))
+        self._anchor = self._rooted(0)
+
+    def _rooted(self, forest: int) -> tuple:
+        """The anchor tuple of the forest ``forest``: (forest, root, up, up_bit, depth).
+
+        Per vertex: the root of its tree, its parent (``up``), the bit of the
+        edge to its parent, and its depth; a root is its own parent.
+        """
+        n = len(self.vertices)
+        root = self._no_edges[:]
+        up = self._no_edges[:]
+        up_bit = [0] * n
+        depth = [0] * n
+        if forest:
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+            endpoints = self.endpoints
+            rest = forest
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u, v = endpoints[bit.bit_length() - 1]
+                adj[u].append((v, bit))
+                adj[v].append((u, bit))
+            for r in range(n):
+                if not adj[r] or up[r] != r:
+                    continue
+                stack = [r]
+                while stack:
+                    x = stack.pop()
+                    for y, bit in adj[x]:
+                        if bit != up_bit[x]:
+                            root[y] = r
+                            up[y] = x
+                            up_bit[y] = bit
+                            depth[y] = depth[x] + 1
+                            stack.append(y)
+        return forest, root, up, up_bit, depth
 
     def _indep_raw(self, mask: int) -> bool:
+        # One read of the anchor and one assignment to replace it, so a
+        # query on another thread sees the old anchor or the new, both forests.
+        anchor, root, up, up_bit, depth = self._anchor
+        extra = mask & ~anchor
+        if not extra:
+            return True
+        if not extra & (extra - 1):
+            u, v = self.endpoints[extra.bit_length() - 1]
+            if root[u] != root[v]:
+                return True
+            dropped = anchor & ~mask
+            if not dropped:
+                return False
+            # Walk the path from u to v: the deeper end up to the other's
+            # depth, then both ends up to where they meet.  A self-loop has
+            # the empty path and is dependent.
+            du, dv = depth[u], depth[v]
+            if du < dv:
+                u, v, du, dv = v, u, dv, du
+            while du > dv:
+                if up_bit[u] & dropped:
+                    return True
+                u = up[u]
+                du -= 1
+            while u != v:
+                if (up_bit[u] | up_bit[v]) & dropped:
+                    return True
+                u = up[u]
+                v = up[v]
+            return False
         # Union-find with path halving, inlined, from the forest with no
         # edges: a self-loop has u == v and so fails the same root test as
         # an edge that closes a cycle.
         parent = self._no_edges[:]
         endpoints = self.endpoints
-        while mask:
-            low = mask & -mask
-            mask ^= low
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
             u, v = endpoints[low.bit_length() - 1]
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
@@ -457,6 +538,7 @@ class GraphicMatroid(Matroid):
             if u == v:
                 return False
             parent[v] = u
+        self._anchor = self._rooted(mask)
         return True
 
     def _json_doc(self) -> dict:
@@ -471,12 +553,19 @@ class GraphicMatroid(Matroid):
 
 
 class PartitionMatroid(Matroid):
-    """Per-block capacities; elements outside every block are unconstrained."""
+    """Per-block capacities; elements outside every block are unconstrained.
+
+    The kernel answers from an anchor, the last set it found independent.
+    Every block fits within its capacity on the anchor, so a query checks
+    only the blocks that hold an element the anchor lacks, each once,
+    read from a per-element (block, cap) table.
+    """
 
     kind = "partition"
 
     def __init__(self, ground: GroundSet, blocks: tuple[tuple[int, int], ...]) -> None:
         seen = 0
+        block_of: list[tuple[int, int]] = [(0, 0)] * ground.size
         for bmask, cap in blocks:
             if bmask & ~ground.full_mask:
                 raise UniverseMismatch("block outside the ground set")
@@ -485,13 +574,23 @@ class PartitionMatroid(Matroid):
             if cap < 0:
                 raise MatroidKitError("block capacity must be non-negative")
             seen |= bmask
+            for e in bit_indices(bmask):
+                block_of[e] = (bmask, cap)
         super().__init__(ground, ground.full_mask)
         self.blocks = blocks
+        self._covered = seen
+        self._block_of = block_of
+        self._anchor = 0
 
     def _indep_raw(self, mask: int) -> bool:
-        for bmask, cap in self.blocks:
+        extra = mask & ~self._anchor & self._covered
+        block_of = self._block_of
+        while extra:
+            bmask, cap = block_of[extra.bit_length() - 1]
             if (mask & bmask).bit_count() > cap:
                 return False
+            extra &= ~bmask
+        self._anchor = mask
         return True
 
     def _json_doc(self) -> dict:

@@ -70,11 +70,14 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
 
     A witness is a base of M restricted to ``w`` that is independent in
     N contracted onto ``w``; it is found by solving the intersection of
-    those two minors and testing whether it spans ``w`` in M.
+    those two minors and testing whether it spans ``w`` in M.  The empty
+    set is a wave with the empty witness, which needs no run.
     """
     from .intersect import _classic_run
 
     wmask = ctx.M._check_subset(w)
+    if not wmask:
+        return w
     common = _classic_run(ctx.M.restrict(w), ctx.N.onto(w)).I
     if ctx.M._spans(common.mask, wmask):
         return common
@@ -204,9 +207,11 @@ def common_base_B(ctx: PairContext, x: ElementSet) -> ElementSet | None:
     The wave witness of ``x`` (``is_wave``) when it also spans ``x`` in N
     contracted onto ``x``; None when the two minors have no common base.
     The witness is a maximum common independent set of the minors, so
-    no other set is a common base when it is not.
+    no other set is a common base when it is not.  An empty ``x`` has the
+    empty witness, a common base of the two empty minors, so it is
+    returned without contracting N onto the empty set.
     """
     witness = is_wave(ctx, x)
-    if witness is not None and ctx.N.onto(x)._spans(witness.mask, x.mask):
+    if witness is not None and (not x or ctx.N.onto(x)._spans(witness.mask, x.mask)):
         return witness
     return None

@@ -427,3 +427,26 @@ def greedy_common_part(m: C.Matroid, n: C.Matroid, mask: int) -> int:
         if m._indep(kept | 1 << x) and n._indep(kept | 1 << x):
             kept |= 1 << x
     return kept
+
+
+def connected_graphic(rng, size):
+    """Graphic matroid on 3n/4 vertices: a random spanning tree, then random extra edges."""
+    labels = [f"e{i}" for i in range(size)]
+    vs = [f"v{i}" for i in range(size * 3 // 4)]
+    ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
+    while len(ends) < size:
+        ends.append(tuple(rng.sample(range(len(vs)), 2)))
+    rng.shuffle(ends)
+    return C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
+
+
+def capped_partition(rng, ground):
+    """Partition matroid of random blocks of 2-4 elements, each capped at half its size."""
+    order = list(range(ground.size))
+    rng.shuffle(order)
+    blocks = []
+    while order:
+        take = min(len(order), rng.randint(2, 4))
+        blocks.append((sum(1 << e for e in order[:take]), take // 2))
+        order = order[take:]
+    return C.PartitionMatroid(ground, tuple(blocks))

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+import sys
+import threading
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,18 @@ from hypothesis import strategies as st
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
+from matroidkit.intersect import edmonds_solve
 from matroidkit.oracle import axiom_check, is_circuit, iter_submasks
+from matroidkit.waves import PairContext
 
-from conftest import enumerate_matroids, oracle_equal, scan_circuit, scan_components
+from conftest import (
+    capped_partition,
+    connected_graphic,
+    enumerate_matroids,
+    oracle_equal,
+    scan_circuit,
+    scan_components,
+)
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -521,26 +532,200 @@ def test_graphic_kernel_matches_bfs_forest_test():
             assert m._indep_raw(mask) == forest_by_bfs(n_vertices, endpoints, mask)
 
 
+def random_blocks(rng, size):
+    """Disjoint blocks on ``size`` elements as (elements, cap): about a quarter
+    of the elements lie outside every block, and caps run from 0 to one
+    above the block's size."""
+    order = rng.sample(range(size), size)
+    blocks = []
+    while order:
+        cut = rng.randint(1, len(order))
+        block, order = order[:cut], order[cut:]
+        if rng.random() < 0.25:
+            continue
+        cap = rng.choice([0, 0, 1, rng.randint(0, len(block)), len(block), len(block) + 1])
+        blocks.append((block, cap))
+    return blocks
+
+
+def partition_of(size, blocks) -> C.PartitionMatroid:
+    ground = GroundSet(tuple(f"e{i}" for i in range(size)))
+    return C.PartitionMatroid(
+        ground, tuple((sum(1 << e for e in block), cap) for block, cap in blocks)
+    )
+
+
+def blocks_fit(blocks, mask) -> bool:
+    return all(sum(mask >> e & 1 for e in block) <= cap for block, cap in blocks)
+
+
 def test_partition_kernel_matches_block_counts():
     rng = random.Random(17)
     for _ in range(150):
         size = rng.randint(1, 40)
-        ground = GroundSet(tuple(f"e{i}" for i in range(size)))
-        order = rng.sample(range(size), size)
-        blocks = []
-        while order:
-            cut = rng.randint(1, len(order))
-            block, order = order[:cut], order[cut:]
-            # about a quarter of the elements lie outside every block
-            if rng.random() < 0.25:
-                continue
-            blocks.append((block, rng.choice([0, 0, 1, rng.randint(0, len(block))])))
-        m = C.PartitionMatroid(
-            ground, tuple((sum(1 << e for e in block), cap) for block, cap in blocks)
-        )
+        blocks = random_blocks(rng, size)
+        m = partition_of(size, blocks)
         for _ in range(40):
             mask = rng.getrandbits(size)
-            counts_fit = all(
-                sum(mask >> e & 1 for e in block) <= cap for block, cap in blocks
+            assert m._indep_raw(mask) == blocks_fit(blocks, mask)
+
+
+# ---------------------------------------------------------------------------
+# leaf kernels on the query sequences the solvers ask
+
+
+def anchored_queries(rng, size, indep, rounds=4):
+    """Masks in the shapes the solvers ask of one independent set I.
+
+    Each round grows I greedily in a new random order, asking I + e for
+    every element e, then asks I + x, I - y + x, I - Y + x for up to
+    three y, and subsets of I.  ``indep`` is the reference that decides
+    the greedy steps.
+    """
+    masks = []
+    for _ in range(rounds):
+        cur = 0
+        for e in rng.sample(range(size), size):
+            masks.append(cur | 1 << e)
+            if indep(cur | 1 << e):
+                cur |= 1 << e
+        inside = list(bit_indices(cur))
+        outside = [e for e in range(size) if not cur >> e & 1]
+        for _ in range(2 * size):
+            mask = cur
+            for y in rng.sample(inside, rng.randint(0, min(3, len(inside)))):
+                mask &= ~(1 << y)
+            if outside and rng.random() < 0.8:
+                mask |= 1 << rng.choice(outside)
+            masks.append(mask)
+    return masks
+
+
+def ask_in_order(m, masks, reference, anchor) -> Counter:
+    """Ask ``masks`` of ``m`` in order against ``reference``; count each
+    mask's shape against the anchor ``m`` held when it was asked."""
+    shapes: Counter = Counter()
+    for mask in masks:
+        extra = mask & ~anchor(m)
+        shapes["inside" if not extra else "one" if not extra & (extra - 1) else "more"] += 1
+        assert m._indep_raw(mask) == reference(mask), bin(mask)
+    return shapes
+
+
+def graphic_anchor(m) -> int:
+    return m._anchor[0]
+
+
+def partition_anchor(m) -> int:
+    return m._anchor
+
+
+def test_graphic_kernel_on_solver_query_sequences():
+    # self-loops, parallel edges and deep chains from random_multigraph,
+    # and three isolated vertices that no edge touches
+    rng = random.Random(19)
+    shapes: Counter = Counter()
+    for _ in range(60):
+        n_vertices = rng.randint(1, 20)
+        endpoints = random_multigraph(rng, n_vertices, rng.randint(1, 30))
+        ground = GroundSet(tuple(f"e{i}" for i in range(len(endpoints))))
+        m = C.GraphicMatroid(ground, tuple(f"v{i}" for i in range(n_vertices + 3)), endpoints)
+
+        def reference(mask, n=n_vertices + 3, endpoints=endpoints):
+            return forest_by_bfs(n, endpoints, mask)
+
+        masks = anchored_queries(rng, len(endpoints), reference)
+        shapes += ask_in_order(m, masks, reference, graphic_anchor)
+    # every branch of the kernel is reached many times
+    assert min(shapes["inside"], shapes["one"], shapes["more"]) > 500, shapes
+
+
+def test_partition_kernel_on_solver_query_sequences():
+    rng = random.Random(29)
+    shapes: Counter = Counter()
+    for _ in range(60):
+        size = rng.randint(1, 30)
+        blocks = random_blocks(rng, size)
+        m = partition_of(size, blocks)
+
+        def reference(mask, blocks=blocks):
+            return blocks_fit(blocks, mask)
+
+        masks = anchored_queries(rng, size, reference)
+        shapes += ask_in_order(m, masks, reference, partition_anchor)
+    assert min(shapes["inside"], shapes["one"], shapes["more"]) > 500, shapes
+
+
+def replay(leaf, masks) -> Counter:
+    """Ask ``masks`` in order of a fresh copy of the leaf handle ``leaf``."""
+    if leaf.kind == "graphic":
+        fresh = C.GraphicMatroid(leaf.ground, leaf.vertices, leaf.endpoints)
+        n_vertices, endpoints = len(leaf.vertices), leaf.endpoints
+        return ask_in_order(
+            fresh, masks, lambda mask: forest_by_bfs(n_vertices, endpoints, mask), graphic_anchor
+        )
+    fresh = C.PartitionMatroid(leaf.ground, leaf.blocks)
+    blocks = [(list(bit_indices(bmask)), cap) for bmask, cap in leaf.blocks]
+    return ask_in_order(fresh, masks, lambda mask: blocks_fit(blocks, mask), partition_anchor)
+
+
+def test_kernels_replay_classic_runs_at_n128():
+    # the masks each edmonds_solve asks of its leaves, in order, asked
+    # again of fresh handles, whose anchors then move as they did
+    rng = random.Random(128)
+    m = connected_graphic(rng, 128)
+    shapes = {"graphic": Counter(), "partition": Counter()}
+    for n in (capped_partition(rng, m.ground), connected_graphic(rng, 128)):
+        m = C.GraphicMatroid(m.ground, m.vertices, m.endpoints)
+        asked = {m: [], n: []}
+        for leaf, masks in asked.items():
+            leaf._indep_raw = lambda mask, raw=leaf._indep_raw, masks=masks: (
+                masks.append(mask) or raw(mask)
             )
-            assert m._indep_raw(mask) == counts_fit
+        edmonds_solve(PairContext(m, n))
+        for leaf, masks in asked.items():
+            shapes[leaf.kind] += replay(leaf, masks)
+    # most graphic queries take the tree path
+    assert shapes["graphic"]["one"] > 1000 and shapes["partition"]["one"] > 100, shapes
+
+
+def test_kernels_answer_concurrent_queries_like_the_reference():
+    # four threads, each with its own query sequence, share one graphic
+    # and one partition handle; a short switch interval makes them
+    # interleave inside the kernels, between reading and replacing anchors
+    rng = random.Random(31)
+    endpoints = random_multigraph(rng, 24, 40)
+    ground = GroundSet(tuple(f"e{i}" for i in range(40)))
+    g = C.GraphicMatroid(ground, tuple(f"v{i}" for i in range(24)), endpoints)
+    blocks = random_blocks(rng, 40)
+    p = partition_of(40, blocks)
+    jobs = []
+    for _ in range(4):
+        gmasks = anchored_queries(rng, 40, lambda mask: forest_by_bfs(24, endpoints, mask), 6)
+        pmasks = anchored_queries(rng, 40, lambda mask: blocks_fit(blocks, mask), 6)
+        jobs.append([
+            (g, mask, forest_by_bfs(24, endpoints, mask)) for mask in gmasks
+        ] + [(p, mask, blocks_fit(blocks, mask)) for mask in pmasks])
+        rng.shuffle(jobs[-1])
+    wrong: list = []
+    ready = threading.Barrier(len(jobs), timeout=60)
+
+    def work(job):
+        ready.wait()
+        for _ in range(10):
+            for m, mask, expected in job:
+                if m._indep_raw(mask) != expected:
+                    wrong.append((m.kind, mask))
+
+    threads = [threading.Thread(target=work, args=(job,)) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -44,6 +44,8 @@ from conftest import (
     arcs,
     brute_has_arc,
     brute_heads,
+    capped_partition,
+    connected_graphic,
     drive_mixed,
     full_digraph_coreach,
     greedy_common_part,
@@ -889,29 +891,6 @@ def test_mixed_matches_classic_past_enumeration_sizes(size):
         cert = mixed_solve(m, SplitInput(n, n.elements() - e1, e1))
         assert len(cert.I) == len(classic.I), e1.labels()
         assert verify_certificate(m, n, cert)
-
-
-def connected_graphic(rng, size):
-    """Graphic matroid on 3n/4 vertices: a random spanning tree, then random extra edges."""
-    labels = [f"e{i}" for i in range(size)]
-    vs = [f"v{i}" for i in range(size * 3 // 4)]
-    ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
-    while len(ends) < size:
-        ends.append(tuple(rng.sample(range(len(vs)), 2)))
-    rng.shuffle(ends)
-    return C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
-
-
-def capped_partition(rng, ground):
-    """Partition matroid of random blocks of 2-4 elements, each capped at half its size."""
-    order = list(range(ground.size))
-    rng.shuffle(order)
-    blocks = []
-    while order:
-        take = min(len(order), rng.randint(2, 4))
-        blocks.append((sum(1 << e for e in order[:take]), take // 2))
-        order = order[take:]
-    return C.PartitionMatroid(ground, tuple(blocks))
 
 
 @pytest.mark.parametrize("size", [64, 96, 128])
