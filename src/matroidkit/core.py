@@ -609,10 +609,10 @@ class PartitionMatroid(Matroid):
 class ExplicitMatroid(Matroid):
     """Independence given by an explicit list of maximal independent sets.
 
-    Accepts base lists or arbitrary independent-set lists; only the
-    inclusion-maximal members are kept.  They must all have one size,
-    since the bases of a matroid do; the other axioms are checked on
-    demand by :func:`matroidkit.oracle.axiom_check`.
+    Accepts base lists or arbitrary independent-set lists; the bases are
+    the largest listed sets, and a smaller set under none of them is an
+    error, since all bases have one size.  The other axioms are checked
+    on demand by :func:`matroidkit.oracle.axiom_check`.
     """
 
     kind = "explicit"
@@ -620,10 +620,9 @@ class ExplicitMatroid(Matroid):
     def __init__(self, ground: GroundSet, sets: Sequence[int]) -> None:
         super().__init__(ground, ground.full_mask)
         pool = set(sets) or {0}
-        maximal = [
-            s for s in pool if not any(s != t and s & ~t == 0 for t in pool)
-        ]
-        if len({b.bit_count() for b in maximal}) > 1:
+        top = max(s.bit_count() for s in pool)
+        maximal = [s for s in pool if s.bit_count() == top]
+        if any(s.bit_count() < top and all(s & ~b for b in maximal) for s in pool):
             raise MatroidKitError("explicit maximal sets differ in size; no matroid has them")
         self.bases = tuple(sorted(maximal))
 

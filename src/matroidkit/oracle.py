@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator
 
 from .core import (
@@ -327,17 +328,17 @@ def _gf2_rank(rows: list[int]) -> int:
 
 
 def _random_binary_explicit(rng: random.Random, labels: tuple[str, ...]) -> Matroid:
-    """A genuine matroid from random binary columns, materialized as base lists."""
+    """A genuine matroid from random binary columns, materialized as base lists.
+
+    Only the subsets of size r = the GF(2) rank of all columns are enumerated.
+    """
     n = len(labels)
     dim = rng.randint(1, max(1, n - 1))
     cols = [rng.getrandbits(dim) for _ in range(n)]
-
-    def indep(mask: int) -> bool:
-        rows = [cols[i] for i in bit_indices(mask)]
-        return _gf2_rank(rows) == len(rows) and all(c for c in rows)
-
-    sets = [mask for mask in range(1 << n) if indep(mask)]
-    return ExplicitMatroid(GroundSet(labels), sets or [0])
+    r = _gf2_rank(cols)
+    subsets = combinations(range(n), r)
+    bases = [sum(1 << i for i in c) for c in subsets if _gf2_rank([cols[i] for i in c]) == r]
+    return ExplicitMatroid(GroundSet(labels), bases)
 
 
 def _random_leaf(rng: random.Random, labels: tuple[str, ...], weights, counts) -> Matroid:

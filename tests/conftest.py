@@ -9,7 +9,7 @@ import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
-from matroidkit.oracle import CorpusSpec, fuzz_corpus, iter_submasks
+from matroidkit.oracle import CorpusSpec, _gf2_rank, fuzz_corpus, iter_submasks
 from matroidkit.orient import DemandGraph, effective_lower_bound
 
 CORPUS_SEED = 20260810
@@ -95,6 +95,35 @@ def scan_circuit(m: C.Matroid, e: int, imask: int) -> int:
     """
     dep = imask | 1 << e
     return 1 << e | sum(1 << f for f in bit_indices(imask) if m._indep(dep ^ 1 << f))
+
+
+def pairwise_bases(pool) -> tuple[int, ...] | None:
+    """The inclusion-maximal members of a set pool, by a pairwise scan.
+
+    ``None`` when they differ in size; an empty pool stands for {∅}.
+    The reference for ``ExplicitMatroid``'s filter.
+    """
+    pool = set(pool) or {0}
+    maximal = [s for s in pool if not any(s != t and s & ~t == 0 for t in pool)]
+    if len({s.bit_count() for s in maximal}) > 1:
+        return None
+    return tuple(sorted(maximal))
+
+
+def scan_binary_draw(rng, n: int) -> tuple[list[int], list[int]]:
+    """The columns ``_random_binary_explicit`` draws, and every independent set.
+
+    The sets come from a scan of all 2^n subsets by GF(2) rank, with a
+    zero column dependent on its own; the rng draws are the generator's.
+    """
+    dim = rng.randint(1, max(1, n - 1))
+    cols = [rng.getrandbits(dim) for _ in range(n)]
+
+    def indep(mask: int) -> bool:
+        rows = [cols[i] for i in bit_indices(mask)]
+        return _gf2_rank(rows) == len(rows) and all(rows)
+
+    return cols, [mask for mask in range(1 << n) if indep(mask)]
 
 
 def scan_components(m: C.Matroid) -> list[int]:
@@ -440,13 +469,14 @@ def connected_graphic(rng, size):
     return C.graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
 
 
-def capped_partition(rng, ground):
-    """Partition matroid of random blocks of 2-4 elements, each capped at half its size."""
+def capped_partition(rng, ground, cap=lambda rng, size: size // 2):
+    """Partition matroid of random blocks of 2-4 elements, each capped at
+    ``cap(rng, size)``: by default half its size."""
     order = list(range(ground.size))
     rng.shuffle(order)
     blocks = []
     while order:
         take = min(len(order), rng.randint(2, 4))
-        blocks.append((sum(1 << e for e in order[:take]), take // 2))
+        blocks.append((sum(1 << e for e in order[:take]), cap(rng, take)))
         order = order[take:]
     return C.PartitionMatroid(ground, tuple(blocks))

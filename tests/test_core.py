@@ -23,6 +23,8 @@ from conftest import (
     connected_graphic,
     enumerate_matroids,
     oracle_equal,
+    pairwise_bases,
+    scan_binary_draw,
     scan_circuit,
     scan_components,
 )
@@ -399,6 +401,60 @@ def test_every_constructor_satisfies_axioms(seed):
     inst = fuzz_corpus(spec).pairs[0]
     assert axiom_check(inst.M)
     assert axiom_check(inst.N)
+
+
+# ---------------------------------------------------------------------------
+# explicit set lists against the pairwise definition
+
+
+def explicit_routes(ground: GroundSet, pool: list[int]) -> list:
+    """The bases built from ``pool`` by the class, by ``explicit`` and from
+    a JSON document; ``None`` for each that rejects it as no matroid."""
+    labels = ground.labels
+    named = [[labels[i] for i in bit_indices(s)] for s in pool]
+    doc = {"kind": "explicit", "universe": list(labels), "bases": named}
+    builds = (
+        lambda: C.ExplicitMatroid(ground, pool),
+        lambda: C.explicit(labels, named),
+        lambda: C.matroid_from_json(doc),
+    )
+    out = []
+    for build in builds:
+        try:
+            out.append(build().bases)
+        except C.MatroidKitError as exc:
+            assert "explicit maximal sets differ in size" in str(exc)
+            out.append(None)
+    return out
+
+
+def test_explicit_bases_match_the_pairwise_definition():
+    rng = random.Random(25)
+    cases = [(3, [], (0,)), (3, [0], (0,)), (3, [0b011, 0b100], None)]
+    cases.append((3, [0b011, 0b001, 0b010, 0b011], (0b011,)))
+    for n in range(1, 9):
+        for _ in range(4):
+            _cols, indep = scan_binary_draw(rng, n)
+            bases = pairwise_bases(indep)
+            cases.append((n, indep, bases))
+            cases.append((n, rng.sample(indep, len(indep)), bases))
+            cases.append((n, list(bases), bases))
+            cases.append((n, indep + rng.choices(indep, k=len(indep)), bases))
+            # a set below the rank that lies under no base
+            top = bases[0].bit_count()
+            loose = [s for s in range(1 << n) if s.bit_count() < top and s not in indep]
+            if loose:
+                cases.append((n, list(bases) + [rng.choice(loose)], None))
+        for _ in range(20):
+            pool = [rng.getrandbits(n) for _ in range(rng.randint(0, 6))]
+            cases.append((n, pool, pairwise_bases(pool)))
+    outcomes = Counter()
+    for n, pool, expected in cases:
+        assert pairwise_bases(pool) == expected, (n, pool)
+        ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+        assert explicit_routes(ground, pool) == [expected] * 3, (n, pool)
+        outcomes[expected is None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 100, outcomes
 
 
 # ---------------------------------------------------------------------------

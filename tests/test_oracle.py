@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from matroidkit.core import GroundSet, matroid_to_json
 from matroidkit.oracle import (
     MAX_FAMILY,
     CorpusSpec,
+    _random_binary_explicit,
     brute_components,
     brute_largest_wave,
     brute_max_common,
@@ -22,6 +26,8 @@ from matroidkit.oracle import (
     rank_table,
 )
 from matroidkit.orient import DemandGraph
+
+from conftest import pairwise_bases, scan_binary_draw
 
 # modules on the polynomial solver paths; none may reach subset enumeration
 SOLVER_MODULES = ("core", "intersect", "waves", "packcov", "orient")
@@ -192,6 +198,59 @@ def test_fuzz_is_deterministic():
         ]
     for ga, gb in zip(a.graphs, b.graphs):
         assert ga.graph == gb.graph
+
+
+# The sha256 of ``corpus_document`` at PINNED_SPEC.  The corpus feeds the
+# acceptance tests, ``matroidkit fuzz`` and the corpus bench, so a change
+# to any draw must show up here, and not only as two equal runs.
+PINNED_SPEC = CorpusSpec(seed=2025, pairs=40, families=8, graphs=10, max_elements=10)
+PINNED_DIGEST = "9a1f02ede1a3f8f166e0cb5e070746727937f57beaca9a2d28f0e62d93426aa6"
+
+
+def corpus_document(corpus) -> dict:
+    """Every pair (M, N, split masks), family member, graph and kind count."""
+    return {
+        "pairs": [
+            [p.name, matroid_to_json(p.M), matroid_to_json(p.N)]
+            + [[e0.mask, e1.mask] for e0, e1 in p.splits]
+            for p in corpus.pairs
+        ],
+        "families": [
+            [f.name, [matroid_to_json(m) for m in f.family.members]] for f in corpus.families
+        ],
+        "graphs": [
+            [g.name, g.graph.vertices, g.graph.edges, g.graph.demands] for g in corpus.graphs
+        ],
+        "kind_counts": corpus.kind_counts,
+    }
+
+
+def test_fuzz_corpus_is_pinned():
+    corpus = fuzz_corpus(PINNED_SPEC)
+    assert corpus.kind_counts["explicit"] > 0
+    text = json.dumps(corpus_document(corpus), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_binary_generator_matches_the_subset_scan():
+    zero_draws = 0
+    for n in range(1, 11):
+        labels = tuple(f"x{i}" for i in range(n))
+        for seed in range(4 if n > 8 else 12):
+            ref_rng, rng = random.Random(seed), random.Random(seed)
+            cols, indep = scan_binary_draw(ref_rng, n)
+            m = _random_binary_explicit(rng, labels)
+            assert m.bases == pairwise_bases(indep), (n, seed)
+            assert rng.getstate() == ref_rng.getstate(), (n, seed)
+            zero_draws += 0 in cols
+    assert zero_draws > 10
+    # every column zero: rank 0, whose one base is the empty set
+    seed = next(s for s in range(1000) if not any(scan_binary_draw(random.Random(s), 4)[0]))
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    _cols, indep = scan_binary_draw(ref_rng, 4)
+    m = _random_binary_explicit(rng, tuple("abcd"))
+    assert indep == [0] and m.bases == (0,)
+    assert rng.getstate() == ref_rng.getstate()
 
 
 def test_fuzz_covers_every_generator_kind(corpus):

@@ -182,6 +182,23 @@ def test_mixed_solver_agrees():
         assert classic.verdict == mixed.verdict
 
 
+def test_long_path_demand_one_is_deficient_at_scale():
+    # 200 vertices want in-degree 1 from 199 edges, far past brute force;
+    # the certificate alone proves there is no orientation
+    vs = [f"v{i}" for i in range(200)]
+    edges = [(vs[i], vs[i + 1], f"e{i}") for i in range(199)]
+    g = DemandGraph.build(vs, edges, dict.fromkeys(vs, 1))
+    inst = build_instance(g)
+    met = []
+    for out in (orient_solve(g), orient_solve(g, solver="mixed", e1=inst.ground.full())):
+        assert out.verdict == "deficient" and out.counting_ok is True
+        assert verify_outcome(g, out)
+        assert deficiency_counting_check(g, out.v_prime)
+        indeg = indegrees(g, out.orientation_dict())
+        met.append(sum(min(indeg[v], 1) for v in vs))
+    assert met == [199, 199]
+
+
 def test_verify_outcome_rejects_flipped_edges():
     # point both edges at the middle vertex: it rises above its bound,
     # so the "below everywhere on V'" bullet breaks

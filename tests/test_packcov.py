@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from matroidkit.packcov import (
 )
 from matroidkit.waves import PairContext
 
-from conftest import family_minmax, family_union_max
+from conftest import capped_partition, connected_graphic, family_minmax, family_union_max
 
 G2 = GroundSet(tuple("ab"))
 G3 = GroundSet(tuple("abc"))
@@ -90,6 +91,24 @@ def test_lift_past_enumeration_sizes_solves():
     for res in results:
         assert verify_packcov(fam, res)
     assert total(results[0]) == total(results[1])
+
+
+def test_tree_with_extra_edges_leaves_a_covered_part():
+    # two copies of the graphic matroid of a random spanning tree on 60
+    # vertices plus 10 extra edges: a tree edge on a leaf is a coloop, so
+    # it cannot lie in both disjoint packing sets and E_c is not empty;
+    # here two disjoint sets each span the 4 packed edges
+    rng = random.Random(11)
+    vs = [f"v{i}" for i in range(60)]
+    ends = [(rng.randrange(i), i) for i in range(1, 60)]
+    ends += [tuple(rng.sample(range(60), 2)) for _ in range(10)]
+    g = C.graphic(vs, [(vs[u], vs[v], f"e{i}") for i, (u, v) in enumerate(ends)])
+    fam = MatroidFamily(g.ground, (g, g))
+    results = [packcov_solve(fam, solver=s) for s in ("classic", "mixed")]
+    for res in results:
+        assert verify_packcov(fam, res)
+        assert (len(res.E_p), len(res.E_c)) == (4, 65)
+    assert results[0].E_p == results[1].E_p
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +225,20 @@ def test_derive_intersection_round_trip(corpus):
         if done == 20:
             break
     assert done == 20
+
+
+def test_derive_intersection_at_n64_matches_edmonds():
+    # graphic M against blocks of 2-4 elements, each capped at 1 or left
+    # free: the common size falls short of both ranks, and the packed and
+    # covered parts are both non-empty
+    rng = random.Random(0)
+    m = connected_graphic(rng, 64)
+    n = capped_partition(rng, m.ground, lambda rng, size: rng.choice([1, size]))
+    pc = packcov_solve(MatroidFamily(m.ground, (m, n.dual())))
+    assert len(pc.E_p) > 0 and len(pc.E_c) > 0
+    cert = derive_intersection(m, n, pc)
+    assert verify_certificate(m, n, cert)
+    assert len(cert.I) == len(edmonds_solve(PairContext(m, n)).I) < min(m.rank(), n.rank())
 
 
 def test_derive_intersection_rejects_wrong_input():
