@@ -8,6 +8,7 @@ enumerations (``axiom_check``, ``check_cond``, ``feasible`` and the
 ``matroidkit.oracle.*``.
 """
 
+from .classic import ExchangeDigraph, IntersectionCertificate, Trace, verify_certificate
 from .core import (
     CertificateInvalid,
     DemandOutOfRange,
@@ -39,11 +40,8 @@ from .core import (
 )
 from .intersect import (
     AugPath,
-    ExchangeDigraph,
     FeasibleState,
-    IntersectionCertificate,
     SplitInput,
-    Trace,
     augment,
     build_exchange_digraph,
     edmonds_solve,
@@ -52,7 +50,6 @@ from .intersect import (
     key_step,
     mixed_solve,
     solve,
-    verify_certificate,
 )
 from .orient import (
     DemandGraph,

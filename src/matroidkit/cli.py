@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .classic import Trace, verify_certificate
 from .core import (
     CertificateInvalid,
     ElementSet,
@@ -27,7 +28,7 @@ from .core import (
     matroid_to_json,
     relabel_onto,
 )
-from .intersect import Trace, solve, verify_certificate
+from .intersect import solve
 from .oracle import (
     CorpusSpec,
     axiom_check,

@@ -1,9 +1,9 @@
-"""Matroid intersection solvers with verifiable certificates.
+"""The mixed intersection solver, built on the classic engine.
 
-Two solvers share one certificate format: the classic augmenting-path
-solver, and a mixed solver that treats a declared split E = E0 | E1 of
-the second matroid's universe asymmetrically.  On E0 the exchange
-digraph uses circuits of N; on E1 it walks cocircuits against the base
+``edmonds_solve`` verifies a classic run (:mod:`matroidkit.classic`).
+The mixed solver removes the largest wave, then treats a declared split
+E = E0 | E1 of the second matroid's universe asymmetrically: on E0 the
+exchange digraph uses circuits of N, on E1 cocircuits against the base
 formed by the E1-part of the spanned-but-unused elements.  Every
 augmentation is checked against its guaranteed span-preservation
 properties, and every certificate is re-verified from raw oracles.
@@ -13,18 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
 
+from .classic import (
+    ExchangeDigraph,
+    IntersectionCertificate,
+    Trace,
+    _augmented,
+    _check_chordless,
+    _classic_run,
+    _same_span,
+    verify_certificate,
+)
 from .core import (
     ElementSet,
     Matroid,
-    MatroidKitError,
     PostconditionFailed,
     PreconditionViolated,
     ExtensionFailed,
     StateInvariantBroken,
     Stuck,
-    UniverseMismatch,
     _mask,
     bit_indices,
 )
@@ -32,182 +39,7 @@ from .waves import PairContext, _wave_of, check_cond_plus, common_base_B, is_cle
 
 
 # ---------------------------------------------------------------------------
-# traces and telemetry
-
-
-@dataclass
-class Trace:
-    """Event log and counters for replay tests and telemetry.
-
-    ``phases`` counts the phases of traced classic runs.  ``wave_runs``
-    counts the mixed loop's wave questions by how they were answered:
-    ``cold`` and ``warm`` are full classic runs from the empty set and
-    from a set in hand (``largest_wave``), ``resumed`` are runs that
-    grow a carried backward search, and ``reused`` are postconditions
-    answered from the wave in hand with no run (``extend_to_nice``);
-    ``phases`` there counts the classic phases of the full runs.
-    """
-
-    events: list = field(default_factory=list)
-    augmentations: int = 0
-    extensions: int = 0
-    phases: int = 0
-    wave_runs: dict = field(
-        default_factory=lambda: dict.fromkeys(("cold", "warm", "resumed", "reused", "phases"), 0)
-    )
-
-    def record(self, kind: str, **data) -> None:
-        self.events.append({"kind": kind, **data})
-
-    def as_dict(self) -> dict:
-        return {
-            "augmentations": self.augmentations,
-            "extensions": self.extensions,
-            "phases": self.phases,
-            "wave_runs": dict(self.wave_runs),
-            "events": self.events,
-        }
-
-
-# ---------------------------------------------------------------------------
-# digraphs and paths
-
-
-class ExchangeDigraph:
-    """The exchange digraph at one state, read a layer at a time.
-
-    The state is a common independent set I of M and N, the part E1 of
-    the universe walked through cocircuits of N, and ``safe``, the E1
-    part of the M-span outside I.  Arcs come from three rules, each
-    decided by one tail class:
-
-    - M-rule: an M-spanned x outside I points into its M-circuit, that
-      is, to each y of I with I - y + x M-independent.
-    - N-rule: an x of I in E0 points to each N-spanned z outside I whose
-      N-circuit holds x, that is, with I - x + z N-independent.
-    - N*-rule: an x of I in E1 points into its fundamental circuit in
-      the dual of N against ``safe``; the state being dually safe, that
-      circuit exists.
-
-    With E1 empty this is the classic digraph.  The digraph keeps no
-    arcs: each question is about sets, and asks the oracles only about
-    the elements it names, so a search pays for the part it visits.
-    """
-
-    def __init__(self, m: Matroid, n: Matroid, imask: int, e1: int, safe: int) -> None:
-        self.m = m
-        self.n = n
-        self.imask = imask
-        self.universe = m.universe_mask
-        self.e0 = self.universe & ~e1
-        self.e1 = e1
-        self.safe = safe
-
-    def sources(self, among: int) -> Iterator[int]:
-        """The elements of ``among`` in E0 - I that are not N-spanned.
-
-        They come ascending and are asked one by one, so a caller that
-        stops early pays only for the elements it took.
-        """
-        imask, n = self.imask, self.n
-        for z in bit_indices(among & self.e0 & ~imask):
-            if n._indep(imask | 1 << z):
-                yield z
-
-    def sinks(self, among: int) -> int:
-        """The elements of ``among`` in E0 - I that are not M-spanned."""
-        imask, m = self.imask, self.m
-        out = 0
-        for x in bit_indices(among & self.e0 & ~imask):
-            if m._indep(imask | 1 << x):
-                out |= 1 << x
-        return out
-
-    def heads(self, layer: int, among: int) -> int:
-        """The elements of ``among`` with an arc from some element of ``layer``.
-
-        The N-rule asks one query per outside z for the whole E0 part L0
-        of the layer: z has an arc from L0 exactly when it is N-spanned
-        and its N-circuit meets L0, that is, when I - L0 + z is
-        N-independent.
-        """
-        m, n, imask = self.m, self.n, self.imask
-        out = 0
-        cand = among & imask
-        if cand:
-            for x in bit_indices(layer & ~imask):
-                bx = 1 << x
-                if m._indep(imask | bx):
-                    continue
-                for y in bit_indices(cand):
-                    by = 1 << y
-                    if m._indep(imask ^ by | bx):
-                        out |= by
-                cand &= ~out
-                if not cand:
-                    break
-        l0 = layer & imask & self.e0
-        if l0:
-            rest = imask & ~l0
-            for z in bit_indices(among & ~imask):
-                bz = 1 << z
-                if not n._indep(imask | bz) and n._indep(rest | bz):
-                    out |= bz
-        l1 = layer & imask & self.e1
-        cand = among & self.safe & ~out
-        if l1 and cand:
-            nd = n.dual()
-            for x in bit_indices(l1):
-                found = nd._circuit(self.safe | 1 << x, cand)
-                out |= found
-                cand &= ~found
-                if not cand:
-                    break
-        return out
-
-    def tails_into(self, among: int, heads: int) -> int:
-        """The elements of ``among`` with an arc into some element of ``heads``.
-
-        - M-rule: an M-spanned x outside I has an arc into the I-part H
-          of ``heads`` exactly when I - H + x is M-independent, one query
-          per x.
-        - N-rule: the tails into an N-spanned z outside I are
-          C_N(z, I) - z, found by halving (``Matroid._circuit``).
-        - N*-rule: an x of I in E1 has an arc into the safe part H of
-          ``heads`` exactly when safe - H + x is independent in the dual
-          of N, one query per x.
-        """
-        m, n, imask = self.m, self.n, self.imask
-        out = 0
-        h_in = heads & imask
-        if h_in:
-            rest = imask & ~h_in
-            for x in bit_indices(among & ~imask):
-                bx = 1 << x
-                # an x that I does not M-span has no arc, and I - H + x is then independent
-                if m._indep(rest | bx) and not m._indep(imask | bx):
-                    out |= bx
-        cand = among & imask & self.e0
-        if cand:
-            for z in bit_indices(heads & ~imask):
-                dep = imask | 1 << z
-                if not n._indep(dep):
-                    found = n._circuit(dep, cand)
-                    out |= found
-                    cand &= ~found
-                    if not cand:
-                        break
-        h_safe = heads & self.safe
-        if h_safe:
-            nd = n.dual()
-            rest = self.safe & ~h_safe
-            for x in bit_indices(among & imask & self.e1):
-                if nd._indep(rest | 1 << x):
-                    out |= 1 << x
-        return out
-
-    def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.heads(1 << x, 1 << y))
+# augmenting paths and the shortest-path search
 
 
 @dataclass(frozen=True)
@@ -230,38 +62,6 @@ class AugPath:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class IntersectionCertificate:
-    """A common independent set with a two-sided spanning partition.
-
-    ``layers`` (default none) are the backward layers of the classic
-    phase that found no path: layer k holds the elements at distance k
-    to the sinks, and together they are E_N (``_classic_step``).
-    """
-
-    I: ElementSet
-    E_M: ElementSet
-    E_N: ElementSet
-    layers: tuple[int, ...] = field(default=(), compare=False, repr=False)
-
-
-def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) -> bool:
-    """Re-derive every certificate invariant from raw oracles."""
-    universe = m.universe_mask
-    if n.universe_mask != universe or m.ground.labels != n.ground.labels:
-        return False
-    imask, am, an = cert.I.mask, cert.E_M.mask, cert.E_N.mask
-    if am & an or am | an != universe or imask & ~universe:
-        return False
-    if not (m._indep(imask) and n._indep(imask)):
-        return False
-    return m._spans(imask & am, am) and n._spans(imask & an, an)
-
-
-# ---------------------------------------------------------------------------
-# shortest-path machinery
 
 
 def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
@@ -295,16 +95,6 @@ def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
     return path
 
 
-def _check_chordless(
-    dg: ExchangeDigraph, path: Sequence[int], error: type[MatroidKitError]
-) -> None:
-    """A shortest path has no arc that skips ahead along it."""
-    for k in range(len(path)):
-        for ell in range(k + 2, len(path)):
-            if dg.has_arc(path[k], path[ell]):
-                raise error(f"jumping arc {k}->{ell}")
-
-
 def _first_path(dg: ExchangeDigraph) -> list[int] | None:
     """Checked shortest path from the least source that reaches a sink; the mixed search."""
     for s in dg.sources(dg.e0):
@@ -315,161 +105,8 @@ def _first_path(dg: ExchangeDigraph) -> list[int] | None:
     return None
 
 
-def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
-    """Whether independent ``a`` and ``b`` span the same elements of ``part``.
-
-    For the whole universe, span(a) = span(b) exactly when a lies in
-    span(b) and b in span(a), and the elements of a & b lie in both; so
-    it is enough that each x of a ^ b is spanned by the set it is
-    missing from, which for an independent set is one query.  For a
-    smaller ``part`` this test over (a ^ b) & part is exact when ``mat``
-    is the direct sum of its restrictions to ``part`` and to the rest.
-    """
-    return mat._spans(b, a & part) and mat._spans(a, b & part)
-
-
-def _plus(mat: Matroid, imask: int, e: int) -> int:
-    """An independent set spanning what I + e spans, for an independent I."""
-    grown = imask | 1 << e
-    return grown if mat._indep(grown) else imask
-
-
-def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int) -> int:
-    """I xor the path, checked to keep the spans an augmentation guarantees.
-
-    The new set must be common independent, span in M what I + last
-    spans, and span on E0 in N what I + first spans.  Both span checks
-    compare independent sets through ``_same_span``, so each costs one
-    query per element of the path, not one per element of the universe.
-
-    The N check looks only at E0, and there the element test is exact
-    because no component of N crosses the split (``SplitInput.validate``,
-    kept by deleting the wave).  So N is N|E0 + N|E1, and for every X,
-    span_N(X) & E0 = span_{N|E0}(X & E0): the E0 part of a span is
-    decided by the E0 part of the set alone.  With E0 the whole universe
-    this is the classic check.
-    """
-    new = imask
-    for e in path:
-        new ^= 1 << e
-    if not (m._indep(new) and n._indep(new)):
-        raise PostconditionFailed("augmented set is not common independent")
-    if not _same_span(m, new, _plus(m, imask, path[-1]), m.universe_mask):
-        raise PostconditionFailed("M-span was not preserved by the augmentation")
-    if not _same_span(n, new, _plus(n, imask, path[0]), e0):
-        raise PostconditionFailed("N-span on E0 was not preserved by the augmentation")
-    return new
-
-
 # ---------------------------------------------------------------------------
 # classic solver
-
-
-def _classic_run(
-    m: Matroid, n: Matroid, trace: Trace | None = None, start: int = 0,
-    carried: tuple[int, ...] = (),
-) -> IntersectionCertificate:
-    """Run the classic solver to completion from ``start``; unverified.
-
-    Augmenting paths reach a maximum set from any common independent
-    start (Edmonds 1970).  Each phase (``_classic_step``) searches
-    backward from the sinks and augments along paths of one length,
-    longer than the last phase's, until a search meets no source; that
-    search gives the certificate.  A start that is not common
-    independent is a caller's bug and raises PostconditionFailed.
-    ``carried`` layers resume the first phase's search (``_classic_step``).
-    """
-    if m.universe_mask != n.universe_mask or m.ground.labels != n.ground.labels:
-        raise UniverseMismatch("intersection needs a shared universe")
-    universe = m.universe_mask
-    if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
-        raise PostconditionFailed("classic run start is not common independent")
-    imask = start
-    # each phase but the last grows I by at least one
-    for _ in range(universe.bit_count() + 1):
-        if trace is not None:
-            trace.phases += 1
-        step = _classic_step(m, n, imask, carried)
-        carried = ()
-        if isinstance(step, IntersectionCertificate):
-            return step
-        for path in step:
-            before, imask = imask, imask ^ _mask(path)
-            if trace is not None:
-                trace.augmentations += 1
-                trace.record("classic-augment", phase=trace.phases, before=before,
-                             path=tuple(path), after=imask)
-    raise Stuck("classic solver exceeded its phase budget")
-
-
-def _classic_step(
-    m: Matroid, n: Matroid, imask: int, carried: tuple[int, ...] = ()
-) -> list[list[int]] | IntersectionCertificate:
-    """One phase from ``imask``: the checked paths it applied in turn, or the certificate.
-
-    One breadth-first search grows backward from all sinks through
-    ``tails_into``: layer k holds the elements at distance k to the
-    sinks, and only the elements of each new layer are tested as
-    sources.  When a layer Ld holds sources, the shortest paths have
-    length d.  Augmenting along a shortest path shortens neither the
-    distance from the sources nor the distance to the sinks (Cunningham
-    1986).  So the element at position i of a length-d path in a later
-    digraph of the phase was, at the start, at most i from a source and
-    at most d - i from a sink; no path was shorter than d, so it was
-    exactly d - i from the sinks.  It lies in L(d - i), and each later
-    length-d path runs through [sources of Ld, L(d-1), ..., L0].  A
-    depth-first search through them asks the arcs of the current
-    digraph; used and dead-end elements leave the phase.
-
-    A search that meets no source has walked the whole co-reach of the
-    sinks, a set fixed by the digraph, whatever the search order.  Its
-    complement is the certificate's M-side, and nothing else runs; the
-    certificate keeps the layers.
-
-    ``carried`` layers, when given, are the first layers of such a
-    search, kept at their distances and free of sources (the lemma in
-    ``extend_to_nice``).  The search then skips the sink scan and grows
-    on from the last of them.  It must find no path, so a source in a
-    new layer raises PostconditionFailed.
-    """
-    universe = m.universe_mask
-    dg = ExchangeDigraph(m, n, imask, 0, 0)
-    layers = list(carried) or [dg.sinks(universe)]
-    seen = sum(layers)  # the layers are disjoint
-    first = 0 if carried else _mask(dg.sources(layers[0]))
-    while not first:
-        nxt = dg.tails_into(universe & ~seen, layers[-1])
-        if not nxt:
-            ground, e_m = m.ground, universe & ~seen
-            return IntersectionCertificate(
-                ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, seen),
-                tuple(layers),
-            )
-        seen |= nxt
-        layers.append(nxt)
-        first = _mask(dg.sources(nxt))
-        if first and carried:
-            raise PostconditionFailed("a resumed backward search met a source")
-    kept = [first, *reversed(layers[:-1])]
-    alive = sum(kept)  # the layers are disjoint
-    paths = []
-    for s in bit_indices(kept[0]):
-        path = [] if n._spans(imask, 1 << s) else [s]  # the N-span grows, so sources only leave
-        while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
-            v = path[-1]
-            nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
-            if nxt:
-                path.append((nxt & -nxt).bit_length() - 1)
-            else:
-                alive &= ~(1 << v)
-                path.pop()
-        if path:
-            _check_chordless(dg, path, PostconditionFailed)
-            imask = _augmented(m, n, imask, path, universe)
-            alive &= ~_mask(path)
-            paths.append(path)
-            dg = ExchangeDigraph(m, n, imask, 0, 0)
-    return paths
 
 
 def edmonds_solve(ctx: PairContext, trace: Trace | None = None) -> IntersectionCertificate:
@@ -508,12 +145,12 @@ class SplitInput:
         e1 = self.N._check_subset(self.E1)
         if e0 & e1 or e0 | e1 != self.N.universe_mask:
             raise PreconditionViolated("split parts must partition the universe")
-        for comp in self.N.components():
-            cm = comp.mask
-            if cm & e0 and cm & e1:
-                raise PreconditionViolated(
-                    f"component {comp.labels()} crosses the declared split"
-                )
+        if e0 and e1:  # with one part empty, no component can cross the split
+            for comp in self.N.components():
+                if comp.mask & e0 and comp.mask & e1:
+                    raise PreconditionViolated(
+                        f"component {comp.labels()} crosses the declared split"
+                    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
+from .classic import _classic_run
 from .core import (
     ElementSet,
     ExplicitMatroid,
@@ -34,7 +35,6 @@ from .core import (
     relabel_onto,
     uniform,
 )
-from .intersect import _classic_run
 from .orient import DemandGraph, effective_lower_bound
 from .packcov import MatroidFamily
 from .waves import PairContext, _require_common_independent

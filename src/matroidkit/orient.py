@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+from .classic import Trace
 from .core import (
     CertificateInvalid,
     DemandOutOfRange,
@@ -22,7 +23,7 @@ from .core import (
     MatroidKitError,
     PartitionMatroid,
 )
-from .intersect import Trace, solve
+from .intersect import solve
 
 
 @dataclass(frozen=True)

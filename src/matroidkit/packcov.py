@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classic import IntersectionCertificate, Trace, verify_certificate
 from .core import (
     ElementSet,
     GroundSet,
@@ -24,7 +25,7 @@ from .core import (
     bit_indices,
     direct_sum,
 )
-from .intersect import IntersectionCertificate, Trace, solve, verify_certificate
+from .intersect import solve
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .classic import Trace, _classic_run
 from .core import (
     ElementSet,
     Matroid,
@@ -73,8 +74,6 @@ def is_wave(ctx: PairContext, w: ElementSet) -> ElementSet | None:
     those two minors and testing whether it spans ``w`` in M.  The empty
     set is a wave with the empty witness, which needs no run.
     """
-    from .intersect import _classic_run
-
     wmask = ctx.M._check_subset(w)
     if not wmask:
         return w
@@ -108,11 +107,9 @@ def largest_wave(ctx: PairContext, start: ElementSet | None = None, trace=None) 
     finite ones that loop stops after this one step.  The witness is
     re-checked against the raw oracles.
 
-    A ``trace`` (an ``intersect.Trace``) counts the run in ``wave_runs``:
+    A ``trace`` (a ``classic.Trace``) counts the run in ``wave_runs``:
     as cold from the empty set, else as warm, and its classic phases.
     """
-    from .intersect import Trace, _classic_run
-
     smask = 0 if start is None else start.mask
     run = None if trace is None else Trace()
     cert = _classic_run(ctx.M, ctx.N, run, smask)

@@ -9,6 +9,7 @@ import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, _mask, bit_indices
+from matroidkit.classic import _augmented, _check_chordless, _classic_run, _classic_step, _same_span
 from matroidkit.intersect import (
     AugPath,
     ExchangeDigraph,
@@ -16,14 +17,9 @@ from matroidkit.intersect import (
     IntersectionCertificate,
     SplitInput,
     Trace,
-    _augmented,
     _bfs_path,
-    _check_chordless,
-    _classic_run,
-    _classic_step,
     _common_independent_part,
     _first_path,
-    _same_span,
     augment,
     build_exchange_digraph,
     edmonds_solve,
@@ -991,6 +987,16 @@ def test_split_validation_rejects_crossing_component():
     n = C.uniform(G3, 1)  # one component: the whole set
     with pytest.raises(C.PreconditionViolated):
         SplitInput(n, G3.subset("a"), G3.subset("bc")).validate()
+
+
+@pytest.mark.parametrize("e0, e1", [("abc", ""), ("", "abc")])
+def test_split_validation_with_an_empty_part_scans_no_components(monkeypatch, e0, e1):
+    # no component can cross a split with an empty part, so validate asks for none
+    def no_scan(self):
+        raise AssertionError("validate asked for the components")
+
+    monkeypatch.setattr(C.Matroid, "components", no_scan)
+    SplitInput(C.uniform(G3, 1), G3.subset(e0), G3.subset(e1)).validate()
 
 
 def test_split_validation_requires_partition():

@@ -29,8 +29,11 @@ from matroidkit.orient import DemandGraph
 
 from conftest import pairwise_bases, scan_binary_draw
 
-# modules on the polynomial solver paths; none may reach subset enumeration
-SOLVER_MODULES = ("core", "intersect", "waves", "packcov", "orient")
+PACKAGE = Path(matroidkit.__file__).parent
+# modules on the polynomial solver paths, every module but the brute-force
+# oracle and the entry points; none may reach subset enumeration
+NON_SOLVER_MODULES = {"oracle", "cli", "__init__", "__main__"}
+SOLVER_MODULES = tuple(sorted({p.stem for p in PACKAGE.glob("*.py")} - NON_SOLVER_MODULES))
 ENUMERATION_NAMES = {"iter_submasks", "exhaustive_bound", "ENV_MAX_EXHAUSTIVE"}
 
 G3 = GroundSet(tuple("abc"))
@@ -150,10 +153,10 @@ def _boundary_breaches(tree: ast.AST) -> list[str]:
 def test_no_solver_module_reaches_subset_enumeration():
     # subset enumeration and its size bound live only in oracle, so no
     # polynomial solver path can raise TooLarge or call an exponential scan
-    src = Path(matroidkit.__file__).parent
+    assert {"classic", "core", "intersect", "waves"} <= set(SOLVER_MODULES)
     breaches = {}
     for module in SOLVER_MODULES:
-        tree = ast.parse((src / f"{module}.py").read_text())
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         if found := _boundary_breaches(tree):
             breaches[module] = found
     assert breaches == {}
@@ -174,6 +177,64 @@ def test_boundary_check_sees_each_kind_of_breach():
         "line 5: names exhaustive_bound",
         "line 5: raises TooLarge",
     ]
+
+
+def _import_structure(tree: ast.AST) -> tuple[set[str], list[str]]:
+    """The package modules ``tree`` imports, and the imports it makes inside a function."""
+    imported, nested = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    nested.add(f"line {inner.lineno}: imports inside {node.name}")
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                imported.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "matroidkit":
+                imported.update(alias.name for alias in node.names)
+            elif node.level == 0 and (node.module or "").startswith("matroidkit."):
+                imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("matroidkit."):
+                    imported.add(alias.name.split(".")[1])
+    return imported, sorted(nested)
+
+
+def _cyclic_modules(graph: dict[str, set[str]]) -> set[str]:
+    """The modules on or above an import cycle: those left once peeling stops.
+
+    Each round peels off the modules that import none of those left.
+    """
+    left = set(graph)
+    while leaves := {m for m in left if not graph[m] & left}:
+        left -= leaves
+    return left
+
+
+def test_package_imports_sit_at_module_top_and_form_no_cycle():
+    # each module imports at its top, so no import waits for a call, and the
+    # package's import graph is acyclic; the classic engine needs only core
+    graph, nested = {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem], inner = _import_structure(ast.parse(path.read_text()))
+        if inner:
+            nested[path.stem] = inner
+    assert nested == {}
+    assert _cyclic_modules(graph) == set()
+    assert {"core"} == graph["classic"] and "classic" in graph["waves"]
+
+
+def test_import_check_sees_nested_imports_and_cycles():
+    tree = ast.parse(
+        "from .core import x\n"
+        "import matroidkit.waves\n"
+        "def f():\n"
+        "    from .intersect import y\n"
+    )
+    assert _import_structure(tree) == ({"core", "waves", "intersect"}, ["line 4: imports inside f"])
+    graph = {"a": {"b"}, "b": {"a", "d"}, "c": {"a"}, "d": set(), "e": {"d"}}
+    assert _cyclic_modules(graph) == {"a", "b", "c"}
 
 
 def test_rank_table_matches_handle():

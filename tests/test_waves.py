@@ -184,9 +184,9 @@ def test_a_phase_that_meets_no_source_is_one_backward_search(corpus, monkeypatch
     # the phase asks no arc forward.  Checked on the corpus pairs at their
     # final I, then on the classic runs of the largest wave, its witness
     # check and the classic certificate of a pair past brute-force sizes
-    import matroidkit.intersect as intersect
+    import matroidkit.classic as classic
 
-    real_heads, real_step = intersect.ExchangeDigraph.heads, intersect._classic_step
+    real_heads, real_step = classic.ExchangeDigraph.heads, classic._classic_step
     heads_calls = [0]
     sizes = []
 
@@ -197,14 +197,14 @@ def test_a_phase_that_meets_no_source_is_one_backward_search(corpus, monkeypatch
     def checked_step(m, n, imask, carried=()):
         before = heads_calls[0]
         step = real_step(m, n, imask, carried)
-        if isinstance(step, intersect.IntersectionCertificate):
+        if isinstance(step, classic.IntersectionCertificate):
             assert heads_calls[0] == before
             assert step.E_M.mask == m.universe_mask & ~full_digraph_coreach(m, n, imask)
             sizes.append(m.universe_mask.bit_count())
         return step
 
-    monkeypatch.setattr(intersect.ExchangeDigraph, "heads", counted_heads)
-    monkeypatch.setattr(intersect, "_classic_step", checked_step)
+    monkeypatch.setattr(classic.ExchangeDigraph, "heads", counted_heads)
+    monkeypatch.setattr(classic, "_classic_step", checked_step)
     for inst in corpus.pairs:
         edmonds_solve(PairContext(inst.M, inst.N))
     assert len(sizes) == len(corpus.pairs)
