@@ -282,6 +282,21 @@ def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int)
     return new
 
 
+def _greedy(m: Matroid, n: Matroid, imask: int) -> list[int]:
+    """The elements a greedy pass adds to the common independent ``imask``, in order.
+
+    Least element first, x is added when I + x is M-independent and then
+    N-independent; so each element outside I asks at most two queries.
+    """
+    added = []
+    for x in bit_indices(m.universe_mask & ~imask):
+        grown = imask | 1 << x
+        if m._indep(grown) and n._indep(grown):
+            imask = grown
+            added.append(x)
+    return added
+
+
 def _classic_run(
     m: Matroid, n: Matroid, trace: Trace | None = None, start: int = 0,
     carried: tuple[int, ...] = (),
@@ -296,11 +311,37 @@ def _classic_run(
     the members of a ``PairContext`` do.  A start that is not common
     independent is a caller's bug and raises PostconditionFailed.
     ``carried`` layers resume the first phase's search (``_classic_step``).
+
+    The first phase is one greedy pass over the start (``_greedy``), the
+    phase with paths of length 0, which it computes exactly:
+
+    - Layer 0 holds the sinks.  When it holds sources, d = 0, and the
+      phase adds, least first, each source s with I + s still common
+      independent.
+    - An element that is not both a source and a sink at the start of the
+      phase never becomes addable, because spans only grow.  So the phase
+      adds exactly the greedy's elements, in the same order.
+    - Distances never shrink, so no later phase has d = 0.
+
+    A greedy that adds nothing counts no phase; its queries are then the
+    next phase's sink scan and layer-0 source queries, read from the memo.
+    A resumed run skips it: its search skips the sink scan, so the greedy's
+    queries would be new, and the carried set is already maximum.
     """
     universe = m.universe_mask
     if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
         raise PostconditionFailed("classic run start is not common independent")
     imask = start
+    if not carried:
+        added = _greedy(m, n, imask)
+        if added and trace is not None:
+            trace.phases += 1
+        for x in added:
+            before, imask = imask, imask | 1 << x
+            if trace is not None:
+                trace.augmentations += 1
+                trace.record("classic-augment", phase=trace.phases, before=before,
+                             path=(x,), after=imask)
     # each phase but the last grows I by at least one
     for _ in range(universe.bit_count() + 1):
         if trace is not None:

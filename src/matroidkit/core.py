@@ -428,14 +428,17 @@ class UniformMatroid(Matroid):
 class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph; self-loop edges are matroid loops.
 
-    The kernel answers from an anchor, the last edge set a full
-    union-find found to be a forest, kept as that forest rooted: per
-    vertex its root, parent, the bit of the edge to the parent, and its
-    depth.  A query inside the anchor is a forest.  A query that adds one
-    edge x = (u, v) to the anchor and drops a set D of its edges is a
-    forest exactly when u and v lie in different trees, or the tree path
-    between them, walked up by depth, meets D.  Any other query runs the
-    union-find and, when it finds a forest, becomes the new anchor.
+    The kernel answers from an anchor, an edge set known to be a forest,
+    kept as that forest rooted: per vertex its root, parent, the bit of
+    the edge to the parent, and its depth.  A query inside the anchor is
+    a forest.  A query that adds one edge x = (u, v) to the anchor and
+    drops a set D of its edges is a forest exactly when u and v lie in
+    different trees, or the tree path between them, walked up by depth,
+    meets D.  When D is empty and u and v lie in different trees, the
+    anchor grows by x in place of a rebuild: v's tree is re-rooted at v
+    and hung from u (``_linked``), so a greedy that adds one edge at a
+    time keeps its anchor.  Any other query runs the union-find and, when
+    it finds a forest, becomes the new anchor.
     """
 
     kind = "graphic"
@@ -490,18 +493,51 @@ class GraphicMatroid(Matroid):
                             stack.append(y)
         return forest, root, up, up_bit, depth
 
+    def _linked(self, held: tuple, bit: int, u: int, v: int) -> tuple:
+        """The anchor tuple of ``held``'s forest plus the edge ``bit`` = (u, v),
+        with u and v in different trees.
+
+        The parent links from v to its old root are reversed and v hangs
+        from u by the new edge; the vertices of v's old tree then take u's
+        root, and their depths are walked from u.
+        """
+        forest, root, up, up_bit, depth = held
+        root, up, up_bit, depth = root[:], up[:], up_bit[:], depth[:]
+        old, new = root[v], root[u]
+        child, child_bit, x = u, bit, v
+        while True:
+            parent, parent_bit = up[x], up_bit[x]
+            up[x], up_bit[x] = child, child_bit
+            if parent == x:
+                break
+            child, child_bit, x = x, parent_bit, parent
+        for w in [w for w, r in enumerate(root) if r == old]:
+            chain = []
+            while root[w] == old:
+                root[w] = new
+                chain.append(w)
+                w = up[w]
+            d = depth[w]
+            for y in reversed(chain):
+                d += 1
+                depth[y] = d
+        return forest | bit, root, up, up_bit, depth
+
     def _indep_raw(self, mask: int) -> bool:
         # One read of the anchor and one assignment to replace it, so a
         # query on another thread sees the old anchor or the new, both forests.
-        anchor, root, up, up_bit, depth = self._anchor
+        held = self._anchor
+        anchor, root, up, up_bit, depth = held
         extra = mask & ~anchor
         if not extra:
             return True
         if not extra & (extra - 1):
             u, v = self.endpoints[extra.bit_length() - 1]
-            if root[u] != root[v]:
-                return True
             dropped = anchor & ~mask
+            if root[u] != root[v]:
+                if not dropped:
+                    self._anchor = self._linked(held, extra, u, v)
+                return True
             if not dropped:
                 return False
             # Walk the path from u to v: the deeper end up to the other's

@@ -95,9 +95,13 @@ def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
     return path
 
 
-def _first_path(dg: ExchangeDigraph) -> list[int] | None:
-    """Checked shortest path from the least source that reaches a sink; the mixed search."""
-    for s in dg.sources(dg.e0):
+def _first_path(dg: ExchangeDigraph, among: int | None = None) -> list[int] | None:
+    """Checked shortest path from the least source that reaches a sink; the mixed search.
+
+    Sources are looked for in ``among`` (default all of E0); a caller that
+    knows no source lies outside it saves their queries.
+    """
+    for s in dg.sources(dg.e0 if among is None else among):
         path = _bfs_path(dg, s)
         if path is not None:
             _check_chordless(dg, path, PostconditionFailed)
@@ -225,9 +229,13 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
     _check_chordless(dg, path, PreconditionViolated)
 
 
-def find_aug_path(state: FeasibleState) -> AugPath | None:
-    """Shortest augmenting path from the least source that reaches a sink."""
-    path = _first_path(state.digraph)
+def find_aug_path(state: FeasibleState, among: int | None = None) -> AugPath | None:
+    """Shortest augmenting path from the least source that reaches a sink.
+
+    ``among`` (default all of E0) is where sources are looked for; it must
+    hold every source, so that the least one, and so the path, is the same.
+    """
+    path = _first_path(state.digraph, among)
     return None if path is None else AugPath(tuple(path))
 
 
@@ -364,10 +372,17 @@ def _common_independent_part(pair: PairContext, s: ElementSet) -> ElementSet:
 
 
 def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> FeasibleState:
-    """Grow the state until element ``e`` of E0 is spanned in N."""
+    """Grow the state until element ``e`` of E0 is spanned in N.
+
+    Every element of E0 below ``e`` must already be N-spanned, as it is
+    when ``mixed_solve`` calls this in ascending order of E0.  The N-span
+    on E0 only grows, so no source lies below ``e`` and the path search
+    starts there.
+    """
     ctx = state.ctx
     if not (1 << e) & ctx.E0.mask:
         raise PreconditionViolated("target element must lie in E0")
+    floor = ctx.E0.mask & -(1 << e)  # the E0 elements from e up
     size = ctx.universe_mask.bit_count()
     # _validate_path admits only odd paths along exchange arcs, which alternate
     # out of and into I, so each round grows I by at least one; |I| <= |E|
@@ -378,7 +393,7 @@ def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> Feasib
         rounds += 1
         if rounds > max_rounds:
             raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
-        path = find_aug_path(state)
+        path = find_aug_path(state, floor)
         if path is None:
             raise Stuck(f"no augmenting path while element {e} is unspanned")
         before = state.I.mask

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from matroidkit import cli
+from matroidkit import core as C
 from matroidkit.cli import main
+from matroidkit.core import bit_indices
 
 UNIFORM = {"kind": "uniform", "n": 4, "r": 2, "labels": ["a", "b", "c", "d"]}
 PARTITION = {
@@ -99,6 +103,73 @@ def test_output_is_byte_identical(files, capsys):
     _, out1, _ = run(capsys, ["intersect", "--m", m, "--n", n])
     _, out2, _ = run(capsys, ["intersect", "--m", m, "--n", n])
     assert out1 == out2
+
+
+# sha256 of the stdout (and of the --trace file) of each run on the pinned
+# pair below; a change to a solver that keeps its answers keeps these bytes
+PINNED_CLI = {
+    "classic": (
+        "18be3de23cf3194f75204a64badf66276aca04b65cbdc3b19d8b4d1da26cb106",
+        "537c273613e75f0f2ba6e40fd5d7e0869599b1594cc8a97af6f6e93b3ccc095a",
+    ),
+    "mixed": (
+        "168791151188e85b84079e9fee1c903aac28043ebf5c48b23b7d33c657a7f289",
+        "facfca75df4acc6a6ff988565fa4f77bdaf863ad44811bddc0f222fbf65535c8",
+    ),
+    "mixed-e1": (
+        "4187610e2dfe457caa1cce7fb7f306e1945bc3957f3a14fa84b51270878c8595",
+        "8da25f51015742bd4f0b050d5a371049d70ccbfbb01a6bc4bf4b3369f977304b",
+    ),
+    "wave": ("56bb04cc2fb0dcef01f613abf24ccdf12e7dc903b54c4d4957db2a9e11d718bc", None),
+}
+
+
+def pinned_cli_pair():
+    """A graphic M on 24 vertices and 48 random edges, and a partition N of
+    consecutive blocks of 2-4 elements capped at 1, on one ground order; both
+    solvers augment along paths of three elements."""
+    rng = random.Random(3)
+    vs = [f"v{i}" for i in range(24)]
+    m = C.graphic(vs, [(*rng.sample(vs, 2), f"e{i}") for i in range(48)])
+    blocks, e = [], 0
+    while e < 48:
+        take = min(48 - e, rng.randint(2, 4))
+        blocks.append(([f"e{i}" for i in range(e, e + take)], 1))
+        e += take
+    return m, C.partition(blocks)
+
+
+def test_cli_bytes_are_pinned(files, capsys):
+    tmp, write = files
+    m, n = pinned_cli_pair()
+    assert n.ground.labels == m.ground.labels
+    mfile = write("m.json", C.matroid_to_json(m))
+    nfile = write("n.json", C.matroid_to_json(n))
+    e1 = [m.ground.label(e) for bmask, _cap in n.blocks[::2] for e in bit_indices(bmask)]
+    e1file = write("e1.json", e1)
+    base = ["--m", mfile, "--n", nfile]
+    argvs = {
+        "classic": ["intersect", *base],
+        "mixed": ["intersect", *base, "--solver", "mixed"],
+        "mixed-e1": ["intersect", *base, "--solver", "mixed", "--e1", e1file],
+        "wave": ["wave", *base],
+    }
+    digests = {}
+    for name, argv in argvs.items():
+        trace_path = tmp / f"{name}.trace.json"
+        if argv[0] == "intersect":
+            argv = [*argv, "--trace", str(trace_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and not err, name
+        trace = trace_path.read_bytes() if argv[0] == "intersect" else None
+        digests[name] = (
+            hashlib.sha256(out.encode()).hexdigest(),
+            None if trace is None else hashlib.sha256(trace).hexdigest(),
+        )
+    for name in ("classic", "mixed"):
+        trace = json.loads((tmp / f"{name}.trace.json").read_text())
+        assert max(len(ev.get("path", ())) for ev in trace["events"]) > 1, name
+    assert digests == PINNED_CLI
 
 
 def test_wave_subcommand(files, capsys):

@@ -696,6 +696,72 @@ def test_graphic_kernel_on_solver_query_sequences():
     assert min(shapes["inside"], shapes["one"], shapes["more"]) > 500, shapes
 
 
+def assert_rooted(m) -> None:
+    """The graphic anchor's root, up, up_bit and depth describe its forest:
+    each up-chain reaches its root in ``depth`` steps, and the up_bits are
+    exactly the forest's edges, each joining a vertex to its parent."""
+    forest, root, up, up_bit, depth = m._anchor
+    n = len(m.vertices)
+    bits = 0
+    for w in range(n):
+        x, steps = w, 0
+        while up[x] != x and steps <= n:
+            x, steps = up[x], steps + 1
+        assert (x, steps) == (root[w], depth[w]), w
+        if up[w] == w:
+            assert up_bit[w] == 0, w
+            continue
+        bit = up_bit[w]
+        assert bit and not bit & (bit - 1) and not bit & bits, w
+        assert sorted(m.endpoints[bit.bit_length() - 1]) == sorted((w, up[w])), w
+        bits |= bit
+    assert bits == forest
+
+
+def test_linked_anchors_are_rooted_forests():
+    # an independent one-edge answer that drops nothing grows the anchor by
+    # that edge (GraphicMatroid._linked); after every query of the solver
+    # shapes the anchor is still its forest, rooted
+    rng = random.Random(23)
+    linked = 0
+    for _ in range(40):
+        n_vertices = rng.randint(1, 20)
+        endpoints = random_multigraph(rng, n_vertices, rng.randint(1, 30))
+        ground = GroundSet(tuple(f"e{i}" for i in range(len(endpoints))))
+        m = C.GraphicMatroid(ground, tuple(f"v{i}" for i in range(n_vertices + 3)), endpoints)
+        masks = anchored_queries(
+            rng, len(endpoints), lambda mask: forest_by_bfs(n_vertices + 3, endpoints, mask)
+        )
+        for mask in masks:
+            before = m._anchor[0]
+            m._indep_raw(mask)
+            extra = mask & ~before
+            one_more = extra and not extra & (extra - 1) and not before & ~mask
+            linked += bool(one_more) and m._anchor[0] == mask
+            assert_rooted(m)
+    assert linked > 400, linked
+
+
+def test_a_greedy_keeps_one_anchor_without_a_rebuild():
+    # a greedy over a connected graph on 128 vertices links each of the 127
+    # edges it keeps into the anchor and never rebuilds the rooted forest
+    m = connected_graphic(random.Random(128), 171)
+    assert len(m.vertices) == 128
+    rebuilt = []
+    rooted, raw = m._rooted, m._indep_raw
+    m._rooted = lambda forest: rebuilt.append(forest) or rooted(forest)
+
+    def checked(mask):
+        out = raw(mask)
+        assert_rooted(m)
+        return out
+
+    m._indep_raw = checked
+    base = m._max_indep(m.universe_mask)
+    assert base.bit_count() == 127 and m._anchor[0] == base
+    assert rebuilt == []
+
+
 def test_partition_kernel_on_solver_query_sequences():
     rng = random.Random(29)
     shapes: Counter = Counter()

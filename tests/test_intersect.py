@@ -9,7 +9,14 @@ import pytest
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, _mask, bit_indices
-from matroidkit.classic import _augmented, _check_chordless, _classic_run, _classic_step, _same_span
+from matroidkit.classic import (
+    _augmented,
+    _check_chordless,
+    _classic_run,
+    _classic_step,
+    _greedy,
+    _same_span,
+)
 from matroidkit.intersect import (
     AugPath,
     ExchangeDigraph,
@@ -585,6 +592,36 @@ def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
         # the distinct masks are counted, not compared as sets
         assert len(step_m.asked) + len(step_n.asked) < full_asked
     assert len(states) > 150
+
+
+def test_the_greedy_is_the_length_0_phase(corpus):
+    # a phase returns single-element paths exactly when the greedy adds
+    # something, and then they are the greedy's additions, in order; the
+    # greedy asks each mask once, at most two per element outside the start
+    pairs = [(inst.M, inst.N) for inst in corpus.pairs]
+    for size in (64, 96, 128):
+        rng = random.Random(size)
+        m = connected_graphic(rng, size)
+        pairs += [(m, capped_partition(rng, m.ground)), (m, connected_graphic(rng, size))]
+    rng = random.Random(7)
+    grew = stayed = 0
+    for m, n in pairs:
+        starts = [0] + [_random_common_independent(rng, m, n) for _ in range(2)]
+        for start in starts:
+            step = _classic_step(m, n, start)
+            gm, gn = CountingIndep(m), CountingIndep(n)
+            added = _greedy(gm, gn, start)
+            singles = not isinstance(step, IntersectionCertificate) and all(
+                len(path) == 1 for path in step
+            )
+            assert singles == bool(added), start
+            if added:
+                assert step == [[x] for x in added]
+            grew += bool(added)
+            stayed += not added
+            assert gm.calls == len(gm.asked) and gn.calls == len(gn.asked)
+            assert gm.calls + gn.calls <= 2 * (m.universe_mask & ~start).bit_count()
+    assert grew > 500 and stayed > 500, (grew, stayed)
 
 
 def random_independent(rng, m, among):
