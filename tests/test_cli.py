@@ -11,7 +11,10 @@ import pytest
 from matroidkit import cli
 from matroidkit import core as C
 from matroidkit.cli import main
+from matroidkit.classic import Trace
 from matroidkit.core import bit_indices
+from matroidkit.orient import DemandGraph, orient_solve
+from matroidkit.packcov import MatroidFamily, lift_family, packcov_solve
 
 UNIFORM = {"kind": "uniform", "n": 4, "r": 2, "labels": ["a", "b", "c", "d"]}
 PARTITION = {
@@ -106,7 +109,8 @@ def test_output_is_byte_identical(files, capsys):
 
 
 # sha256 of the stdout (and of the --trace file) of each run on the pinned
-# pair below; a change to a solver that keeps its answers keeps these bytes
+# pair, family and demand graphs below; a change to a solver that keeps its
+# answers keeps these bytes
 PINNED_CLI = {
     "classic": (
         "18be3de23cf3194f75204a64badf66276aca04b65cbdc3b19d8b4d1da26cb106",
@@ -121,6 +125,10 @@ PINNED_CLI = {
         "8da25f51015742bd4f0b050d5a371049d70ccbfbb01a6bc4bf4b3369f977304b",
     ),
     "wave": ("56bb04cc2fb0dcef01f613abf24ccdf12e7dc903b54c4d4957db2a9e11d718bc", None),
+    "packcov": ("9bdec8cb397f95110de334535401418debbe0d9ff471b7477e7a70179dbe12f5", None),
+    "packcov-mixed-e1": ("922ec3ace9151613b93655f1cc3fa3c0adbccafa1fcc7920e234c8fa94bf471f", None),
+    "orient-above": ("eed71146884ee32a72890e6ec900a463bed833b7d0a9118ff6198a788a610a1e", None),
+    "orient-deficient": ("734a905640119e2933c645d8eb52bcdc9f0b5023b3c69a5f8c188b49f5d96928", None),
 }
 
 
@@ -139,6 +147,31 @@ def pinned_cli_pair():
     return m, C.partition(blocks)
 
 
+def pinned_cli_family():
+    """Three graphic members on 4 vertices and 8 random edges each, lifted to 24
+    elements; the classic lifted run augments along a path of five elements,
+    and the mixed one with E1 = the copies of e0 along one of seven."""
+    rng = random.Random(29)
+    vs = [f"v{i}" for i in range(4)]
+    members = [C.graphic(vs, [(*rng.sample(vs, 2), f"e{i}") for i in range(8)]) for _ in range(3)]
+    return MatroidFamily(members[0].ground, tuple(members))
+
+
+def pinned_cli_graph(seed):
+    """6 vertices and 9 random edges with demands drawn up to each degree;
+    seed 2 meets the demands, seed 3 is deficient, and on both the classic
+    run augments along a path of more than one arc."""
+    rng = random.Random(seed)
+    vs = [f"v{i}" for i in range(6)]
+    edges = [(*rng.sample(vs, 2), f"e{i}") for i in range(9)]
+    bare = DemandGraph.build(vs, edges, {})
+    return DemandGraph.build(vs, edges, {v: rng.randint(0, bare.degree(v)) for v in vs})
+
+
+def longest_path(trace, kind):
+    return max(len(ev["path"]) for ev in trace.events if ev["kind"] == kind)
+
+
 def test_cli_bytes_are_pinned(files, capsys):
     tmp, write = files
     m, n = pinned_cli_pair()
@@ -148,11 +181,26 @@ def test_cli_bytes_are_pinned(files, capsys):
     e1 = [m.ground.label(e) for bmask, _cap in n.blocks[::2] for e in bit_indices(bmask)]
     e1file = write("e1.json", e1)
     base = ["--m", mfile, "--n", nfile]
+    fam = pinned_cli_family()
+    famfile = write("fam.json", {
+        "universe": list(fam.ground.labels),
+        "members": [C.matroid_to_json(member) for member in fam.members],
+    })
+    block = write("block.json", ["e0@0", "e0@1", "e0@2"])
+    graphs = {"above": pinned_cli_graph(2), "deficient": pinned_cli_graph(3)}
+    orient_argvs = {}
+    for verdict, g in graphs.items():
+        gfile = write(f"{verdict}.json", {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]})
+        ofile = write(f"{verdict}-demands.json", dict(g.demands))
+        orient_argvs[f"orient-{verdict}"] = ["orient", "--graph", gfile, "--demands", ofile]
     argvs = {
         "classic": ["intersect", *base],
         "mixed": ["intersect", *base, "--solver", "mixed"],
         "mixed-e1": ["intersect", *base, "--solver", "mixed", "--e1", e1file],
         "wave": ["wave", *base],
+        "packcov": ["packcov", "--family", famfile],
+        "packcov-mixed-e1": ["packcov", "--family", famfile, "--solver", "mixed", "--e1", block],
+        **orient_argvs,
     }
     digests = {}
     for name, argv in argvs.items():
@@ -160,7 +208,7 @@ def test_cli_bytes_are_pinned(files, capsys):
         if argv[0] == "intersect":
             argv = [*argv, "--trace", str(trace_path)]
         code, out, err = run(capsys, argv)
-        assert code == 0 and not err, name
+        assert code == (name == "orient-deficient") and not err, name
         trace = trace_path.read_bytes() if argv[0] == "intersect" else None
         digests[name] = (
             hashlib.sha256(out.encode()).hexdigest(),
@@ -169,6 +217,19 @@ def test_cli_bytes_are_pinned(files, capsys):
     for name in ("classic", "mixed"):
         trace = json.loads((tmp / f"{name}.trace.json").read_text())
         assert max(len(ev.get("path", ())) for ev in trace["events"]) > 1, name
+    # the packcov and orient subcommands print no events, so their paths are
+    # read from the same solves run in-process
+    trace = Trace()
+    packcov_solve(fam, trace=trace)
+    assert longest_path(trace, "classic-augment") > 1
+    lifted = lift_family(fam).ground
+    trace = Trace()
+    packcov_solve(fam, "mixed", lifted.subset(["e0@0", "e0@1", "e0@2"]), trace)
+    assert longest_path(trace, "augment") > 1
+    for verdict, g in graphs.items():
+        trace = Trace()
+        assert orient_solve(g, trace=trace).verdict == verdict
+        assert longest_path(trace, "classic-augment") > 1, verdict
     assert digests == PINNED_CLI
 
 
