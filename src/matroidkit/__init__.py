@@ -39,7 +39,6 @@ from .core import (
     zero,
 )
 from .intersect import (
-    AugPath,
     FeasibleState,
     SplitInput,
     augment,

@@ -282,14 +282,16 @@ def _augmented(m: Matroid, n: Matroid, imask: int, path: Sequence[int], e0: int)
     return new
 
 
-def _greedy(m: Matroid, n: Matroid, imask: int) -> list[int]:
-    """The elements a greedy pass adds to the common independent ``imask``, in order.
+def _greedy(m: Matroid, n: Matroid, imask: int, among: int | None = None) -> list[int]:
+    """The elements a greedy pass over ``among`` adds to the common independent ``imask``, in order.
 
-    Least element first, x is added when I + x is M-independent and then
-    N-independent; so each element outside I asks at most two queries.
+    Least element of ``among`` (default the universe) first, x is added
+    when I + x is M-independent and then N-independent; so each element
+    outside I asks at most two queries.
     """
     added = []
-    for x in bit_indices(m.universe_mask & ~imask):
+    among = m.universe_mask if among is None else among
+    for x in bit_indices(among & ~imask):
         grown = imask | 1 << x
         if m._indep(grown) and n._indep(grown):
             imask = grown

@@ -21,6 +21,7 @@ from .classic import (
     _augmented,
     _check_chordless,
     _classic_run,
+    _greedy,
     _same_span,
     verify_certificate,
 )
@@ -40,28 +41,6 @@ from .waves import PairContext, _wave_of, check_cond_plus, common_base_B, is_cle
 
 # ---------------------------------------------------------------------------
 # augmenting paths and the shortest-path search
-
-
-@dataclass(frozen=True)
-class AugPath:
-    """Odd alternating element sequence from an N-unspanned to an M-unspanned element."""
-
-    elements: tuple[int, ...]
-
-    @property
-    def first(self) -> int:
-        return self.elements[0]
-
-    @property
-    def last(self) -> int:
-        return self.elements[-1]
-
-    @property
-    def mask(self) -> int:
-        return _mask(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
@@ -229,47 +208,50 @@ def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
     _check_chordless(dg, path, PreconditionViolated)
 
 
-def find_aug_path(state: FeasibleState, among: int | None = None) -> AugPath | None:
+def find_aug_path(state: FeasibleState, among: int | None = None) -> tuple[int, ...] | None:
     """Shortest augmenting path from the least source that reaches a sink.
 
-    ``among`` (default all of E0) is where sources are looked for; it must
-    hold every source, so that the least one, and so the path, is the same.
+    The path is its odd alternating element sequence, from an N-unspanned
+    to an M-unspanned element.  ``among`` (default all of E0) is where
+    sources are looked for; it must hold every source, so that the least
+    one, and so the path, is the same.
     """
     path = _first_path(state.digraph, among)
-    return None if path is None else AugPath(tuple(path))
+    return None if path is None else tuple(path)
 
 
-def augment(state: FeasibleState, path: AugPath, trace: Trace | None = None) -> FeasibleState:
+def augment(state: FeasibleState, path: tuple[int, ...], trace: Trace | None = None) -> FeasibleState:
     """Apply one augmenting path; all guaranteed properties are asserted."""
-    _validate_path(state, path.elements)
+    _validate_path(state, path)
     ctx = state.ctx
     nd = ctx.N.dual()
     imask = state.I.mask
-    new = _augmented(ctx.M, ctx.N, imask, path.elements, ctx.E0.mask)
+    new = _augmented(ctx.M, ctx.N, imask, path, ctx.E0.mask)
+    pmask = _mask(path)
     safe = state.safe_base.mask
-    safe2 = safe ^ (path.mask & ctx.E1.mask)
+    safe2 = safe ^ (pmask & ctx.E1.mask)
     if not nd._indep(safe2):
         raise PostconditionFailed("updated dual base is dependent")
     if not _same_span(nd, safe, safe2, nd.universe_mask):
         raise PostconditionFailed("dual span was not preserved by the augmentation")
-    warm = ElementSet(ctx.ground, state.warm.mask & ~path.mask)
+    warm = ElementSet(ctx.ground, state.warm.mask & ~pmask)
     try:
         out = FeasibleState(ctx, ElementSet(ctx.ground, new), warm, _carried_layers(state, path))
     except StateInvariantBroken as exc:
         raise PostconditionFailed(f"augmented state invalid: {exc}") from exc
     if trace is not None:
         trace.augmentations += 1
-        trace.record("augment", before=imask, path=path.elements, after=new)
+        trace.record("augment", before=imask, path=path, after=new)
     return out
 
 
-def _carried_layers(state: FeasibleState, path: AugPath) -> tuple[int, ...]:
+def _carried_layers(state: FeasibleState, path: tuple[int, ...]) -> tuple[int, ...]:
     """The layers of ``state`` that keep their distances after augmenting along ``path``.
 
     When the path is one element z of the warm set, these are the layers
     up to z's, less z (the lemma in ``extend_to_nice``); else none.
     """
-    bz = 1 << path.first
+    bz = 1 << path[0]
     if len(path) == 1 and bz & state.warm.mask:
         for k, layer in enumerate(state.layers):
             if layer & bz:
@@ -333,7 +315,12 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
         cert = _classic_run(pair.M, pair.N, start=state.warm.mask, carried=state.layers)
         wave = _wave_of(pair, cert)
     else:
-        wave = largest_wave(pair, _common_independent_part(pair, state.warm), trace)
+        # the greedy keeps all of a common independent warm set, so two
+        # queries on the whole set answer without it
+        warm = state.warm.mask
+        if not (pair.M._indep(warm) and pair.N._indep(warm)):
+            warm = _mask(_greedy(pair.M, pair.N, 0, warm))
+        wave = largest_wave(pair, ElementSet(pair.ground, warm), trace)
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
@@ -353,22 +340,6 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
             "extend", before=state.I.mask, added=base.mask, wave=wave.W.mask
         )
     return new
-
-
-def _common_independent_part(pair: PairContext, s: ElementSet) -> ElementSet:
-    """Greedy common independent subset of ``s``, smallest indices first.
-
-    When all of ``s`` is common independent the greedy keeps all of it,
-    so two queries on the whole set answer without the greedy.
-    """
-    if pair.M._indep(s.mask) and pair.N._indep(s.mask):
-        return ElementSet(pair.ground, s.mask)
-    kept = 0
-    for x in s:
-        grown = kept | (1 << x)
-        if pair.M._indep(grown) and pair.N._indep(grown):
-            kept = grown
-    return ElementSet(pair.ground, kept)
 
 
 def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> FeasibleState:

@@ -24,6 +24,7 @@ from .core import (
     PartitionMatroid,
 )
 from .intersect import solve
+from .waves import PairContext
 
 
 @dataclass(frozen=True)
@@ -129,23 +130,13 @@ def indegrees(g: DemandGraph, orientation: Mapping[str, str]) -> dict[str, int]:
     return indeg
 
 
-@dataclass(frozen=True)
-class OrientInstance:
-    """The bidirected intersection instance for a demand graph.
+def build_instance(g: DemandGraph) -> PairContext:
+    """Two arcs per edge; per-vertex in-arc blocks against edge blocks.
 
     ``M`` is a partition matroid whose blocks are the in-arcs of each
     vertex, capped at its effective lower bound, in ``g.vertices``
     order; ``N`` allows one arc per edge.
     """
-
-    graph: DemandGraph
-    ground: GroundSet
-    M: PartitionMatroid
-    N: PartitionMatroid
-
-
-def build_instance(g: DemandGraph) -> OrientInstance:
-    """Two arcs per edge; per-vertex in-arc blocks against edge blocks."""
     labels = []
     in_arcs = dict.fromkeys(g.vertices, 0)
     for i, (u, v, label) in enumerate(g.edges):
@@ -161,7 +152,7 @@ def build_instance(g: DemandGraph) -> OrientInstance:
         ground,
         tuple((0b11 << (2 * i), 1) for i in range(len(g.edges))),
     )
-    return OrientInstance(g, ground, m, n)
+    return PairContext(m, n)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core import (
     direct_sum,
 )
 from .intersect import solve
+from .waves import PairContext
 
 
 @dataclass(frozen=True)
@@ -49,28 +50,12 @@ class MatroidFamily:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class LiftedFamily:
-    """The product instance, with both directions of the index mapping."""
+def lift_family(fam: MatroidFamily) -> PairContext:
+    """Copies of the members on disjoint slices, against per-element blocks.
 
-    family: MatroidFamily
-    ground: GroundSet
-    M: Matroid
-    N: Matroid
-
-    @property
-    def k(self) -> int:
-        return self.family.k
-
-    def product_index(self, e: int, i: int) -> int:
-        return e * self.k + i
-
-    def split_index(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.k)
-
-
-def lift_family(fam: MatroidFamily) -> LiftedFamily:
-    """Copies of the members on disjoint slices, against per-element blocks."""
+    Copy i of element e is product element ``e * k + i``, labelled
+    ``"{label}@{i}"``.
+    """
     k = fam.k
     base = fam.ground
     labels = tuple(
@@ -85,23 +70,20 @@ def lift_family(fam: MatroidFamily) -> LiftedFamily:
     blocks = tuple(
         (((1 << k) - 1) << (e * k), 1) for e in range(base.size)
     )
-    n = PartitionMatroid(ground, blocks)
-    return LiftedFamily(fam, ground, m, n)
+    return PairContext(m, PartitionMatroid(ground, blocks))
 
 
 @dataclass(frozen=True)
 class PackCovResult:
     """A packing of one part and a covering of the other.
 
-    ``J`` holds, per member, the full slice of the lifted solution for
-    auditability; ``product_labels`` fixes the index mapping used.
+    ``product_labels`` fixes the index mapping used.
     """
 
     E_p: ElementSet
     E_c: ElementSet
     S: tuple[ElementSet, ...]
     I: tuple[ElementSet, ...]
-    J: tuple[ElementSet, ...]
     product_labels: tuple[str, ...]
 
 
@@ -119,15 +101,14 @@ def packcov_solve(
     k = fam.k
     ec = 0
     for idx in bit_indices(cert.E_N.mask):
-        e, _i = lifted.split_index(idx)
-        ec |= 1 << e
+        ec |= 1 << idx // k
     ep = base.full_mask & ~ec
 
     js = []
     for i in range(k):
         j = 0
         for e in range(base.size):
-            if cert.I.mask >> lifted.product_index(e, i) & 1:
+            if cert.I.mask >> (e * k + i) & 1:
                 j |= 1 << e
         js.append(j)
 
@@ -136,7 +117,6 @@ def packcov_solve(
         ElementSet(base, ec),
         tuple(ElementSet(base, j & ep) for j in js),
         tuple(ElementSet(base, j & ec) for j in js),
-        tuple(ElementSet(base, j) for j in js),
         lifted.ground.labels,
     )
     if not verify_packcov(fam, result):

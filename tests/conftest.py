@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement, product
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices
+from matroidkit.core import ElementSet, GroundSet, _mask, bit_indices
 from matroidkit.oracle import CorpusSpec, _gf2_rank, fuzz_corpus, iter_submasks
 from matroidkit.orient import DemandGraph, effective_lower_bound
 
@@ -355,12 +355,12 @@ def replay_arc_persistence(record) -> int:
     from matroidkit.intersect import build_exchange_digraph
 
     state, path, augmented, extended = record
-    pset = set(path.elements)
+    pset = set(path)
     before = build_exchange_digraph(state)
     after = build_exchange_digraph(augmented)
     checked = 0
     for x, y in arcs(before):
-        if x in pset or before.heads(1 << x, path.mask):
+        if x in pset or before.heads(1 << x, _mask(path)):
             continue
         assert after.has_arc(x, y), (x, y)
         checked += 1

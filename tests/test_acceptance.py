@@ -292,18 +292,19 @@ def test_criterion_5_packing_covering(corpus):
         union_max = family_union_max(members)
         if lhs != union_max or union_max != family_minmax(members):
             violations.append(f"{inst.name}:formula")
+        js = [s | part for s, part in zip(res.S, res.I)]
         union = fam.ground.empty()
         for i, m in enumerate(members):
-            if not m._indep(res.J[i].mask):
+            if not m._indep(js[i].mask):
                 violations.append(f"{inst.name}:indep")
             if res.E_p.mask & ~m._span(res.S[i].mask):
                 violations.append(f"{inst.name}:span")
-            union = union | res.J[i]
+            union = union | js[i]
         if not res.E_c <= union:
             violations.append(f"{inst.name}:cover")
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                if (res.J[i] & res.J[j] & res.E_p).mask:
+                if (js[i] & js[j] & res.E_p).mask:
                     violations.append(f"{inst.name}:disjoint")
         checked += 1
     status = "PASS" if not violations else "FAIL"

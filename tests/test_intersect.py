@@ -18,14 +18,12 @@ from matroidkit.classic import (
     _same_span,
 )
 from matroidkit.intersect import (
-    AugPath,
     ExchangeDigraph,
     FeasibleState,
     IntersectionCertificate,
     SplitInput,
     Trace,
     _bfs_path,
-    _common_independent_part,
     _first_path,
     augment,
     build_exchange_digraph,
@@ -157,7 +155,7 @@ def test_edmonds_step_k4_against_partition_three_path():
     )
     step = _classic_step(m, n, g.subset(["e0", "e1"]).mask)
     assert [[g.label(i) for i in path] for path in step] == [["e3", "e0", "e2"]]
-    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, AugPath(tuple(step[0])).mask)
+    swapped = g.subset(["e0", "e1"]) ^ ElementSet(g, _mask(step[0]))
     assert m._indep(swapped.mask) and n._indep(swapped.mask)
 
 
@@ -256,7 +254,7 @@ def test_find_path_crosses_e1_on_hand_built_instance():
     ground, ctx, state = five_element_split()
     path = find_aug_path(state)
     assert path is not None
-    assert [ground.label(i) for i in path.elements] == ["s", "d", "e", "x", "t"]
+    assert [ground.label(i) for i in path] == ["s", "d", "e", "x", "t"]
 
 
 def test_augment_rule3_hop_updates_dual_base():
@@ -283,13 +281,13 @@ def test_singleton_path_when_unspanned_both_sides():
     n = C.free(G3)
     state = FeasibleState(PairContext(m, n), G3.empty())
     path = find_aug_path(state)
-    assert path is not None and len(path) == 1 and path.first == 0
+    assert path == (0,)
 
 
 def test_augment_rejects_invalid_path():
     ground, ctx, state = five_element_split()
     with pytest.raises(C.PreconditionViolated):
-        augment(state, AugPath((ground.index("s"),)))
+        augment(state, (ground.index("s"),))
 
 
 def test_augment_rejects_path_with_jumping_arc():
@@ -301,9 +299,9 @@ def test_augment_rejects_path_with_jumping_arc():
         g, ((g.subset("a").mask, 1), (g.subset("bc").mask, 1), (g.subset("de").mask, 1))
     )
     state = FeasibleState(PairContext(m, n), g.subset("bd"))
-    assert find_aug_path(state).elements == tuple(g.index(x) for x in "ade")
+    assert find_aug_path(state) == tuple(g.index(x) for x in "ade")
     with pytest.raises(C.PreconditionViolated, match="jumping arc"):
-        augment(state, AugPath(tuple(g.index(x) for x in "abcde")))
+        augment(state, tuple(g.index(x) for x in "abcde"))
 
 
 def _augment_past_validation(monkeypatch, m, n, e1, i, path):
@@ -313,7 +311,7 @@ def _augment_past_validation(monkeypatch, m, n, e1, i, path):
     monkeypatch.setattr(intersect, "_validate_path", lambda state, path: None)
     g = m.ground
     state = FeasibleState(PairContext(m, n, g.subset(e1)), g.subset(i))
-    return augment(state, AugPath(tuple(g.index(x) for x in path)))
+    return augment(state, tuple(g.index(x) for x in path))
 
 
 def test_augment_check_fires_on_dependent_result(monkeypatch):
@@ -719,7 +717,7 @@ def test_augmentation_check_asks_a_path_sized_number_of_queries(corpus):
         path = find_aug_path(state)
         if path is not None:
             ctx = state.ctx
-            cases.append((ctx.M, ctx.N, state.I.mask, path.elements, ctx.E0.mask))
+            cases.append((ctx.M, ctx.N, state.I.mask, path, ctx.E0.mask))
     assert len(cases) > 200
     longer = 0
     for m, n, imask, path, e0 in cases:
@@ -824,25 +822,60 @@ def test_extension_postcondition_fires_on_a_short_common_base(monkeypatch):
         extend_to_nice(state)
 
 
-def test_common_independent_part_is_the_greedy_and_keeps_a_whole_set_in_two_queries(corpus):
+def test_greedy_among_a_set_is_its_common_independent_part(corpus):
     # on the pair and on quotients by common independent sets, as the
-    # extension asks it; when the greedy would keep every element, one
-    # query to each member answers
+    # extension asks it: least element of the set first, one M query per
+    # element and an N query only after an M yes
     rng = random.Random(9)
-    whole = 0
     for inst in corpus.pairs[:200]:
         ctx = PairContext(inst.M, inst.N)
         for _ in range(4):
             pair = ctx.quotient(_random_common_independent(rng, inst.M, inst.N))
             pair = PairContext(CountingIndep(pair.M), CountingIndep(pair.N))
             universe = list(bit_indices(pair.universe_mask))
-            s = ElementSet(pair.ground, _mask(rng.sample(universe, rng.randint(0, len(universe)))))
-            expected = greedy_common_part(pair.M.inner, pair.N.inner, s.mask)
-            assert _common_independent_part(pair, s).mask == expected, inst.name
-            if expected == s.mask:
-                assert (pair.M.calls, pair.N.calls) == (1, 1), inst.name
-                whole += 1
-    assert whole >= 100
+            s = _mask(rng.sample(universe, rng.randint(0, len(universe))))
+            expected = greedy_common_part(pair.M.inner, pair.N.inner, s)
+            assert _mask(_greedy(pair.M, pair.N, 0, s)) == expected, inst.name
+            assert pair.M.calls == s.bit_count() >= pair.N.calls, inst.name
+
+
+def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypatch):
+    # the extension's wave run starts from the greedy common independent
+    # part of the warm set; a warm set that is common independent in the
+    # quotient is that part, so two queries on the whole set answer and the
+    # greedy runs only on the other warm sets.  Warm sets are the ones the
+    # mixed loop carries and random subsets of the quotient's universe.
+    import matroidkit.intersect as intersect
+
+    greedy_runs, starts = [], []
+
+    def recorded_greedy(*args):
+        greedy_runs.append(args)
+        return _greedy(*args)
+
+    def recorded_wave(pair, start=None, trace=None):
+        starts.append(start.mask)
+        return largest_wave(pair, start, trace)
+
+    monkeypatch.setattr(intersect, "_greedy", recorded_greedy)
+    monkeypatch.setattr(intersect, "largest_wave", recorded_wave)
+    rng = random.Random(9)
+    whole = partial = 0
+    for inst in corpus.pairs:
+        for e0, e1 in inst.splits:
+            for _state, _path, augmented, _extended in drive_mixed(inst.M, SplitInput(inst.N, e0, e1))[3]:
+                pair = augmented.ctx.quotient(augmented.I.mask)
+                outside = list(bit_indices(pair.universe_mask))
+                for warm in (augmented.warm.mask, _mask(rng.sample(outside, rng.randint(0, len(outside))))):
+                    state = FeasibleState(augmented.ctx, augmented.I, ElementSet(pair.ground, warm))
+                    keeps = pair.M._indep(warm) and pair.N._indep(warm)
+                    before = len(greedy_runs)
+                    extend_to_nice(state)
+                    assert len(greedy_runs) == before + (not keeps), inst.name
+                    assert starts[-1] == greedy_common_part(pair.M, pair.N, warm), inst.name
+                    whole += keeps
+                    partial += not keeps
+    assert whole > 100 and partial > 50, (whole, partial)
 
 
 def test_key_step_noop_when_already_spanned():

@@ -50,7 +50,7 @@ def test_lift_single_member_is_isomorphic():
     lifted = lift_family(fam)
     assert lifted.ground.size == 3
     for mask in iter_submasks(G3.full_mask):
-        product = sum(1 << lifted.product_index(e, 0) for e in bit_indices(mask))
+        product = sum(1 << lifted.ground.index(f"{G3.label(e)}@0") for e in bit_indices(mask))
         assert lifted.M._indep(product) == fam.members[0]._indep(mask)
         assert lifted.N._indep(product)  # blocks of size one never bind
 
@@ -72,7 +72,7 @@ def test_lift_independence_is_slicewise():
         for i in range(2):
             s = 0
             for e in range(2):
-                if mask >> lifted.product_index(e, i) & 1:
+                if mask >> lifted.ground.index(f"{G2.label(e)}@{i}") & 1:
                     s |= 1 << e
             slices.append(s)
         expect = all(fam.members[i]._indep(slices[i]) for i in range(2))
@@ -86,7 +86,7 @@ def test_lift_past_enumeration_sizes_solves():
     g = C.graphic([f"v{i}" for i in range(6)], edges)
     fam = MatroidFamily(g.ground, (g, g, g))
     assert lift_family(fam).ground.size == 36
-    total = lambda r: sum(len(x) for x in r.J)
+    total = lambda r: sum(len(s | i) for s, i in zip(r.S, r.I))
     results = [packcov_solve(fam, solver=s) for s in ("classic", "mixed")]
     for res in results:
         assert verify_packcov(fam, res)
@@ -158,7 +158,7 @@ def test_packcov_with_mixed_solver_block_split():
     res = packcov_solve(fam, solver="mixed", e1=e1)
     assert verify_packcov(fam, res)
     classic = packcov_solve(fam)
-    total = lambda r: sum(len(x) for x in r.J)
+    total = lambda r: sum(len(s | i) for s, i in zip(r.S, r.I))
     assert total(res) == total(classic)
 
 
@@ -171,16 +171,17 @@ def test_rank_formula_and_slackness(corpus):
         lhs = len(res.E_c) + sum(m.rank(res.E_p) for m in members)
         assert lhs == family_union_max(members) == family_minmax(members), inst.name
         # complementary slackness on the extracted witness family
+        js = [s | part for s, part in zip(res.S, res.I)]
         union = fam.ground.empty()
         for i, m in enumerate(members):
-            assert m._indep(res.J[i].mask)
+            assert m._indep(js[i].mask)
             assert res.E_p <= m.span(res.S[i]) | res.E_p
             assert res.E_p.mask & ~m._span(res.S[i].mask) == 0
-            union = union | res.J[i]
+            union = union | js[i]
         assert res.E_c <= union
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
-                assert (res.J[i] & res.J[j] & res.E_p).mask == 0
+                assert (js[i] & js[j] & res.E_p).mask == 0
         done += 1
         if done == 25:
             break

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from matroidkit import core as C
-from matroidkit.core import ElementSet, GroundSet, bit_indices
-from matroidkit.intersect import _common_independent_part, edmonds_solve
+from matroidkit.classic import _greedy
+from matroidkit.core import ElementSet, GroundSet, _mask, bit_indices
+from matroidkit.intersect import edmonds_solve
 from matroidkit.oracle import check_cond, feasible, iter_submasks
 from matroidkit.waves import (
     PairContext,
@@ -170,7 +171,7 @@ def test_largest_wave_is_the_same_from_any_start(corpus):
         ctx = PairContext(m, n)
         cold = largest_wave(ctx)
         size = len(cold.witness) + len(cold.rest)
-        greedy = _common_independent_part(ctx, m.elements())
+        greedy = ElementSet(m.ground, _mask(_greedy(m, n, 0)))
         for start in (m.ground.empty(), greedy, edmonds_solve(ctx).I):
             wave = largest_wave(ctx, start)
             assert wave.W == cold.W
