@@ -186,7 +186,8 @@ def test_cli_bytes_are_pinned(files, capsys):
         "universe": list(fam.ground.labels),
         "members": [C.matroid_to_json(member) for member in fam.members],
     })
-    block = write("block.json", ["e0@0", "e0@1", "e0@2"])
+    copies_of_e0 = ["e0@0", "e0@1", "e0@2"]  # one block of the lifted N
+    block = write("block.json", copies_of_e0)
     graphs = {"above": pinned_cli_graph(2), "deficient": pinned_cli_graph(3)}
     orient_argvs = {}
     for verdict, g in graphs.items():
@@ -222,9 +223,8 @@ def test_cli_bytes_are_pinned(files, capsys):
     trace = Trace()
     packcov_solve(fam, trace=trace)
     assert longest_path(trace, "classic-augment") > 1
-    lifted = lift_family(fam).ground
     trace = Trace()
-    packcov_solve(fam, "mixed", lifted.subset(["e0@0", "e0@1", "e0@2"]), trace)
+    packcov_solve(fam, "mixed", lift_family(fam).ground.subset(copies_of_e0), trace)
     assert longest_path(trace, "augment") > 1
     for verdict, g in graphs.items():
         trace = Trace()
