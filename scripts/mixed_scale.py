@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Compare the classic and mixed solvers at n = 128 and 256.
+"""Compare the classic and mixed solvers at n = 128 and 256, or at ``--sizes``.
 
     PYTHONPATH=src python scripts/mixed_scale.py [--sizes 128 256] [--repeats 3]
+
+CI runs it with ``--sizes 128 256 512 --repeats 1``.
 
 Each instance is a graphic M on 3n/4 vertices (a random spanning tree,
 then random extra edges) against a partition N of random blocks of 2-4

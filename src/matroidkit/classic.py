@@ -190,9 +190,6 @@ class ExchangeDigraph:
                     out |= 1 << x
         return out
 
-    def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.heads(1 << x, 1 << y))
-
 
 @dataclass(frozen=True)
 class IntersectionCertificate:
@@ -229,11 +226,15 @@ def verify_certificate(m: Matroid, n: Matroid, cert: IntersectionCertificate) ->
 def _check_chordless(
     dg: ExchangeDigraph, path: Sequence[int], error: type[MatroidKitError]
 ) -> None:
-    """A shortest path has no arc that skips ahead along it."""
-    for k in range(len(path)):
-        for ell in range(k + 2, len(path)):
-            if dg.has_arc(path[k], path[ell]):
-                raise error(f"jumping arc {k}->{ell}")
+    """A shortest path has no arc that skips ahead along it.
+
+    One ``heads`` question per position; the error names the least jump.
+    """
+    for k in range(len(path) - 2):
+        jumps = dg.heads(1 << path[k], _mask(path[k + 2:]))
+        if jumps:
+            ell = next(i for i in range(k + 2, len(path)) if jumps >> path[i] & 1)
+            raise error(f"jumping arc {k}->{ell}")
 
 
 def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
@@ -413,7 +414,7 @@ def _classic_step(
     alive = sum(kept)  # the layers are disjoint
     paths = []
     for s in bit_indices(kept[0]):
-        path = [] if n._spans(imask, 1 << s) else [s]  # the N-span grows, so sources only leave
+        path = list(dg.sources(1 << s))  # the N-span grows, so sources only leave
         while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
             v = path[-1]
             nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0

@@ -217,7 +217,6 @@ class Matroid:
         self.universe_mask = universe_mask
         self._memo_indep: dict[int, bool] = {}
         self._memo_base: dict[int, int] = {}
-        self._memo_span: dict[int, int] = {}
         self._dual_cache: "Matroid | None" = None
 
     # -- low-level mask oracle ------------------------------------------
@@ -252,10 +251,6 @@ class Matroid:
         return self._max_indep(mask).bit_count()
 
     def _span(self, mask: int) -> int:
-        memo = self._memo_span
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
         base = self._max_indep(mask)
         out = mask
         outside = self.universe_mask & ~mask
@@ -264,7 +259,6 @@ class Matroid:
             outside ^= low
             if not self._indep(base | low):
                 out |= low
-        memo[mask] = out
         return out
 
     def _loops_mask(self) -> int:
@@ -711,11 +705,8 @@ class RestrictMatroid(Matroid):
 
 
 class ContractMatroid(Matroid):
-    # With B_C a base of the contracted set C, which spans C:
-    #   r_{M/C}(X) = r_M(X | C) - r_M(C) = r_M(X | B_C) - |B_C|
-    #   span_{M/C}(X) = span_M(X | C) - C = span_M(X | B_C) - C
-    # so ranks and spans read the child's memos, which every fresh
-    # contraction of the same child shares.
+    # With B_C a base of the contracted set C, X is independent in M/C
+    # exactly when X | B_C is independent in M.
     kind = "contract"
 
     def __init__(self, child: Matroid, mask: int) -> None:
@@ -728,13 +719,6 @@ class ContractMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask | self._base_of_contracted)
-
-    def _rank(self, mask: int) -> int:
-        base = self._base_of_contracted
-        return self.child._rank(mask | base) - base.bit_count()
-
-    def _span(self, mask: int) -> int:
-        return self.child._span(mask | self._base_of_contracted) & self.universe_mask
 
     def _json_doc(self) -> dict:
         return {

@@ -192,18 +192,15 @@ def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
 
 
 def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
-    ctx = state.ctx
     if len(path) % 2 == 0 or len(set(path)) != len(path):
         raise PreconditionViolated("path must be an odd sequence of distinct elements")
-    first, last = path[0], path[-1]
-    imask = state.I.mask
-    if not (1 << first) & ctx.E0.mask or ctx.N._spans(imask, 1 << first):
-        raise PreconditionViolated("path must start at an E0 element unspanned in N")
-    if not (1 << last) & ctx.E0.mask or ctx.M._spans(imask, 1 << last):
-        raise PreconditionViolated("path must end at an E0 element unspanned in M")
     dg = state.digraph
+    if not _mask(dg.sources(1 << path[0])):
+        raise PreconditionViolated("path must start at an E0 element unspanned in N")
+    if not dg.sinks(1 << path[-1]):
+        raise PreconditionViolated("path must end at an E0 element unspanned in M")
     for k in range(len(path) - 1):
-        if not dg.has_arc(path[k], path[k + 1]):
+        if not dg.heads(1 << path[k], 1 << path[k + 1]):
             raise PreconditionViolated(f"missing arc at position {k}")
     _check_chordless(dg, path, PreconditionViolated)
 
@@ -393,14 +390,13 @@ def mixed_solve(
     # wave.rest is maximum in the quotient, so the check's run makes no augmentation
     mq = m.contract(e_m)
     nq = n.delete(e_m)
-    if not check_cond_plus(PairContext(mq, nq), wave.rest, trace):
+    ctx = PairContext(mq, nq, split.E1 & e_n)
+    if not check_cond_plus(ctx, wave.rest, trace):
         raise PostconditionFailed("quotient after wave removal is not clean")
 
-    ctx = PairContext(mq, nq, split.E1 & e_n)
     state = FeasibleState(ctx, ElementSet(ground, 0), wave.rest)
     for e in bit_indices(ctx.E0.mask):
-        if not ctx.N._spans(state.I.mask, 1 << e):
-            state = key_step(state, e, trace)
+        state = key_step(state, e, trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)
     tail_m = mq.contract(state.I).restrict(rest)

@@ -104,13 +104,9 @@ def packcov_solve(
         ec |= 1 << idx // k
     ep = base.full_mask & ~ec
 
-    js = []
-    for i in range(k):
-        j = 0
-        for e in range(base.size):
-            if cert.I.mask >> (e * k + i) & 1:
-                j |= 1 << e
-        js.append(j)
+    js = [0] * k
+    for idx in bit_indices(cert.I.mask):
+        js[idx % k] |= 1 << idx // k
 
     result = PackCovResult(
         ElementSet(base, ep),

@@ -283,9 +283,6 @@ class DictDigraph:
     def tails_into(self, among: int, heads: int) -> int:
         return sum(1 << x for x in bit_indices(among) if self.out.get(x, 0) & heads)
 
-    def has_arc(self, x: int, y: int) -> bool:
-        return bool(self.out.get(x, 0) >> y & 1)
-
 
 def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
     """Elements with a path to an M-unspanned element in the classic digraph at I.
@@ -362,14 +359,14 @@ def replay_arc_persistence(record) -> int:
     for x, y in arcs(before):
         if x in pset or before.heads(1 << x, _mask(path)):
             continue
-        assert after.has_arc(x, y), (x, y)
+        assert after.heads(1 << x, 1 << y), (x, y)
         checked += 1
     final = build_exchange_digraph(extended)
     ia, ij = augmented.I.mask, extended.I.mask
     for x, y in arcs(after):
         bx, by = 1 << x, 1 << y
         if (bx | by) & ij == (bx | by) & ia:
-            assert final.has_arc(x, y), (x, y)
+            assert final.heads(1 << x, 1 << y), (x, y)
             checked += 1
     return checked
 

@@ -106,13 +106,25 @@ def test_rank_examples():
     assert k4().rank() == 3
 
 
+def exhaustive_rank(m: C.Matroid, s: int) -> int:
+    return max((b.bit_count() for b in iter_submasks(s) if m._indep(b)), default=0)
+
+
+def enumerated_contractions():
+    """Every contraction M/C of every matroid M on four labels, with M and C."""
+    for m in enumerate_matroids(tuple("abcd")):
+        for c in iter_submasks(m.universe_mask):
+            yield m, c, m.contract(ElementSet(m.ground, c))
+
+
 def test_rank_matches_exhaustive_max():
     m = k4()
     for s in iter_submasks(m.universe_mask):
-        expect = max(
-            (b.bit_count() for b in iter_submasks(s) if m._indep(b)), default=0
-        )
-        assert m._rank(s) == expect
+        assert m._rank(s) == exhaustive_rank(m, s)
+    # r_{M/C}(X) = r_M(X | C) - r_M(C)
+    for m, c, mc in enumerated_contractions():
+        for x in iter_submasks(mc.universe_mask):
+            assert mc._rank(x) == exhaustive_rank(m, x | c) - exhaustive_rank(m, c)
 
 
 def test_span_examples():
@@ -131,6 +143,15 @@ def test_span_closure_properties():
     a = m.ground.subset(["e0"]).mask
     b = m.ground.subset(["e0", "e3"]).mask
     assert m._span(a) & ~m._span(b) == 0
+    # span_{M/C}(X) = span_M(X | C) - C, with span_M from exhaustive ranks
+    for m, c, mc in enumerated_contractions():
+        for x in iter_submasks(mc.universe_mask):
+            r = exhaustive_rank(m, x | c)
+            span = sum(
+                1 << e for e in bit_indices(m.universe_mask)
+                if exhaustive_rank(m, x | c | 1 << e) == r
+            )
+            assert mc._span(x) == span & ~c
 
 
 def fundamental_circuit(m: C.Matroid, e: int, imask: int) -> int:

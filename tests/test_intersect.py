@@ -257,6 +257,34 @@ def test_find_path_crosses_e1_on_hand_built_instance():
     assert [ground.label(i) for i in path] == ["s", "d", "e", "x", "t"]
 
 
+def test_mixed_solve_takes_an_n_star_arc_on_its_own_search():
+    # a graphic M on 12 vertices against a partition N with E1 five of
+    # its elements; mixed_solve's own search augments along e2, e9, e0,
+    # e1, e4, whose arc e9 -> e0 leaves an element of I in E1, so only
+    # the N*-rule makes it
+    m = C.graphic(
+        [f"v{i}" for i in range(12)],
+        [
+            ("v10", "v4"), ("v4", "v10"), ("v8", "v1"), ("v2", "v8"), ("v10", "v5"),
+            ("v2", "v1"), ("v6", "v8"), ("v0", "v11"), ("v9", "v8"), ("v6", "v5"),
+            ("v9", "v11"), ("v1", "v5"), ("v11", "v7"), ("v9", "v3"), ("v9", "v11"),
+        ],
+    )
+    g = m.ground
+    blocks = (("e6 e8 e11", 3), ("e1 e4", 1), ("e10", 0), ("e2 e5 e7 e14", 1),
+              ("e0 e9", 1), ("e3 e12 e13", 2))
+    n = C.PartitionMatroid(g, tuple((g.subset(b.split()).mask, cap) for b, cap in blocks))
+    e1 = g.subset(["e0", "e6", "e8", "e9", "e11"])
+    trace = Trace()
+    cert = mixed_solve(m, SplitInput(n, m.elements() - e1, e1), trace)
+    path = tuple(g.index(x) for x in ("e2", "e9", "e0", "e1", "e4"))
+    [event] = [ev for ev in trace.events if ev["kind"] == "augment" and ev["path"] == path]
+    assert (event["before"] & e1.mask) >> path[1] & 1  # the tail e9 lies in I & E1
+    classic = edmonds_solve(PairContext(m, n))
+    assert len(cert.I) == len(classic.I) == 8
+    assert cert.E_M == classic.E_M == g.subset(["e6", "e8", "e11"])
+
+
 def test_augment_rule3_hop_updates_dual_base():
     ground, ctx, state = five_element_split()
     path = find_aug_path(state)
@@ -364,6 +392,13 @@ def test_classic_chord_check_rejects_path_with_jumping_arc():
     _check_chordless(dg, [0, 1, 2], C.PostconditionFailed)
     with pytest.raises(C.PostconditionFailed, match="jumping arc 0->3"):
         _check_chordless(dg, [0, 1, 2, 3], C.PostconditionFailed)
+    # chords at positions 1->4, 1->5 and 2->5; position 4 holds element 3 and
+    # position 5 element 2, so the least element jumped to is not the least l
+    path = [0, 5, 1, 4, 3, 2]
+    dg = DictDigraph({0: 1 << 5, 5: 1 << 1 | 1 << 3 | 1 << 2, 1: 1 << 4 | 1 << 2,
+                      4: 1 << 3, 3: 1 << 2}, (1 << 6) - 1)
+    with pytest.raises(C.PostconditionFailed, match=r"jumping arc 1->4$"):
+        _check_chordless(dg, path, C.PostconditionFailed)
 
 
 def _least_shortest_path(out, size, source, sinks):
