@@ -152,14 +152,14 @@ class ExchangeDigraph:
     def tails_into(self, among: int, heads: int) -> int:
         """The elements of ``among`` with an arc into some element of ``heads``.
 
+        Only the classic phase searches backward, and its digraph has E1
+        empty, so the N*-rule has no tails here.
+
         - M-rule: an M-spanned x outside I has an arc into the I-part H
           of ``heads`` exactly when I - H + x is M-independent, one query
           per x.
         - N-rule: the tails into an N-spanned z outside I are
           C_N(z, I) - z, found by halving (``Matroid._circuit``).
-        - N*-rule: an x of I in E1 has an arc into the safe part H of
-          ``heads`` exactly when safe - H + x is independent in the dual
-          of N, one query per x.
         """
         m, n, imask = self.m, self.n, self.imask
         out = 0
@@ -181,13 +181,6 @@ class ExchangeDigraph:
                     cand &= ~found
                     if not cand:
                         break
-        h_safe = heads & self.safe
-        if h_safe:
-            nd = n.dual()
-            rest = self.safe & ~h_safe
-            for x in bit_indices(among & imask & self.e1):
-                if nd._indep(rest | 1 << x):
-                    out |= 1 << x
         return out
 
 
@@ -235,6 +228,24 @@ def _check_chordless(
         if jumps:
             ell = next(i for i in range(k + 2, len(path)) if jumps >> path[i] & 1)
             raise error(f"jumping arc {k}->{ell}")
+
+
+def _walk(dg: ExchangeDigraph, path: list[int], kept: Sequence[int], alive: int) -> int:
+    """Extend ``path`` to a sink in the last of the ``kept`` layers; the elements left alive.
+
+    Position i takes the least head in ``kept[i] & alive``, and each dead
+    end leaves ``alive``; so ``path`` ends as the lexicographically least
+    such path, or empty when there is none.
+    """
+    while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
+        v = path[-1]
+        nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
+        if nxt:
+            path.append((nxt & -nxt).bit_length() - 1)
+        else:
+            alive &= ~(1 << v)
+            path.pop()
+    return alive
 
 
 def _same_span(mat: Matroid, a: int, b: int, part: int) -> bool:
@@ -378,8 +389,8 @@ def _classic_step(
     at most d - i from a sink; no path was shorter than d, so it was
     exactly d - i from the sinks.  It lies in L(d - i), and each later
     length-d path runs through [sources of Ld, L(d-1), ..., L0].  A
-    depth-first search through them asks the arcs of the current
-    digraph; used and dead-end elements leave the phase.
+    lowest-first walk through them (``_walk``) asks the arcs of the
+    current digraph; used and dead-end elements leave the phase.
 
     A search that meets no source has walked the whole co-reach of the
     sinks, a set fixed by the digraph, whatever the search order.  Its
@@ -415,14 +426,7 @@ def _classic_step(
     paths = []
     for s in bit_indices(kept[0]):
         path = list(dg.sources(1 << s))  # the N-span grows, so sources only leave
-        while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
-            v = path[-1]
-            nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
-            if nxt:
-                path.append((nxt & -nxt).bit_length() - 1)
-            else:
-                alive &= ~(1 << v)
-                path.pop()
+        alive = _walk(dg, path, kept, alive)
         if path:
             _check_chordless(dg, path, PostconditionFailed)
             imask = _augmented(m, n, imask, path, universe)

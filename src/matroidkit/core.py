@@ -817,6 +817,8 @@ def graphic(
 ) -> GraphicMatroid:
     vlist = tuple(vertices)
     vindex = {v: i for i, v in enumerate(vlist)}
+    if len(vindex) != len(vlist):
+        raise MatroidKitError("vertex names must be distinct")
     labels = []
     endpoints = []
     for i, edge in enumerate(edges):

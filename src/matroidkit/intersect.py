@@ -23,6 +23,7 @@ from .classic import (
     _classic_run,
     _greedy,
     _same_span,
+    _walk,
     verify_certificate,
 )
 from .core import (
@@ -47,30 +48,21 @@ def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
     """Shortest path from ``source`` to the least nearest sink, lexicographically least.
 
     Distance layers grow forward until one holds a sink; only the
-    elements of each layer are tested as sinks.  Going back from the
-    least sink of the last layer, each layer keeps the elements with an
-    arc into the next kept layer, and the path takes the lowest kept
-    head at each step.
+    elements of each layer are tested as sinks.  Every shortest path to
+    the least sink of the last layer runs through the layers in order,
+    so the classic phase's lowest-first walk (``_walk``) through them
+    finds the least one.
     """
     layers = [1 << source]
     seen = layers[0]
-    while True:
-        hit = dg.sinks(layers[-1])
-        if hit:
-            break
+    while not (hit := dg.sinks(layers[-1])):
         nxt = dg.heads(layers[-1], dg.universe & ~seen)
         if not nxt:
             return None
         seen |= nxt
         layers.append(nxt)
-    kept = [hit & -hit]
-    for layer in reversed(layers[:-1]):
-        kept.append(dg.tails_into(layer, kept[-1]))
-    kept.reverse()
     path = [source]
-    for layer in kept[1:]:
-        heads = dg.heads(1 << path[-1], layer)
-        path.append((heads & -heads).bit_length() - 1)
+    _walk(dg, path, [*layers[:-1], hit & -hit], seen)
     return path
 
 

@@ -68,10 +68,11 @@ class DemandGraph:
             if u == v:
                 warnings.warn(f"dropping self-loop edge {label!r}", stacklevel=2)
                 continue
+            label = str(label)  # labels are compared as the strings they become
             if label in labels:
                 raise MatroidKitError(f"duplicate edge label {label!r}")
             labels.add(label)
-            cleaned.append((u, v, str(label)))
+            cleaned.append((u, v, label))
         graph = cls(
             vtuple,
             tuple(cleaned),

@@ -280,9 +280,6 @@ class DictDigraph:
             out |= self.out.get(x, 0)
         return out & among
 
-    def tails_into(self, among: int, heads: int) -> int:
-        return sum(1 << x for x in bit_indices(among) if self.out.get(x, 0) & heads)
-
 
 def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
     """Elements with a path to an M-unspanned element in the classic digraph at I.

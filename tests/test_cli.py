@@ -379,6 +379,15 @@ def test_input_errors_exit_2(files, capsys):
     assert json.loads(err)["error"]["type"] == "InvalidDocument"
 
 
+def test_graphic_with_repeated_vertex_name_exits_2(files, capsys):
+    # a repeated name would bind every edge at "u" to its last index
+    _tmp, write = files
+    doc = {"kind": "graphic", "vertices": ["u", "u", "v"], "edges": [["u", "v", "a"], ["u", "v", "b"]]}
+    code, out, err = run(capsys, ["check", "--m", write("g.json", doc)])
+    assert code == 2 and not out
+    assert json.loads(err)["error"]["message"].endswith("vertex names must be distinct")
+
+
 def test_e1_without_mixed_solver_exits_2(files, capsys):
     tmp, write = files
     m = write("m.json", UNIFORM)

@@ -193,8 +193,9 @@ def test_digraph_empty_state_has_no_arcs():
 
 
 def assert_arcs_match_rules(state, rng):
-    """Arcs tail by tail, and the layer-wide forward and backward forms on
-    random layers, against the pair-by-pair rule test."""
+    """Arcs tail by tail, and the layer-wide forward form on random layers,
+    against the pair-by-pair rule test; the backward form too where E1 is
+    empty, the only digraphs that the classic phase searches backward."""
     universe = state.ctx.universe_mask
     elements = list(bit_indices(universe))
     expected = {(x, y) for x in elements for y in elements if brute_has_arc(state, x, y)}
@@ -206,7 +207,8 @@ def assert_arcs_match_rules(state, rng):
         heads = _mask({y for x, y in expected if layer >> x & 1 and among >> y & 1})
         tails = _mask({x for x, y in expected if among >> x & 1 and layer >> y & 1})
         assert dg.heads(layer, among) == heads
-        assert dg.tails_into(among, layer) == tails
+        if not state.ctx.E1.mask:
+            assert dg.tails_into(among, layer) == tails
 
 
 def test_digraph_arcs_match_rule_by_rule_test(corpus):
@@ -224,7 +226,7 @@ def test_digraph_arcs_match_rule_by_rule_test(corpus):
         if count == 25:
             break
     assert count == 25
-    # states holding E1 elements, where the N*-rule has tails
+    # states holding E1 elements, where the N*-rule has tails; only heads asked
     with_e1 = [state for state in mixed_states(corpus, 20) if state.I.mask & state.ctx.E1.mask]
     assert len(with_e1) > 20
     for state in with_e1:
@@ -434,12 +436,25 @@ def test_classic_run_rejects_a_start_that_is_not_common_independent():
     assert len(_classic_run(free, u31, start=G3.subset("b").mask).I) == 1
 
 
+class _DeadEndDigraph(DictDigraph):
+    """Counts the ``heads`` questions that find nothing; once a path is
+    known to exist, each one is a dead end of the walk."""
+
+    empty = 0
+
+    def heads(self, layer: int, among: int) -> int:
+        out = super().heads(layer, among)
+        self.empty += not out
+        return out
+
+
 def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
+    # the digraph has no tails_into: the forward search asks nothing backward
     rng = random.Random(7)
-    found = missing = longest = 0
+    found = missing = longest = dead_ends = 0
     for _ in range(400):
-        size = rng.randint(1, 9)
-        density = rng.choice((0.1, 0.25, 0.4))
+        size = rng.randint(1, 12)
+        density = rng.choice((0.25, 0.4))
         out = {}
         for x in range(size):
             heads = sum(1 << y for y in range(size) if y != x and rng.random() < density)
@@ -447,7 +462,10 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
                 out[x] = heads
         source = rng.randrange(size)
         sinks = rng.getrandbits(size) & rng.getrandbits(size)
-        dg = DictDigraph(out, (1 << size) - 1, sinks=sinks)
+        if rng.random() < 0.75:
+            # no sink within one arc, so a path found has a middle layer to choose in
+            sinks &= ~(1 << source | out.get(source, 0))
+        dg = _DeadEndDigraph(out, (1 << size) - 1, sinks=sinks)
         expected = _least_shortest_path(out, size, source, sinks)
         assert _bfs_path(dg, source) == expected, (out, source, sinks)
         if expected is None:
@@ -455,7 +473,8 @@ def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
         else:
             found += 1
             longest = max(longest, len(expected))
-    assert found > 100 and missing > 50 and longest >= 4
+            dead_ends += dg.empty > 0
+    assert found > 100 and missing > 50 and longest >= 4 and dead_ends >= 50
 
 
 def graphic_pair(rng, size, n_vertices):

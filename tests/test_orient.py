@@ -58,6 +58,12 @@ def test_duplicate_edge_labels_rejected():
         DemandGraph.build(["u", "v"], [("u", "v", "e"), ("v", "u", "e")], {})
 
 
+def test_edge_labels_equal_as_strings_rejected():
+    # 1 and "1" both become the label "1", which would name two edges
+    with pytest.raises(C.MatroidKitError, match="duplicate edge label '1'"):
+        DemandGraph.build(["a", "b"], [("a", "b", 1), ("a", "b", "1")], {})
+
+
 def test_effective_lower_bound():
     g = path3((1, -1, 0))
     assert effective_lower_bound(g, "v0") == 1
