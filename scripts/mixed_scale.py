@@ -12,25 +12,39 @@ The mixed solver runs twice: with E1 empty and with E1 the odd-indexed
 blocks of N.  Each cell prints the median CPU time (time.process_time)
 over ``--repeats`` runs and the leaf oracle calls of one run, the
 entries of the two leaf handles' memos, which fresh handles start
-without.  The exit code is 1 when a mixed run's |I| or E_M differs from
-the classic solver's.
+without.
+
+After the table it always solves the glued family: 16 disjoint copies
+of the 15-element instance of
+``test_mixed_solve_takes_an_n_star_arc_on_its_own_search``
+(tests/test_intersect.py), elements in copy-major order, where each
+copy's only augmenting path of length 5 leaves an element of I in E1,
+so only the N*-rule makes it.  One run of each solver prints the same
+cells, and the traced mixed run counts its augmenting paths through
+I & E1: those with an odd position in the ``augment`` event's
+``before`` set and in E1.
+
+The exit code is 1 when a mixed run's |I| or E_M differs from the
+classic solver's, or when fewer than 16 glued paths pass through I & E1.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import statistics
 import sys
 import time
 
+from matroidkit.classic import Trace
 from matroidkit.core import ElementSet, PartitionMatroid, graphic
 from matroidkit.intersect import SplitInput, edmonds_solve, mixed_solve
 from matroidkit.waves import PairContext
 
 
-def instance(size: int):
-    """The seeded pair at ``size`` elements and the odd-indexed blocks of N."""
+def instance(size: int, odd_e1: bool):
+    """The seeded pair at ``size`` elements, with E1 the odd-indexed blocks of N or empty."""
     rng = random.Random(size)
     labels = [f"e{i}" for i in range(size)]
     vs = [f"v{i}" for i in range(size * 3 // 4)]
@@ -48,16 +62,51 @@ def instance(size: int):
         blocks.append((sum(1 << e for e in chunk), max(1, take // 2)))
     n = PartitionMatroid(m.ground, tuple(blocks))
     odd = sum(bmask for bmask, _cap in blocks[1::2])
-    return m, n, odd
+    return m, n, odd if odd_e1 else 0
 
 
-def measure(size: int, solve, odd_e1: bool, repeats: int):
-    """Median CPU seconds, leaf calls and certificate of ``solve`` on fresh handles."""
+# the 15-element instance, as edges on 12 vertices and blocks of N with caps
+GADGET_EDGES = (
+    (10, 4), (4, 10), (8, 1), (2, 8), (10, 5), (2, 1), (6, 8), (0, 11),
+    (9, 8), (6, 5), (9, 11), (1, 5), (11, 7), (9, 3), (9, 11),
+)
+GADGET_BLOCKS = (((6, 8, 11), 3), ((1, 4), 1), ((10,), 0), ((2, 5, 7, 14), 1), ((0, 9), 1), ((3, 12, 13), 2))
+GADGET_E1 = (0, 6, 8, 9, 11)
+GLUED_COPIES = 16
+
+
+def glued(copies: int):
+    """``copies`` disjoint copies of the gadget, copy-major, and their E1 mask."""
+    vs = [f"c{c}v{i}" for c in range(copies) for i in range(12)]
+    edges = [
+        (vs[12 * c + u], vs[12 * c + v], f"c{c}e{j}")
+        for c in range(copies)
+        for j, (u, v) in enumerate(GADGET_EDGES)
+    ]
+    m = graphic(vs, edges)
+    blocks = tuple(
+        (sum(1 << 15 * c + e for e in elems), cap) for c in range(copies) for elems, cap in GADGET_BLOCKS
+    )
+    e1 = sum(1 << 15 * c + e for c in range(copies) for e in GADGET_E1)
+    return m, PartitionMatroid(m.ground, blocks), e1
+
+
+def through_i_e1(trace: Trace, e1: int) -> int:
+    """The mixed augmenting paths with an element of I & E1 at an odd position."""
+    return sum(
+        any((ev["before"] & e1) >> x & 1 for x in ev["path"][1::2])
+        for ev in trace.events
+        if ev["kind"] == "augment"
+    )
+
+
+def measure(build, solve, repeats: int):
+    """Median CPU seconds, leaf calls and certificate of ``solve`` on fresh handles from ``build()``."""
     times = []
     for _ in range(repeats):
-        m, n, odd = instance(size)
+        m, n, e1 = build()
         t0 = time.process_time()
-        cert = solve(m, n, odd if odd_e1 else 0)
+        cert = solve(m, n, e1)
         times.append(time.process_time() - t0)
     return statistics.median(times), len(m._memo_indep) + len(n._memo_indep), cert
 
@@ -66,9 +115,9 @@ def classic(m, n, _e1):
     return edmonds_solve(PairContext(m, n))
 
 
-def mixed(m, n, e1):
+def mixed(m, n, e1, trace=None):
     e0 = ElementSet(m.ground, m.universe_mask & ~e1)
-    return mixed_solve(m, SplitInput(n, e0, ElementSet(m.ground, e1)))
+    return mixed_solve(m, SplitInput(n, e0, ElementSet(m.ground, e1)), trace)
 
 
 def main() -> int:
@@ -81,9 +130,9 @@ def main() -> int:
     print("| --- | --- | --- | --- | --- | --- |")
     mismatches = 0
     for size in args.sizes:
-        c_s, c_calls, c_cert = measure(size, classic, False, args.repeats)
+        c_s, c_calls, c_cert = measure(lambda: instance(size, False), classic, args.repeats)
         for name, odd_e1 in (("∅", False), ("odd blocks", True)):
-            m_s, m_calls, m_cert = measure(size, mixed, odd_e1, args.repeats)
+            m_s, m_calls, m_cert = measure(lambda: instance(size, odd_e1), mixed, args.repeats)
             same = len(m_cert.I) == len(c_cert.I) and m_cert.E_M == c_cert.E_M
             mismatches += not same
             print(
@@ -91,6 +140,22 @@ def main() -> int:
                 f"| {m_s / c_s:.1f}x | {m_calls / c_calls:.1f}x |"
                 + ("" if same else " |I| or E_M differs from classic")
             )
+
+    # one run each; the mixed one is traced
+    build = functools.partial(glued, GLUED_COPIES)
+    trace, e1 = Trace(), build()[2]
+    c_s, c_calls, c_cert = measure(build, classic, 1)
+    m_s, m_calls, m_cert = measure(build, lambda *pair: mixed(*pair, trace), 1)
+    same = len(m_cert.I) == len(c_cert.I) and m_cert.E_M == c_cert.E_M
+    paths = through_i_e1(trace, e1)
+    mismatches += not same or paths < GLUED_COPIES
+    print(
+        f"\nglued family, {GLUED_COPIES} copies ({15 * GLUED_COPIES} elements), "
+        f"|I| = {len(m_cert.I)}: classic {c_s:.3f} s, {c_calls:,} | mixed {m_s:.3f} s, {m_calls:,} "
+        f"| {paths} augmenting paths through I & E1"
+        + ("" if same else " | |I| or E_M differs from classic")
+        + ("" if paths >= GLUED_COPIES else f" | fewer than {GLUED_COPIES} through I & E1")
+    )
     return 1 if mismatches else 0
 
 

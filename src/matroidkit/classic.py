@@ -337,39 +337,35 @@ def _classic_run(
       adds exactly the greedy's elements, in the same order.
     - Distances never shrink, so no later phase has d = 0.
 
-    A greedy that adds nothing counts no phase; its queries are then the
-    next phase's sink scan and layer-0 source queries, read from the memo.
-    A resumed run skips it: its search skips the sink scan, so the greedy's
-    queries would be new, and the carried set is already maximum.
+    The greedy's additions are applied as one-element paths, through the
+    same loop as every later phase's paths.  A greedy that adds nothing
+    counts no phase; its queries are then the next phase's sink scan and
+    layer-0 source queries, read from the memo.  A resumed run skips it:
+    its search skips the sink scan, so the greedy's queries would be new,
+    and the carried set is already maximum.
     """
     universe = m.universe_mask
     if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
         raise PostconditionFailed("classic run start is not common independent")
     imask = start
-    if not carried:
-        added = _greedy(m, n, imask)
-        if added and trace is not None:
+    step = [] if carried else list(zip(_greedy(m, n, imask)))  # one-element paths
+    # each phase but the last grows I by at least one; a certificate counts
+    # as a phase, and only the greedy's phase can hold no path
+    for _ in range(universe.bit_count() + 2):
+        if trace is not None and step:
             trace.phases += 1
-        for x in added:
-            before, imask = imask, imask | 1 << x
-            if trace is not None:
-                trace.augmentations += 1
-                trace.record("classic-augment", phase=trace.phases, before=before,
-                             path=(x,), after=imask)
-    # each phase but the last grows I by at least one
-    for _ in range(universe.bit_count() + 1):
-        if trace is not None:
-            trace.phases += 1
-        step = _classic_step(m, n, imask, carried)
-        carried = ()
         if isinstance(step, IntersectionCertificate):
             return step
         for path in step:
-            before, imask = imask, imask ^ _mask(path)
+            before = imask
+            for x in path:
+                imask ^= 1 << x
             if trace is not None:
                 trace.augmentations += 1
                 trace.record("classic-augment", phase=trace.phases, before=before,
                              path=tuple(path), after=imask)
+        step = _classic_step(m, n, imask, carried)
+        carried = ()
     raise Stuck("classic solver exceeded its phase budget")
 
 

@@ -92,6 +92,11 @@ def _pair_from_args(args) -> tuple[Matroid, Matroid, dict]:
     return m, n, {"m": _digest(m_doc), "n": _digest(n_doc)}
 
 
+def _telemetry(trace: Trace) -> dict:
+    """The trace's counters, with its events counted, not listed."""
+    return trace.as_dict() | {"events": len(trace.events)}
+
+
 def _result(subcommand: str, inputs: dict, output: dict, verification, telemetry) -> dict:
     return {
         "subcommand": subcommand,
@@ -125,10 +130,7 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     verification = {"verified": True, "certificate_valid": True}
     if args.trace:
         Path(args.trace).write_text(_canon(trace.as_dict()))
-    return (
-        _result("intersect", digests, output, verification, trace.as_dict() | {"events": len(trace.events)}),
-        0,
-    )
+    return _result("intersect", digests, output, verification, _telemetry(trace)), 0
 
 
 def _cmd_wave(args) -> tuple[dict, int]:
@@ -178,7 +180,7 @@ def _cmd_packcov(args) -> tuple[dict, int]:
     if not verify_packcov(fam, res):
         raise CertificateInvalid("packing/covering failed raw verification")
     verification = {"verified": True, "packcov_valid": True}
-    return _result("packcov", {"family": _digest(doc)}, output, verification, trace.as_dict() | {"events": len(trace.events)}), 0
+    return _result("packcov", {"family": _digest(doc)}, output, verification, _telemetry(trace)), 0
 
 
 def _cmd_orient(args) -> tuple[dict, int]:
@@ -205,7 +207,7 @@ def _cmd_orient(args) -> tuple[dict, int]:
         {"graph": _digest(g_doc), "demands": _digest(o_doc)},
         output,
         verification,
-        trace.as_dict() | {"events": len(trace.events)},
+        _telemetry(trace),
     )
     return payload, 0 if out.verdict == "above" else 1
 

@@ -811,27 +811,47 @@ def zero(ground: GroundSet) -> UniformMatroid:
     return UniformMatroid(ground, 0)
 
 
-def graphic(
-    vertices: Sequence[str],
-    edges: Sequence[tuple[str, str] | tuple[str, str, str] | list],
-) -> GraphicMatroid:
+def read_edges(
+    vertices: Sequence[str], edges: Sequence[Sequence[str]]
+) -> tuple[dict[str, int], list[tuple[str, str, str]]]:
+    """The vertex index and the (u, v, label) edges of an edge list, checked.
+
+    Each edge is (u, v) or (u, v, label), and edge i is labelled ``e{i}``
+    by default.  Labels are compared as the strings they become and must
+    be distinct, vertex names must be distinct, and both endpoints must
+    be vertices.  Self-loops are kept; what they mean is the caller's.
+    """
     vlist = tuple(vertices)
     vindex = {v: i for i, v in enumerate(vlist)}
     if len(vindex) != len(vlist):
         raise MatroidKitError("vertex names must be distinct")
-    labels = []
-    endpoints = []
+    out = []
+    labels = set()
     for i, edge in enumerate(edges):
-        if len(edge) == 3:
-            u, v, label = edge
-        else:
-            u, v = edge
-            label = f"e{i}"
+        if len(edge) not in (2, 3):
+            raise MatroidKitError(f"edge needs two endpoints and an optional label: {edge!r}")
+        u, v = edge[0], edge[1]
         if u not in vindex or v not in vindex:
             raise MatroidKitError(f"edge endpoint not among the vertices: {edge!r}")
-        labels.append(str(label))
-        endpoints.append((vindex[u], vindex[v]))
-    return GraphicMatroid(GroundSet(tuple(labels)), vlist, tuple(endpoints))
+        label = str(edge[2]) if len(edge) == 3 else f"e{i}"
+        if label in labels:
+            raise MatroidKitError(f"duplicate edge label {label!r}")
+        labels.add(label)
+        out.append((u, v, label))
+    return vindex, out
+
+
+def graphic(
+    vertices: Sequence[str],
+    edges: Sequence[tuple[str, str] | tuple[str, str, str] | list],
+) -> GraphicMatroid:
+    """The cycle matroid of a multigraph (``read_edges``); self-loops are loops."""
+    vindex, read = read_edges(vertices, edges)
+    return GraphicMatroid(
+        GroundSet(tuple(label for _u, _v, label in read)),
+        tuple(vindex),
+        tuple((vindex[u], vindex[v]) for u, v, _label in read),
+    )
 
 
 def partition(blocks: Sequence[tuple[Sequence[str], int]]) -> PartitionMatroid:

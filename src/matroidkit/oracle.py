@@ -52,21 +52,22 @@ WAVE_SCAN_BOUND = 12
 MAX_FAMILY = 3
 
 
-def exhaustive_bound(default: int) -> int:
-    """Effective size bound for enumeration-based routines.
+def require_exhaustive(scan: str, size: int, unit: str, default: int) -> None:
+    """Raise TooLarge when ``scan`` would enumerate over more than the bound.
 
-    The MATROIDKIT_MAX_EXHAUSTIVE environment variable, when set,
-    overrides every built-in default.
+    The bound is ``default`` unless the MATROIDKIT_MAX_EXHAUSTIVE
+    environment variable overrides it; the variable is read before the
+    size test, so a malformed value is an input error at every size.
     """
     value = os.environ.get(ENV_MAX_EXHAUSTIVE)
-    if not value:
-        return default
     try:
-        return int(value)
+        bound = int(value) if value else default
     except ValueError:
         raise MatroidKitError(
             f"{ENV_MAX_EXHAUSTIVE} must be an integer, not {value!r}"
         ) from None
+    if size > bound:
+        raise TooLarge(f"{scan} over {size} {unit} exceeds the bound {bound}")
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -86,9 +87,7 @@ def rank_table(m: Matroid) -> dict[int, int]:
 
 def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
     """Exhaustive maximum common independent set; smallest bitmask wins ties."""
-    size = m.universe_mask.bit_count()
-    if size > exhaustive_bound(MAX_COMMON_BOUND):
-        raise TooLarge(f"brute max-common over {size} elements")
+    require_exhaustive("brute max-common", m.universe_mask.bit_count(), "elements", MAX_COMMON_BOUND)
     best = 0
     best_mask = 0
     for mask in iter_submasks(m.universe_mask):
@@ -100,9 +99,7 @@ def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
 
 def brute_minmax(m: Matroid, n: Matroid) -> int:
     """Minimum over all subsets X of rank_M(X) + rank_N(complement of X)."""
-    size = m.universe_mask.bit_count()
-    if size > exhaustive_bound(MAX_COMMON_BOUND):
-        raise TooLarge(f"brute min-max over {size} elements")
+    require_exhaustive("brute min-max", m.universe_mask.bit_count(), "elements", MAX_COMMON_BOUND)
     universe = m.universe_mask
     best = None
     for mask in iter_submasks(universe):
@@ -125,9 +122,7 @@ def brute_components(m: Matroid) -> list[ElementSet]:
     Loops and coloops come out as singletons; classes are ordered by
     their lowest element.
     """
-    size = m.universe_mask.bit_count()
-    if size > exhaustive_bound(COMPONENTS_BOUND):
-        raise TooLarge(f"component enumeration over {size} elements")
+    require_exhaustive("component enumeration", m.universe_mask.bit_count(), "elements", COMPONENTS_BOUND)
     classes = [1 << e for e in bit_indices(m.universe_mask)]
     for mask in iter_submasks(m.universe_mask):
         if is_circuit(m, mask):
@@ -145,9 +140,7 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     A witness for W is a base of M restricted to W whose complement in W
     spans it in the dual of N.  The union is checked to be a wave itself.
     """
-    size = m.universe_mask.bit_count()
-    if size > exhaustive_bound(WAVE_BOUND):
-        raise TooLarge(f"brute wave scan over {size} elements")
+    require_exhaustive("brute wave scan", m.universe_mask.bit_count(), "elements", WAVE_BOUND)
     universe = m.universe_mask
     rm = rank_table(m)
     rn = rank_table(n)
@@ -180,10 +173,7 @@ def check_cond(ctx: PairContext) -> bool:
     Exhaustive over all subsets of the universe; raises TooLarge above
     the exhaustive bound.
     """
-    limit = exhaustive_bound(WAVE_SCAN_BOUND)
-    size = ctx.universe_mask.bit_count()
-    if size > limit:
-        raise TooLarge(f"exhaustive wave scan over {size} elements exceeds {limit}")
+    require_exhaustive("exhaustive wave scan", ctx.universe_mask.bit_count(), "elements", WAVE_SCAN_BOUND)
     m, n = ctx.M, ctx.N
     for wmask in iter_submasks(ctx.universe_mask):
         w = ElementSet(ctx.ground, wmask)
@@ -209,11 +199,7 @@ def axiom_check(m: Matroid) -> bool:
     into every maximal one.  Raises TooLarge above the exhaustive bound.
     """
     expand = [1 << e for e in bit_indices(m.universe_mask)]
-    n = len(expand)
-    limit = exhaustive_bound(AXIOM_CHECK_BOUND)
-    if n > limit:
-        raise TooLarge(f"axiom check over {n} elements exceeds the bound {limit}")
-
+    require_exhaustive("axiom check", len(expand), "elements", AXIOM_CHECK_BOUND)
     indep = [s for s in iter_submasks(m.universe_mask) if m._indep(s)]
     if 0 not in indep:
         return False
@@ -241,8 +227,7 @@ def axiom_check(m: Matroid) -> bool:
 
 def brute_orientations(g: DemandGraph) -> dict[str, str] | None:
     """Scan all orientations for one meeting every in-degree lower bound."""
-    if len(g.edges) > exhaustive_bound(ORIENT_BOUND):
-        raise TooLarge(f"orientation scan over {len(g.edges)} edges")
+    require_exhaustive("orientation scan", len(g.edges), "edges", ORIENT_BOUND)
     lower = {v: effective_lower_bound(g, v) for v in g.vertices}
     edges = g.edges
     for mask in range(1 << len(edges)):

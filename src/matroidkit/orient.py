@@ -22,6 +22,7 @@ from .core import (
     GroundSet,
     MatroidKitError,
     PartitionMatroid,
+    read_edges,
 )
 from .intersect import solve
 from .waves import PairContext
@@ -42,42 +43,23 @@ class DemandGraph:
         edges: Sequence[Sequence[str]],
         demands: Mapping[str, int],
     ) -> "DemandGraph":
-        vtuple = tuple(vertices)
-        vset = set(vtuple)
-        if len(vset) != len(vtuple):
-            raise MatroidKitError("vertex names must be distinct")
+        """The graph of a checked edge list (``read_edges``), self-loops dropped with a warning."""
+        vindex, read = read_edges(vertices, edges)
         if not isinstance(demands, Mapping):
             raise MatroidKitError("demands must map vertex names to integers")
         for v, d in demands.items():
-            if v not in vset:
+            if v not in vindex:
                 raise MatroidKitError(f"demand for unknown vertex {v!r}")
             if not isinstance(d, int) or isinstance(d, bool):
                 raise MatroidKitError(f"demand at {v!r} is not an integer: {d!r}")
-        cleaned = []
-        labels = set()
-        for i, edge in enumerate(edges):
-            if len(edge) == 3:
-                u, v, label = edge
-            elif len(edge) == 2:
-                u, v = edge
-                label = f"e{i}"
-            else:
-                raise MatroidKitError(f"edge needs two endpoints and an optional label: {edge!r}")
-            if u not in vset or v not in vset:
-                raise MatroidKitError(f"edge endpoint not a vertex: {edge!r}")
+        kept = []
+        for u, v, label in read:
             if u == v:
                 warnings.warn(f"dropping self-loop edge {label!r}", stacklevel=2)
-                continue
-            label = str(label)  # labels are compared as the strings they become
-            if label in labels:
-                raise MatroidKitError(f"duplicate edge label {label!r}")
-            labels.add(label)
-            cleaned.append((u, v, label))
-        graph = cls(
-            vtuple,
-            tuple(cleaned),
-            tuple(sorted((v, demands.get(v, 0)) for v in vtuple)),
-        )
+            else:
+                kept.append((u, v, label))
+        vtuple = tuple(vindex)
+        graph = cls(vtuple, tuple(kept), tuple(sorted((v, demands.get(v, 0)) for v in vtuple)))
         for v in vtuple:
             if abs(graph.o(v)) > graph.degree(v):
                 raise DemandOutOfRange(
@@ -216,13 +198,14 @@ def verify_outcome(g: DemandGraph, out: OrientationOutcome) -> bool:
     indeg = indegrees(g, orientation)
     if out.verdict == "above":
         return all(above_at(g, indeg, v) for v in g.vertices)
-    if out.verdict != "deficient" or not out.v_prime:
+    if out.verdict != "deficient":
         return False
     vset = set(out.v_prime)
     if not vset <= set(g.vertices):
         return False
     if not all(below_at(g, indeg, v) for v in out.v_prime):
         return False
+    # some vertex of V' is strictly below, so V' is not empty
     if not any(indeg[v] < effective_lower_bound(g, v) for v in out.v_prime):
         return False
     for u, v, label in g.edges:

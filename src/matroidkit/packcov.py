@@ -137,15 +137,13 @@ def verify_packcov(fam: MatroidFamily, res: PackCovResult) -> bool:
         if ep & ~member._span(s):
             return False
     covered = 0
-    for i, member in enumerate(fam.members):
-        part = res.I[i].mask
-        if part & ~ec:
-            return False
-        onto = member.onto(ElementSet(base, ec))
-        if not onto._indep(part):
-            return False
-        covered |= part
-    return covered == ec
+    for part in res.I:
+        covered |= part.mask
+    # the parts cover E_c and no more, so each member is asked only inside it
+    if covered != ec:
+        return False
+    onto = ElementSet(base, ec)
+    return all(member.onto(onto)._indep(part.mask) for member, part in zip(fam.members, res.I))
 
 
 def derive_intersection(

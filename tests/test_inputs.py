@@ -1,0 +1,65 @@
+"""Edge lists and label files rejected alike at every entry point."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from matroidkit import core as C
+from matroidkit.cli import main
+from matroidkit.orient import DemandGraph
+
+UNIFORM = {"kind": "uniform", "n": 2, "r": 1, "labels": ["a", "b"]}
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["a", "b"], [["a"]], "edge needs two endpoints and an optional label: ['a']"),
+        (["a", "b"], [["a", "b", "x", "y"]], "edge needs two endpoints and an optional label: ['a', 'b', 'x', 'y']"),
+        (["a", "b"], [["a", "zz"]], "edge endpoint not among the vertices: ['a', 'zz']"),
+        (["a", "a", "b"], [["a", "b"]], "vertex names must be distinct"),
+        (["a", "b"], [["a", "b", 1], ["a", "b", "1"]], "duplicate edge label '1'"),
+        (["a", "b"], [["a", "b", "x"], ["a", "a", "x"]], "duplicate edge label 'x'"),
+    ],
+    ids=[
+        "too-few-items", "too-many-items", "unknown-endpoint", "repeated-vertex",
+        "labels-equal-as-strings", "self-loop-repeats-a-label",
+    ],
+)
+def test_edge_list_rejected_alike_at_every_entry_point(tmp_path, capsys, vertices, edges, message):
+    with pytest.raises(C.MatroidKitError) as exc:
+        C.graphic(vertices, edges)
+    assert str(exc.value) == message
+    with pytest.raises(C.MatroidKitError) as exc:
+        DemandGraph.build(vertices, edges, {})
+    assert str(exc.value) == message
+
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    graph = {"vertices": vertices, "edges": edges}
+    routes = (
+        ["check", "--m", write("m.json", {"kind": "graphic", **graph})],
+        ["orient", "--graph", write("g.json", graph), "--demands", write("o.json", {})],
+    )
+    for argv in routes:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, argv
+        assert json.loads(captured.err)["error"]["message"].endswith(message), argv
+
+
+def test_e1_file_that_is_not_a_list_exits_2(tmp_path, capsys):
+    for name, doc in (("m.json", UNIFORM), ("e1.json", {"a": 1})):
+        (tmp_path / name).write_text(json.dumps(doc))
+    m = str(tmp_path / "m.json")
+    code = main(["intersect", "--m", m, "--n", m, "--solver", "mixed", "--e1", str(tmp_path / "e1.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"] == {
+        "type": "InvalidDocument",
+        "message": "expected a JSON list of element labels",
+    }

@@ -172,6 +172,45 @@ def test_edmonds_solve_examples():
     assert len(cert.I) == 2
 
 
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "N universe", "N labels", "sides overlap", "sides miss an element", "I outside universe",
+        "I M-dependent", "I N-dependent", "M side unspanned", "N side unspanned",
+    ],
+)
+def test_verify_certificate_rejects_each_broken_clause(broken):
+    # a valid certificate with both sides nonempty: I = {a, e}, E_M = {a,
+    # b, d, e} and E_N = {c}; each case breaks one clause and keeps every
+    # other one
+    m = C.partition([("ab", 1), ("c", 1), ("d", 0), ("e", 1)])
+    n = C.relabel_onto(C.partition([("ab", 2), ("c", 0), ("d", 1), ("e", 1)]), m.ground)
+    g = m.ground
+    cert = IntersectionCertificate(g.subset("ae"), g.subset("abde"), g.subset("c"))
+    assert verify_certificate(m, n, cert)
+    if broken == "N universe":
+        n = n.restrict(g.subset("abcd"))
+    elif broken == "N labels":
+        n = C.relabel_onto(n, GroundSet(tuple("bacde")))  # a and b play one role in N
+    elif broken == "sides overlap":
+        cert = IntersectionCertificate(cert.I, cert.E_M, g.subset("ac"))
+    elif broken == "sides miss an element":
+        cert = IntersectionCertificate(cert.I, g.subset("abe"), cert.E_N)
+    elif broken == "I outside universe":
+        m, n = m.restrict(g.subset("abcd")), n.restrict(g.subset("abcd"))
+        assert verify_certificate(m, n, IntersectionCertificate(g.subset("a"), g.subset("abd"), cert.E_N))
+        cert = IntersectionCertificate(cert.I, g.subset("abd"), cert.E_N)
+    elif broken == "I M-dependent":
+        cert = IntersectionCertificate(g.subset("abe"), cert.E_M, cert.E_N)
+    elif broken == "I N-dependent":
+        cert = IntersectionCertificate(g.subset("ace"), cert.E_M, cert.E_N)
+    elif broken == "M side unspanned":
+        cert = IntersectionCertificate(cert.I, g.full(), g.empty())
+    else:
+        cert = IntersectionCertificate(cert.I, g.subset("abe"), g.subset("cd"))
+    assert not verify_certificate(m, n, cert)
+
+
 def test_edmonds_solve_certificate_matches_brute(corpus):
     for inst in corpus.pairs[:60]:
         cert = edmonds_solve(PairContext(inst.M, inst.N))
@@ -318,6 +357,22 @@ def test_augment_rejects_invalid_path():
     ground, ctx, state = five_element_split()
     with pytest.raises(C.PreconditionViolated):
         augment(state, (ground.index("s"),))
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ("sd", "odd sequence of distinct elements"),
+        ("sds", "odd sequence of distinct elements"),
+        ("t", "must start at an E0 element unspanned in N"),
+        ("sxt", "missing arc at position 0"),
+    ],
+)
+def test_augment_names_each_broken_precondition(path, message):
+    # source s, sink t and arcs s->d, d->e, e->x, x->t
+    ground, _ctx, state = five_element_split()
+    with pytest.raises(C.PreconditionViolated, match=message):
+        augment(state, tuple(ground.index(x) for x in path))
 
 
 def test_augment_rejects_path_with_jumping_arc():

@@ -34,7 +34,7 @@ PACKAGE = Path(matroidkit.__file__).parent
 # oracle and the entry points; none may reach subset enumeration
 NON_SOLVER_MODULES = {"oracle", "cli", "__init__", "__main__"}
 SOLVER_MODULES = tuple(sorted({p.stem for p in PACKAGE.glob("*.py")} - NON_SOLVER_MODULES))
-ENUMERATION_NAMES = {"iter_submasks", "exhaustive_bound", "ENV_MAX_EXHAUSTIVE"}
+ENUMERATION_NAMES = {"iter_submasks", "require_exhaustive", "ENV_MAX_EXHAUSTIVE"}
 
 G3 = GroundSet(tuple("abc"))
 G4 = GroundSet(tuple("abcd"))
@@ -168,13 +168,13 @@ def test_boundary_check_sees_each_kind_of_breach():
         "from .core import iter_submasks as subs\n"
         "import matroidkit.oracle\n"
         "def f(m):\n"
-        "    raise TooLarge(core.exhaustive_bound(3))\n"
+        "    raise TooLarge(core.require_exhaustive(3))\n"
     )
     assert sorted(_boundary_breaches(tree)) == [
         "line 1: imports oracle",
         "line 2: names iter_submasks",
         "line 3: imports oracle",
-        "line 5: names exhaustive_bound",
+        "line 5: names require_exhaustive",
         "line 5: raises TooLarge",
     ]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from matroidkit import core as C
@@ -56,12 +58,6 @@ def test_demand_out_of_range():
 def test_duplicate_edge_labels_rejected():
     with pytest.raises(C.MatroidKitError):
         DemandGraph.build(["u", "v"], [("u", "v", "e"), ("v", "u", "e")], {})
-
-
-def test_edge_labels_equal_as_strings_rejected():
-    # 1 and "1" both become the label "1", which would name two edges
-    with pytest.raises(C.MatroidKitError, match="duplicate edge label '1'"):
-        DemandGraph.build(["a", "b"], [("a", "b", 1), ("a", "b", "1")], {})
 
 
 def test_effective_lower_bound():
@@ -222,6 +218,34 @@ def test_verify_outcome_rejects_starving_above():
     out = orient_solve(g)
     pretended = OrientationOutcome(out.orientation, "above", (), None)
     assert not verify_outcome(g, pretended)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "edge missing", "head off its edge", "unknown verdict", "empty V'", "V' outside V",
+        "V' none strictly below", "crossing edge points out",
+    ],
+)
+def test_verify_outcome_rejects_each_broken_clause(broken):
+    # e0 -> v1 and e1 -> v2 leave v0 short of its bound 1, and V' is all of
+    # V; each case breaks one clause and keeps every other one
+    g = path3()
+    out = orient_solve(g)
+    assert out == OrientationOutcome((("e0", "v1"), ("e1", "v2")), "deficient", ("v0", "v1", "v2"), True)
+    bad = {
+        "edge missing": replace(out, orientation=out.orientation[:1]),
+        # e1 = v1v2 points at v0, leaving v2 strictly below
+        "head off its edge": replace(out, orientation=(("e0", "v1"), ("e1", "v0"))),
+        "unknown verdict": replace(out, verdict="short"),
+        "empty V'": replace(out, v_prime=()),
+        "V' outside V": replace(out, v_prime=(*out.v_prime, "zz")),
+        # v1 and v2 sit at their bounds, and e0 points into V'
+        "V' none strictly below": replace(out, v_prime=("v1", "v2")),
+        # v0 is strictly below, but e0 leaves it for v1
+        "crossing edge points out": replace(out, v_prime=("v0",)),
+    }[broken]
+    assert not verify_outcome(g, bad)
 
 
 # ---------------------------------------------------------------------------

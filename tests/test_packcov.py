@@ -144,6 +144,39 @@ def test_verify_packcov_rejects_tampering():
     assert not verify_packcov(fam, bad)
 
 
+@pytest.mark.parametrize(
+    "broken",
+    [
+        "parts overlap", "parts miss an element", "too many S", "too many I", "S outside E_p",
+        "S overlap", "I outside E_c", "I dependent on E_c", "I misses E_c",
+    ],
+)
+def test_verify_packcov_rejects_each_broken_clause(broken):
+    # on abcd the first member has blocks ab: 1, cd: 2 and the second ab: 2,
+    # cd: 0, so cd is packed by the first and ab covered one element each;
+    # each case breaks one clause and keeps every other one
+    fam = MatroidFamily(G4, (
+        C.partition([("ab", 1), ("cd", 2)]),
+        C.relabel_onto(C.partition([("ab", 2), ("cd", 0)]), G4),
+    ))
+    res = packcov_solve(fam)
+    assert (res.E_p, res.E_c) == (G4.subset("cd"), G4.subset("ab"))
+    assert res.S == (G4.subset("cd"), G4.empty()) and res.I == (G4.subset("a"), G4.subset("b"))
+    bad = {
+        # c joins E_c, covered by the first member's part
+        "parts overlap": replace(res, E_c=G4.subset("abc"), I=(G4.subset("ac"), res.I[1])),
+        "parts miss an element": replace(res, E_p=G4.subset("c"), S=(G4.subset("c"), G4.empty())),
+        "too many S": replace(res, S=(*res.S, G4.empty())),
+        "too many I": replace(res, I=(*res.I, G4.empty())),
+        "S outside E_p": replace(res, S=(res.S[0], G4.subset("a"))),
+        "S overlap": replace(res, S=(res.S[0], G4.subset("c"))),
+        "I outside E_c": replace(res, I=(G4.subset("ac"), res.I[1])),
+        "I dependent on E_c": replace(res, I=(G4.subset("ab"), G4.empty())),
+        "I misses E_c": replace(res, I=(G4.subset("a"), G4.empty())),
+    }[broken]
+    assert not verify_packcov(fam, bad)
+
+
 def test_verify_packcov_empty_universe():
     g0 = GroundSet(())
     fam = MatroidFamily(g0, (C.free(g0),))
