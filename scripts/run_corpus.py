@@ -6,6 +6,10 @@ per component-respecting split) and the exhaustive oracles must agree
 on the optimum; every certificate is re-verified from raw oracles.
 Families go through the packing/covering pipeline and demand graphs
 through the orientation solver against the brute orientation scan.
+The brute oracles ask the same dual handles as the solvers, so every
+dual node of each pair and family member (and of the duals of M and N,
+which the solvers ask) is also checked on every submask against its
+child's rank table.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import argparse
 import sys
 import time
 
-from matroidkit.core import Stuck, ExtensionFailed
+from matroidkit.core import DualMatroid, ExtensionFailed, Stuck
 from matroidkit.intersect import SplitInput, Trace, edmonds_solve, mixed_solve, verify_certificate
 from matroidkit.oracle import (
     CorpusSpec,
@@ -23,10 +27,37 @@ from matroidkit.oracle import (
     brute_minmax,
     brute_orientations,
     fuzz_corpus,
+    iter_submasks,
+    rank_table,
 )
 from matroidkit.orient import deficiency_counting_check, orient_solve, verify_outcome
 from matroidkit.packcov import packcov_solve, verify_packcov
 from matroidkit.waves import PairContext, largest_wave
+
+
+def dual_nodes(roots) -> list[DualMatroid]:
+    """Every dual node in the expression trees of ``roots``, each once."""
+    stack, seen, out = list(roots), set(), []
+    while stack:
+        m = stack.pop()
+        if id(m) in seen:
+            continue
+        seen.add(id(m))
+        if isinstance(m, DualMatroid):
+            out.append(m)
+        stack.extend(getattr(m, "parts", ()))
+        if hasattr(m, "child"):
+            stack.append(m.child)
+    return out
+
+
+def dual_mismatches(d: DualMatroid) -> int:
+    """Submasks X where ``d`` disagrees with r(U - X) = r(U) from the child's rank table."""
+    table = rank_table(d.child)
+    u = d.universe_mask
+    return sum(
+        d._indep(x) != (table[u & ~x] == table[u]) for x in iter_submasks(u)
+    )
 
 
 def main() -> int:
@@ -99,10 +130,22 @@ def main() -> int:
             disagreements += 1
             print(f"  !! {inst.name}: counting certificate failed")
 
+    dual_checks = 0
+    roots = [(inst.name, (inst.M, inst.N, inst.M.dual(), inst.N.dual())) for inst in corpus.pairs]
+    roots += [(inst.name, inst.family.members) for inst in corpus.families]
+    for name, handles in roots:
+        for d in dual_nodes(handles):
+            dual_checks += 1
+            wrong = dual_mismatches(d)
+            if wrong:
+                disagreements += 1
+                print(f"  !! {name}: dual handle disagrees with its child's ranks on {wrong} sets")
+
     elapsed = time.time() - start
     print(f"seed {spec.seed}: {len(corpus.pairs)} pairs, {len(corpus.families)} families, {len(corpus.graphs)} graphs")
     print(f"  generator coverage : {dict(sorted(corpus.kind_counts.items()))}")
     print(f"  mixed-solver runs  : {mixed_runs} ({wave_checks} wave cross-checks)")
+    print(f"  dual cross-checks  : {dual_checks} dual handles, every submask")
     print(f"  augmentations      : {trace.augmentations}")
     print(f"  classic phases     : {trace.phases}")
     print(f"  wave runs          : {trace.wave_runs}")

@@ -670,6 +670,24 @@ class ExplicitMatroid(Matroid):
 
 
 class DualMatroid(Matroid):
+    """The dual: X is independent exactly when r(U - X) = r(U) in the child.
+
+    The kernel replays only the part of the greedy rank of U - X whose
+    answer is not already known.  Let B be the child's greedy base of U
+    (least indices first).  When X misses B, B lies in U - X and the
+    answer is True.  Otherwise let b0 be the least element of B & X.
+    When the greedy over U - X reaches b0 it holds exactly B below b0:
+    those base elements are not in X, and every other element below b0
+    is spanned by the base elements below it.  So the replay starts
+    there and scans U - X above b0.  An element e joins with no query
+    while held + e lies inside B, since every subset of B is
+    independent; otherwise it asks ``child._indep(held | e)``, the very
+    mask the greedy asks at that point.  The replay stops with True when
+    the held set reaches |B| and with False when too few elements
+    remain.  So the child is asked a subset of the masks that the two
+    full ranks ask, and the answers are theirs.
+    """
+
     kind = "dual"
 
     def __init__(self, child: Matroid) -> None:
@@ -677,8 +695,25 @@ class DualMatroid(Matroid):
         self.child = child
 
     def _indep_raw(self, mask: int) -> bool:
-        u = self.universe_mask
-        return self.child._rank(u & ~mask) == self.child._rank(u)
+        child = self.child
+        base = child._max_indep(self.universe_mask)
+        hit = base & mask
+        if not hit:
+            return True
+        low = hit & -hit
+        held = base & (low - 1)
+        need = base.bit_count() - held.bit_count()
+        rest = self.universe_mask & ~mask & ~(low - 1)
+        while need:
+            if rest.bit_count() < need:
+                return False
+            e = rest & -rest
+            rest ^= e
+            grown = held | e
+            if not grown & ~base or child._indep(grown):
+                held = grown
+                need -= 1
+        return True
 
     def _json_doc(self) -> dict:
         return {"kind": "dual", "of": self.child._json_doc()}
@@ -816,10 +851,11 @@ def read_edges(
 ) -> tuple[dict[str, int], list[tuple[str, str, str]]]:
     """The vertex index and the (u, v, label) edges of an edge list, checked.
 
-    Each edge is (u, v) or (u, v, label), and edge i is labelled ``e{i}``
-    by default.  Labels are compared as the strings they become and must
-    be distinct, vertex names must be distinct, and both endpoints must
-    be vertices.  Self-loops are kept; what they mean is the caller's.
+    Each edge is a sequence (u, v) or (u, v, label), and edge i is
+    labelled ``e{i}`` by default.  Labels are compared as the strings
+    they become and must be distinct, vertex names must be distinct, and
+    both endpoints must be vertices.  Self-loops are kept; what they mean
+    is the caller's.
     """
     vlist = tuple(vertices)
     vindex = {v: i for i, v in enumerate(vlist)}
@@ -828,7 +864,7 @@ def read_edges(
     out = []
     labels = set()
     for i, edge in enumerate(edges):
-        if len(edge) not in (2, 3):
+        if not isinstance(edge, Sequence) or len(edge) not in (2, 3):
             raise MatroidKitError(f"edge needs two endpoints and an optional label: {edge!r}")
         u, v = edge[0], edge[1]
         if u not in vindex or v not in vindex:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import sys
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
-from matroidkit.intersect import edmonds_solve
+from matroidkit.intersect import SplitInput, edmonds_solve, mixed_solve
 from matroidkit.oracle import axiom_check, is_circuit, iter_submasks
-from matroidkit.waves import PairContext
+from matroidkit.orient import orient_solve
+from matroidkit.packcov import packcov_solve
+from matroidkit.waves import PairContext, largest_wave
 
 from conftest import (
     capped_partition,
@@ -872,3 +875,187 @@ def test_kernels_answer_concurrent_queries_like_the_reference():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# the dual kernel against two full ranks of the child
+
+
+def rank_formula(child, mask) -> bool:
+    """Independence of ``mask`` in the dual by definition: r(U - X) = r(U)."""
+    u = child.universe_mask
+    return child._rank(u & ~mask) == child._rank(u)
+
+
+def asking(m) -> set:
+    """Record every mask asked of ``m._indep``, memo hits included."""
+    asked: set = set()
+    indep = m._indep
+    m._indep = lambda mask: asked.add(mask) or indep(mask)
+    return asked
+
+
+def test_dual_kernel_on_every_matroid_up_to_five_elements():
+    # X is independent in M* exactly when some base of M misses it; the
+    # dual of the dual asks the kernel of a dual child
+    checked = 0
+    for labels in (tuple("abcd"), tuple("abcde")):
+        for m in enumerate_matroids(labels):
+            d, dd = m.dual(), C.DualMatroid(C.DualMatroid(m))
+            for mask in iter_submasks(m.universe_mask):
+                assert d._indep(mask) == any(not mask & b for b in m.bases), (m.bases, mask)
+                assert dd._indep(mask) == m._indep_raw(mask), (m.bases, mask)
+                checked += 1
+    assert checked == 68 * 16 + 406 * 32
+
+
+def random_child(rng, k: int, size: int) -> C.Matroid:
+    """A fresh graphic (k = 0), partition (1) or uniform (2) handle on ``size`` elements."""
+    ground = GroundSet(tuple(f"e{i}" for i in range(size)))
+    if k == 0:
+        n_vertices = rng.randint(1, 24)
+        endpoints = random_multigraph(rng, n_vertices, size)
+        return C.GraphicMatroid(ground, tuple(f"v{i}" for i in range(n_vertices)), endpoints)
+    if k == 1:
+        return partition_of(size, random_blocks(rng, size))
+    return C.uniform(ground, rng.randint(0, size))
+
+
+def test_dual_kernel_asks_a_subset_of_the_rank_formula():
+    # each query on fresh copies of one child: the same answer as the two
+    # full ranks, and no child mask that the ranks do not ask
+    rng = random.Random(37)
+    answers: Counter = Counter()
+    fewer = 0
+    for i in range(180):
+        child = random_child(rng, i % 3, rng.randint(1, 40))
+        for _ in range(8):
+            density = rng.choice([0.05, 0.2, 0.5])
+            mask = sum(1 << e for e in range(child.size) if rng.random() < density)
+            kernel, formula = copy.deepcopy(child), copy.deepcopy(child)
+            kernel_asked, formula_asked = asking(kernel), asking(formula)
+            got = C.DualMatroid(kernel)._indep_raw(mask)
+            assert got == rank_formula(formula, mask), (child.kind, mask)
+            assert kernel_asked <= formula_asked, (child.kind, mask)
+            answers[child.kind, got] += 1
+            fewer += len(kernel_asked) < len(formula_asked)
+    # both answers on every kind, and most queries asked strictly less
+    assert len(answers) == 6 and min(answers.values()) > 40, answers
+    assert fewer > 700, fewer
+
+
+def test_dual_kernel_answers_like_the_rank_formula_on_a_shared_handle():
+    # one dual handle answers a stream of queries, so the child's memos
+    # and anchors carry over from query to query
+    rng = random.Random(41)
+    for i in range(60):
+        child = random_child(rng, i % 3, rng.randint(1, 40))
+        reference = copy.deepcopy(child)
+        d = child.dual()
+        for _ in range(25):
+            density = rng.choice([0.05, 0.2, 0.5])
+            mask = sum(1 << e for e in range(child.size) if rng.random() < density)
+            assert d._indep(mask) == rank_formula(reference, mask), (child.kind, mask)
+
+
+def test_dual_query_that_misses_the_base_asks_nothing_more():
+    # once the child's greedy base B is known, an X outside B is answered
+    # True with no further question of the child
+    rng = random.Random(43)
+    for i in range(30):
+        child = random_child(rng, i % 3, rng.randint(1, 40))
+        base = child._max_indep(child.universe_mask)
+        asked = asking(child)
+        d = C.DualMatroid(child)
+        for _ in range(10):
+            assert d._indep_raw(rng.getrandbits(child.size) & ~base)
+        assert asked == set()
+
+
+def cold_copy(obj):
+    """A deep copy of ``obj`` whose matroid handles all have empty memos.
+
+    The corpus handles arrive with warm memos: ``fuzz_corpus`` asks for
+    components, and other tests share the session corpus.
+    """
+    copied: dict = {}
+    out = copy.deepcopy(obj, copied)
+    for x in copied.values():
+        if isinstance(x, C.Matroid):
+            x._memo_indep.clear()
+            x._memo_base.clear()
+    return out
+
+
+def corpus_runs(corpus):
+    """A slice of the corpus through the five entry points, each on cold
+    copies of its handles, as (name, thunk returning a comparable summary)."""
+    runs = []
+    for inst in corpus.pairs[::4]:
+        def classic(inst=inst):
+            m, n = cold_copy((inst.M, inst.N))
+            cert = edmonds_solve(PairContext(m, n))
+            return cert.I.mask, cert.E_M.mask, cert.E_N.mask
+
+        def wave(inst=inst):
+            m, n = cold_copy((inst.M, inst.N))
+            w = largest_wave(PairContext(m, n))
+            return w.W.mask, w.witness.mask
+
+        runs += [(f"{inst.name} classic", classic), (f"{inst.name} wave", wave)]
+        for e0, e1 in inst.splits:
+            def mixed(inst=inst, e0=e0, e1=e1):
+                m, n, e0, e1 = cold_copy((inst.M, inst.N, e0, e1))
+                cert = mixed_solve(m, SplitInput(n, e0, e1))
+                return cert.I.mask, cert.E_M.mask, cert.E_N.mask
+
+            runs.append((f"{inst.name} mixed E1={e1.mask}", mixed))
+    for inst in corpus.families:
+        def packcov(inst=inst):
+            res = packcov_solve(cold_copy(inst.family))
+            return res.E_p.mask, [s.mask for s in res.S], [i.mask for i in res.I]
+
+        runs.append((f"{inst.name} packcov", packcov))
+    for inst in corpus.graphs[::5]:
+        def orient(inst=inst):
+            out = orient_solve(inst.graph)
+            return out.orientation, out.verdict, out.v_prime, out.counting_ok
+
+        runs.append((f"{inst.name} orient", orient))
+    return runs
+
+
+def test_dual_kernel_keeps_every_result_and_never_asks_more_leaf_calls(corpus, monkeypatch):
+    # every run once as is and once with the dual answered by two full
+    # ranks of the child: equal results, and per run no more leaf calls
+    leaf = Counter()
+    for cls in (C.GraphicMatroid, C.PartitionMatroid, C.UniformMatroid, C.ExplicitMatroid):
+        def counted(self, mask, raw=cls._indep_raw):
+            leaf["calls"] += 1
+            return raw(self, mask)
+
+        monkeypatch.setattr(cls, "_indep_raw", counted)
+    dual_raw = C.DualMatroid._indep_raw
+
+    def dual_counted(self, mask):
+        leaf["dual"] += 1
+        return dual_raw(self, mask)
+
+    def measure(runs):
+        out = []
+        for name, run in runs:
+            before = leaf["calls"]
+            out.append((name, run(), leaf["calls"] - before))
+        return out
+
+    runs = corpus_runs(corpus)
+    monkeypatch.setattr(C.DualMatroid, "_indep_raw", dual_counted)
+    kernel = measure(runs)
+    monkeypatch.setattr(C.DualMatroid, "_indep_raw", lambda self, mask: rank_formula(self.child, mask))
+    formula = measure(runs)
+    for (name, result, calls), (_, ref_result, ref_calls) in zip(kernel, formula):
+        assert result == ref_result, name
+        assert calls <= ref_calls, (name, calls, ref_calls)
+    # the slice asks dual handles, and the kernel saves leaf calls on it
+    saved = sum(f[2] - k[2] for k, f in zip(kernel, formula))
+    assert leaf["dual"] > 1000 and saved > 1000, (leaf["dual"], saved)

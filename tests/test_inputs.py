@@ -18,13 +18,15 @@ UNIFORM = {"kind": "uniform", "n": 2, "r": 1, "labels": ["a", "b"]}
     [
         (["a", "b"], [["a"]], "edge needs two endpoints and an optional label: ['a']"),
         (["a", "b"], [["a", "b", "x", "y"]], "edge needs two endpoints and an optional label: ['a', 'b', 'x', 'y']"),
+        (["a", "b"], [5], "edge needs two endpoints and an optional label: 5"),
+        (["a", "b"], [{"a": 1, "b": 2}], "edge needs two endpoints and an optional label: {'a': 1, 'b': 2}"),
         (["a", "b"], [["a", "zz"]], "edge endpoint not among the vertices: ['a', 'zz']"),
         (["a", "a", "b"], [["a", "b"]], "vertex names must be distinct"),
         (["a", "b"], [["a", "b", 1], ["a", "b", "1"]], "duplicate edge label '1'"),
         (["a", "b"], [["a", "b", "x"], ["a", "a", "x"]], "duplicate edge label 'x'"),
     ],
     ids=[
-        "too-few-items", "too-many-items", "unknown-endpoint", "repeated-vertex",
+        "too-few-items", "too-many-items", "not-a-sequence", "mapping", "unknown-endpoint", "repeated-vertex",
         "labels-equal-as-strings", "self-loop-repeats-a-label",
     ],
 )
@@ -50,6 +52,14 @@ def test_edge_list_rejected_alike_at_every_entry_point(tmp_path, capsys, vertice
         captured = capsys.readouterr()
         assert code == 2 and not captured.out, argv
         assert json.loads(captured.err)["error"]["message"].endswith(message), argv
+
+
+def test_string_edge_is_its_two_endpoints():
+    # a string is a sequence: "ab" joins a and b
+    m = C.graphic(["a", "b"], ["ab", ["a", "b", "x"]])
+    assert m.ground.labels == ("e0", "x") and m.endpoints == ((0, 1), (0, 1))
+    g = DemandGraph.build(["a", "b"], ["ab"], {"a": 1})
+    assert g.edges == (("a", "b", "e0"),)
 
 
 def test_e1_file_that_is_not_a_list_exits_2(tmp_path, capsys):
