@@ -8,6 +8,8 @@ enumerations (``axiom_check``, ``check_cond``, ``feasible`` and the
 ``matroidkit.oracle.*``.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classic import ExchangeDigraph, IntersectionCertificate, Trace, verify_certificate
 from .core import (
     CertificateInvalid,
@@ -77,4 +79,4 @@ from .waves import (
     nice_feasible,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType))]

@@ -91,7 +91,8 @@ class ExchangeDigraph:
         """The elements of ``among`` in E0 - I that are not N-spanned.
 
         They come ascending and are asked one by one, so a caller that
-        stops early pays only for the elements it took.
+        stops early pays only for the elements it took: asked as one
+        ``_spanned`` question, the mixed loop's leaf calls doubled.
         """
         imask, n = self.imask, self.n
         for z in bit_indices(among & self.e0 & ~imask):
@@ -100,53 +101,24 @@ class ExchangeDigraph:
 
     def sinks(self, among: int) -> int:
         """The elements of ``among`` in E0 - I that are not M-spanned."""
-        imask, m = self.imask, self.m
-        out = 0
-        for x in bit_indices(among & self.e0 & ~imask):
-            if m._indep(imask | 1 << x):
-                out |= 1 << x
-        return out
+        cand = among & self.e0 & ~self.imask
+        return cand & ~self.m._spanned(self.imask, cand)
 
     def heads(self, layer: int, among: int) -> int:
         """The elements of ``among`` with an arc from some element of ``layer``.
 
-        The N-rule asks one query per outside z for the whole E0 part L0
-        of the layer: z has an arc from L0 exactly when it is N-spanned
-        and its N-circuit meets L0, that is, when I - L0 + z is
-        N-independent.
+        The M- and N*-rules ask for circuits (``Matroid._circuits``).  By
+        the N-rule, an outside z has an arc from the E0 part L0 of the
+        layer exactly when it is N-spanned and its N-circuit meets L0,
+        that is, when I spans it and I - L0 does not (``Matroid._spanned``).
         """
         m, n, imask = self.m, self.n, self.imask
-        out = 0
-        cand = among & imask
-        if cand:
-            for x in bit_indices(layer & ~imask):
-                bx = 1 << x
-                if m._indep(imask | bx):
-                    continue
-                for y in bit_indices(cand):
-                    by = 1 << y
-                    if m._indep(imask ^ by | bx):
-                        out |= by
-                cand &= ~out
-                if not cand:
-                    break
-        l0 = layer & imask & self.e0
-        if l0:
-            rest = imask & ~l0
-            for z in bit_indices(among & ~imask):
-                bz = 1 << z
-                if not n._indep(imask | bz) and n._indep(rest | bz):
-                    out |= bz
-        l1 = layer & imask & self.e1
-        cand = among & self.safe & ~out
-        if l1 and cand:
-            nd = n.dual()
-            for x in bit_indices(l1):
-                found = nd._circuit(self.safe | 1 << x, cand)
-                out |= found
-                cand &= ~found
-                if not cand:
-                    break
+        out = m._circuits(imask, layer, among & imask)
+        if l0 := layer & imask & self.e0:
+            spanned = n._spanned(imask, among)
+            out |= spanned & ~n._spanned(imask & ~l0, spanned)
+        if l1 := layer & imask & self.e1:
+            out |= n.dual()._circuits(self.safe, l1, among & self.safe & ~out)
         return out
 
     def tails_into(self, among: int, heads: int) -> int:
@@ -156,31 +128,17 @@ class ExchangeDigraph:
         empty, so the N*-rule has no tails here.
 
         - M-rule: an M-spanned x outside I has an arc into the I-part H
-          of ``heads`` exactly when I - H + x is M-independent, one query
-          per x.
-        - N-rule: the tails into an N-spanned z outside I are
-          C_N(z, I) - z, found by halving (``Matroid._circuit``).
+          of ``heads`` exactly when I - H does not span it.  So the tails
+          are what I spans among what I - H does not (``Matroid._spanned``
+          twice, I - H first).
+        - N-rule: the tails into an N-spanned z outside I are the elements
+          of C_N(z, I) - z, found by halving (``Matroid._circuits``).
         """
-        m, n, imask = self.m, self.n, self.imask
-        out = 0
-        h_in = heads & imask
-        if h_in:
-            rest = imask & ~h_in
-            for x in bit_indices(among & ~imask):
-                bx = 1 << x
-                # an x that I does not M-span has no arc, and I - H + x is then independent
-                if m._indep(rest | bx) and not m._indep(imask | bx):
-                    out |= bx
-        cand = among & imask & self.e0
-        if cand:
-            for z in bit_indices(heads & ~imask):
-                dep = imask | 1 << z
-                if not n._indep(dep):
-                    found = n._circuit(dep, cand)
-                    out |= found
-                    cand &= ~found
-                    if not cand:
-                        break
+        m, imask = self.m, self.imask
+        out = self.n._circuits(imask, heads, among & imask & self.e0)
+        if h_in := heads & imask:
+            cand = among & ~imask
+            out |= m._spanned(imask, cand & ~m._spanned(imask & ~h_in, cand))
         return out
 
 
@@ -235,16 +193,20 @@ def _walk(dg: ExchangeDigraph, path: list[int], kept: Sequence[int], alive: int)
 
     Position i takes the least head in ``kept[i] & alive``, and each dead
     end leaves ``alive``; so ``path`` ends as the lexicographically least
-    such path, or empty when there is none.
+    such path, or empty when there is none.  Candidates are asked one at
+    a time, least first: the least is most often a head, and for the
+    M-rule one candidate y asks only I - y + x, where halving over a
+    layer inside the circuit asks up to twice its size in fresh masks.
     """
     while path and not (len(path) == len(kept) and dg.sinks(1 << path[-1])):
         v = path[-1]
-        nxt = dg.heads(1 << v, kept[len(path)] & alive) if len(path) < len(kept) else 0
-        if nxt:
-            path.append((nxt & -nxt).bit_length() - 1)
-        else:
+        ahead = kept[len(path)] & alive if len(path) < len(kept) else 0
+        nxt = next((y for y in bit_indices(ahead) if dg.heads(1 << v, 1 << y)), None)
+        if nxt is None:
             alive &= ~(1 << v)
             path.pop()
+        else:
+            path.append(nxt)
     return alive
 
 

@@ -251,13 +251,19 @@ class Matroid:
         return self._max_indep(mask).bit_count()
 
     def _span(self, mask: int) -> int:
-        base = self._max_indep(mask)
-        out = mask
-        outside = self.universe_mask & ~mask
-        while outside:
-            low = outside & -outside
-            outside ^= low
-            if not self._indep(base | low):
+        return mask | self._spanned(self._max_indep(mask), self.universe_mask & ~mask)
+
+    def _spanned(self, imask: int, among: int) -> int:
+        """The elements of ``among - imask`` that the independent set ``imask`` spans.
+
+        One query, I + x, per element, in ascending order.
+        """
+        out = 0
+        among &= ~imask
+        while among:
+            low = among & -among
+            among ^= low
+            if not self._indep(imask | low):
                 out |= low
         return out
 
@@ -300,6 +306,22 @@ class Matroid:
                 stack.append(low)
             if not low_meets or self._indep(dep & ~_mask(high)):
                 stack.append(high)
+        return found
+
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        """The elements of ``among`` in the circuit of base + x, for some x of ``tails - base``.
+
+        Only an x that the independent set ``base`` spans has a circuit, so
+        each x asks that first, then one ``_circuit``, least x first, until
+        every element of ``among`` is found.
+        """
+        found = 0
+        tails &= ~base
+        while tails and among & ~found:
+            low = tails & -tails
+            tails ^= low
+            if not self._indep(base | low):
+                found |= self._circuit(base | low, among & ~found)
         return found
 
     def _check_subset(self, s: ElementSet) -> int:

@@ -167,9 +167,7 @@ class FeasibleState:
     @cached_property
     def safe_base(self) -> ElementSet:
         """One query per element of E1 - I, none when E1 is empty."""
-        m, imask = self.ctx.M, self.I.mask
-        spanned = [x for x in bit_indices(self.ctx.E1.mask & ~imask) if m._spans(imask, 1 << x)]
-        return ElementSet(self.ctx.ground, _mask(spanned))
+        return ElementSet(self.ctx.ground, self.ctx.M._spanned(self.I.mask, self.ctx.E1.mask))
 
     @cached_property
     def digraph(self) -> ExchangeDigraph:
@@ -252,7 +250,8 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     """Adjoin a common base of the quotient's largest wave.
 
     Raises ExtensionFailed when no common base exists, which a valid
-    augmentation never allows.
+    augmentation never allows, and PostconditionFailed when the new state
+    breaks an invariant or is not nice.
 
     The extension's wave run on the quotient by I either resumes the
     layers the state carries or starts warm from the part of
@@ -313,11 +312,13 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
+    try:
+        new = FeasibleState(ctx, state.I | base, wave.rest, () if base else wave.layers)
+    except StateInvariantBroken as exc:
+        raise PostconditionFailed(f"extended state invalid: {exc}") from exc
     if base:
-        new = FeasibleState(ctx, state.I | base, wave.rest)
         clean = check_cond_plus(ctx.quotient(new.I.mask), wave.rest, trace)
     else:
-        new = FeasibleState(ctx, state.I, wave.rest, wave.layers)
         clean = is_clean(pair, wave)
     if not clean:
         raise PostconditionFailed("extension did not reach a nice state")

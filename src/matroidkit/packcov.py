@@ -134,7 +134,8 @@ def verify_packcov(fam: MatroidFamily, res: PackCovResult) -> bool:
         if s & ~ep or s & seen:
             return False
         seen |= s
-        if ep & ~member._span(s):
+        # a greedy base of S spans S, so only the rest of E_p is asked
+        if not member._spans(member._max_indep(s), ep & ~s):
             return False
     covered = 0
     for part in res.I:

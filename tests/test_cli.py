@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from matroidkit import cli
+from matroidkit import cli, intersect
 from matroidkit import core as C
 from matroidkit.cli import main
 from matroidkit.classic import Trace
@@ -432,6 +432,22 @@ def test_internal_failures_exit_3(files, capsys, monkeypatch):
     code, out, err = run(capsys, ["intersect", "--m", m, "--n", n])
     assert code == 3 and not out
     assert json.loads(err)["error"]["type"] == "CertificateInvalid"
+
+
+def test_broken_extension_state_exits_3(files, capsys, monkeypatch):
+    # a common base that is the quotient's whole universe leaves a state set
+    # that is not common independent: the solver's bug, not the input's
+    tmp, write = files
+    m = write("m.json", {"kind": "uniform", "n": 4, "r": 4, "labels": ["a", "b", "c", "d"]})
+    n = write("n.json", UNIFORM)
+    monkeypatch.setattr(
+        intersect, "common_base_B", lambda pair, _w: C.ElementSet(pair.ground, pair.M.universe_mask)
+    )
+    code, out, err = run(capsys, ["intersect", "--m", m, "--n", n, "--solver", "mixed"])
+    assert code == 3 and not out
+    error = json.loads(err)["error"]
+    assert error["type"] == "PostconditionFailed"
+    assert error["message"] == "extended state invalid: state set is not common independent"
 
 
 def test_removed_options_exit_2(files, capsys):

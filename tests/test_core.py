@@ -113,6 +113,31 @@ def exhaustive_rank(m: C.Matroid, s: int) -> int:
     return max((b.bit_count() for b in iter_submasks(s) if m._indep(b)), default=0)
 
 
+def check_spanned_and_circuits(m: C.Matroid, rng: random.Random, rank) -> int:
+    """Check the two digraph questions of ``m`` at random independent sets.
+
+    ``_spanned(I, among)`` must be {x in among - I : r(I + x) = r(I)}, and
+    ``_circuits(I, tails, among)`` the part in ``among`` of the union of
+    the scan circuits of the tails that I spans; ``rank(m, s)`` gives r.
+    Returns the number of circuits the reference scanned.
+    """
+    universe = m.universe_mask
+    width = universe.bit_length()
+    scanned = 0
+    for _ in range(4):
+        imask = m._max_indep(rng.getrandbits(width) & universe)
+        tails, among = (rng.getrandbits(width) & universe for _ in range(2))
+        r = rank(m, imask)
+        spans = {x for x in bit_indices(universe & ~imask) if rank(m, imask | 1 << x) == r}
+        assert m._spanned(imask, among) == sum(1 << x for x in spans if among >> x & 1), m.kind
+        union = 0
+        for x in spans & set(bit_indices(tails)):
+            union |= scan_circuit(m, x, imask)
+            scanned += 1
+        assert m._circuits(imask, tails, among) == union & among, m.kind
+    return scanned
+
+
 def enumerated_contractions():
     """Every contraction M/C of every matroid M on four labels, with M and C."""
     for m in enumerate_matroids(tuple("abcd")):
@@ -155,6 +180,15 @@ def test_span_closure_properties():
                 if exhaustive_rank(m, x | c | 1 << e) == r
             )
             assert mc._span(x) == span & ~c
+    # the questions behind _span, and the circuits of the digraph, against
+    # exhaustive ranks on every matroid of four or five elements, its dual
+    # and a contraction
+    rng = random.Random(45)
+    scanned = 0
+    for m in enumerate_matroids(tuple("abcd")) + enumerate_matroids(tuple("abcde")):
+        for case in (m, m.dual(), m.contract(ElementSet(m.ground, 0b101))):
+            scanned += check_spanned_and_circuits(case, rng, exhaustive_rank)
+    assert scanned > 1000
 
 
 def fundamental_circuit(m: C.Matroid, e: int, imask: int) -> int:
@@ -338,14 +372,18 @@ def test_components_structural_matches_brute(corpus):
 def test_circuit_components_and_spans_match_scans(corpus):
     # on the corpus matroids, their duals and their contractions: halving
     # finds the scan's circuit (and its part in any ``among``), components()
-    # merges the same circuits, and _spans agrees with the full _span
+    # merges the same circuits, _spans agrees with the full _span, and
+    # _spanned and _circuits agree with ranks and scan circuits
     rng = random.Random(31)
     cases = []
     for inst in corpus.pairs[:150]:
         half = ElementSet(inst.M.ground, inst.M.universe_mask & 0x5555)
         cases += [inst.M, inst.N, inst.M.dual(), inst.N.contract(half)]
     kinds = set()
-    circuits = spans = 0
+    circuits = spans = scanned = 0
+    # the two digraph questions draw from their own stream, so the halving
+    # and span checks keep their inputs and their own floors
+    qrng = random.Random(34)
     for m in cases:
         assert [c.mask for c in m.components()] == scan_components(m), m.kind
         kinds.add(m.kind)
@@ -362,8 +400,18 @@ def test_circuit_components_and_spans_match_scans(corpus):
             part = rng.getrandbits(universe.bit_length()) & universe
             assert m._spans(imask, part) == (part & ~m._span(imask) == 0), m.kind
             spans += m._spans(imask, part)
+        scanned += check_spanned_and_circuits(m, qrng, C.Matroid._rank)
     assert kinds >= {"dual", "contract", "graphic", "partition"}
     assert circuits > 1000 and 50 < spans < len(cases) * 4 - 50
+    assert scanned > 1000
+    # and on graphic and partition handles of up to 40 elements, and their duals
+    scanned = 0
+    for size in (10, 20, 40):
+        graph = connected_graphic(qrng, size)
+        for m in (graph, capped_partition(qrng, graph.ground)):
+            for case in (m, m.dual()):
+                scanned += check_spanned_and_circuits(case, qrng, C.Matroid._rank)
+    assert scanned > 100
 
 
 def test_components_halving_asks_fewer_queries_than_a_scan():

@@ -1274,6 +1274,11 @@ def test_arc_persistence_across_corpus_sample(corpus):
             _wave, _ctx, _state, records = drive_mixed(inst.M, SplitInput(inst.N, e0, e1))
             for record in records:
                 checked_arcs += replay_arc_persistence(record)
+            # the replay takes the solver's paths, so it checks the loop the solver runs
+            trace = Trace()
+            mixed_solve(inst.M, SplitInput(inst.N, e0, e1), trace)
+            solved = [ev["path"] for ev in trace.events if ev["kind"] == "augment"]
+            assert [path for _before, path, _aug, _ext in records] == solved
         done += 1
         if done == 12:
             break

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -162,6 +163,32 @@ def test_no_solver_module_reaches_subset_enumeration():
     assert breaches == {}
 
 
+def _callers(tree: ast.AST, method: str) -> set[str]:
+    """The functions of ``tree`` that call a method named ``method``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == method:
+                    found.add(node.name)
+    return found
+
+
+def test_exchange_digraph_asks_matroids_through_two_questions():
+    # every arc and sink rule is a question about sets (Matroid._spanned and
+    # Matroid._circuits); only the lazy source scan asks element by element,
+    # and no circuit is found in classic except through _circuits
+    tree = ast.parse((PACKAGE / "classic.py").read_text())
+    digraph = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ExchangeDigraph"
+    )
+    assert _callers(digraph, "_indep") == {"sources"}
+    assert _callers(digraph, "_spanned") == {"sinks", "heads", "tails_into"}
+    assert _callers(digraph, "_circuits") == {"heads", "tails_into"}
+    assert _callers(tree, "_circuit") == set()
+
+
 def test_boundary_check_sees_each_kind_of_breach():
     tree = ast.parse(
         "from .oracle import brute_minmax\n"
@@ -235,6 +262,21 @@ def test_import_check_sees_nested_imports_and_cycles():
     assert _import_structure(tree) == ({"core", "waves", "intersect"}, ["line 4: imports inside f"])
     graph = {"a": {"b"}, "b": {"a", "d"}, "c": {"a"}, "d": set(), "e": {"d"}}
     assert _cyclic_modules(graph) == {"a", "b", "c"}
+
+
+def test_star_import_binds_no_submodule():
+    # the package namespace holds its submodules once they are imported, but
+    # ``from matroidkit import *`` binds only the public names
+    exported = matroidkit.__all__
+    assert not [name for name in exported if isinstance(getattr(matroidkit, name), ModuleType)]
+    public = {
+        name for name in dir(matroidkit)
+        if not name.startswith("_") and not isinstance(getattr(matroidkit, name), ModuleType)
+    }
+    assert len(exported) == len(set(exported)) == 61 and set(exported) == public
+    namespace: dict = {}
+    exec("from matroidkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
 
 
 def test_rank_table_matches_handle():
