@@ -22,7 +22,9 @@ copy's only augmenting path of length 5 leaves an element of I in E1,
 so only the N*-rule makes it.  One run of each solver prints the same
 cells, and the traced mixed run counts its augmenting paths through
 I & E1: those with an odd position in the ``augment`` event's
-``before`` set and in E1.
+``before`` set and in E1.  A last line prints that run's wave-run mix
+(``Trace.wave_runs``): full runs cold and warm, resumed runs, rounds
+that needed no check run, and the full runs' classic phases.
 
 The exit code is 1 when a mixed run's |I| or E_M differs from the
 classic solver's, or when fewer than 16 glued paths pass through I & E1.
@@ -156,6 +158,7 @@ def main() -> int:
         + ("" if same else " | |I| or E_M differs from classic")
         + ("" if paths >= GLUED_COPIES else f" | fewer than {GLUED_COPIES} through I & E1")
     )
+    print("glued mixed wave runs: " + ", ".join(f"{k} {v:,}" for k, v in trace.wave_runs.items()))
     return 1 if mismatches else 0
 
 

@@ -24,12 +24,13 @@ class Trace:
     """Event log and counters for replay tests and telemetry.
 
     ``phases`` counts the phases of traced classic runs.  ``wave_runs``
-    counts the mixed loop's wave questions by how they were answered:
-    ``cold`` and ``warm`` are full classic runs from the empty set and
-    from a set in hand (``largest_wave``), ``resumed`` are runs that
-    grow a carried backward search, and ``reused`` are postconditions
-    answered from the wave in hand with no run (``extend_to_nice``);
-    ``phases`` there counts the classic phases of the full runs.
+    counts the mixed loop's wave questions by how they were answered.
+    ``waves._wave_run``, the one home of every largest-wave run, counts
+    ``cold`` and ``warm`` full classic runs, from the empty set and from
+    a set in hand, and ``resumed`` runs that grow a carried backward
+    search; ``phases`` there counts the classic phases of the full runs.
+    ``reused`` counts the extensions that adjoined an empty common base,
+    whose postcondition needs no run (``extend_to_nice``).
     """
 
     events: list = field(default_factory=list)

@@ -21,7 +21,6 @@ from .classic import (
     _augmented,
     _check_chordless,
     _classic_run,
-    _greedy,
     _same_span,
     _walk,
     verify_certificate,
@@ -37,7 +36,7 @@ from .core import (
     _mask,
     bit_indices,
 )
-from .waves import PairContext, _wave_of, check_cond_plus, common_base_B, is_clean, largest_wave
+from .waves import PairContext, _wave_run, check_cond_plus, common_base_B, largest_wave
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +252,16 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     augmentation never allows, and PostconditionFailed when the new state
     breaks an invariant or is not nice.
 
-    The extension's wave run on the quotient by I either resumes the
-    layers the state carries or starts warm from the part of
+    The extension's wave run on the quotient by I is one ``_wave_run``:
+    it resumes the layers the state carries, or starts from the part of
     ``state.warm`` that is common independent there.  It ends at a
     maximum common independent J with wave W, and B is the common base
     adjoined.  The postcondition asks whether the quotient by I + B is
     clean.  When B is empty, that quotient is the pair just solved, and
-    the largest wave does not depend on the start, so W answers it with
-    no run.  Otherwise a run on the quotient by I + B starts from J - W,
-    which is already maximum there:
+    ``common_base_B`` returned B only after the empty set spanned W in M
+    and in N contracted onto W, the two questions of ``is_clean``; so no
+    check runs.  Otherwise a run on the quotient by I + B starts from
+    J - W, which is already maximum there:
 
     - In M/I, B spans W just as J & W does, so J - W is independent in
       M/(I + B).  In N/I, B is independent in N contracted onto W and
@@ -299,16 +299,7 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     """
     ctx = state.ctx
     pair = ctx.quotient(state.I.mask)
-    if state.layers:
-        cert = _classic_run(pair.M, pair.N, start=state.warm.mask, carried=state.layers)
-        wave = _wave_of(pair, cert)
-    else:
-        # the greedy keeps all of a common independent warm set, so two
-        # queries on the whole set answer without it
-        warm = state.warm.mask
-        if not (pair.M._indep(warm) and pair.N._indep(warm)):
-            warm = _mask(_greedy(pair.M, pair.N, 0, warm))
-        wave = largest_wave(pair, ElementSet(pair.ground, warm), trace)
+    wave = _wave_run(pair, state.warm.mask, state.layers, trace)
     base = common_base_B(pair, wave.W)
     if base is None:
         raise ExtensionFailed("quotient wave admits no common base")
@@ -316,14 +307,9 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
         new = FeasibleState(ctx, state.I | base, wave.rest, () if base else wave.layers)
     except StateInvariantBroken as exc:
         raise PostconditionFailed(f"extended state invalid: {exc}") from exc
-    if base:
-        clean = check_cond_plus(ctx.quotient(new.I.mask), wave.rest, trace)
-    else:
-        clean = is_clean(pair, wave)
-    if not clean:
+    if base and not check_cond_plus(ctx.quotient(new.I.mask), wave.rest, trace):
         raise PostconditionFailed("extension did not reach a nice state")
     if trace is not None:
-        trace.wave_runs["resumed"] += bool(state.layers)
         trace.wave_runs["reused"] += not base
         trace.extensions += 1
         trace.record(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterator
 
-from .classic import _classic_run
 from .core import (
     ElementSet,
     ExplicitMatroid,
@@ -40,14 +39,18 @@ from .packcov import MatroidFamily
 from .waves import PairContext, _require_common_independent
 
 ENV_MAX_EXHAUSTIVE = "MATROIDKIT_MAX_EXHAUSTIVE"
+# most elements whose subsets brute_max_common and brute_minmax scan by default
 MAX_COMMON_BOUND = 16
+# most elements whose subsets brute_components scans for circuits by default
 COMPONENTS_BOUND = 16
-WAVE_BOUND = 10
+# most elements whose (set, witness) pairs brute_largest_wave scans by default
+LARGEST_WAVE_SCAN_BOUND = 10
+# most edges whose orientations brute_orientations scans by default
 ORIENT_BOUND = 14
 # most elements whose subsets axiom_check enumerates by default
 AXIOM_CHECK_BOUND = 12
 # most elements whose subsets check_cond scans for waves by default
-WAVE_SCAN_BOUND = 12
+WAVE_CONDITION_SCAN_BOUND = 12
 # most members of one fuzzed matroid family
 MAX_FAMILY = 3
 
@@ -140,7 +143,7 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     A witness for W is a base of M restricted to W whose complement in W
     spans it in the dual of N.  The union is checked to be a wave itself.
     """
-    require_exhaustive("brute wave scan", m.universe_mask.bit_count(), "elements", WAVE_BOUND)
+    require_exhaustive("brute wave scan", m.size, "elements", LARGEST_WAVE_SCAN_BOUND)
     universe = m.universe_mask
     rm = rank_table(m)
     rn = rank_table(n)
@@ -173,13 +176,13 @@ def check_cond(ctx: PairContext) -> bool:
     Exhaustive over all subsets of the universe; raises TooLarge above
     the exhaustive bound.
     """
-    require_exhaustive("exhaustive wave scan", ctx.universe_mask.bit_count(), "elements", WAVE_SCAN_BOUND)
+    require_exhaustive("exhaustive wave scan", ctx.M.size, "elements", WAVE_CONDITION_SCAN_BOUND)
     m, n = ctx.M, ctx.N
     for wmask in iter_submasks(ctx.universe_mask):
         w = ElementSet(ctx.ground, wmask)
         mw = m.restrict(w)
         nw = n.onto(w)
-        s = len(_classic_run(mw, nw).I)
+        s = brute_max_common(mw, nw)[0]
         if s == mw._rank(wmask) and s < nw._rank(wmask):
             return False
     return True

@@ -224,8 +224,6 @@ def deficiency_counting_check(g: DemandGraph, v_prime: Sequence[str]) -> bool:
     proves that no orientation meets the demands.
     """
     vset = set(v_prime)
-    if not vset:
-        return False
     demand = sum(effective_lower_bound(g, v) for v in vset)
     incident = sum(1 for u, v, _ in g.edges if u in vset or v in vset)
     return demand > incident

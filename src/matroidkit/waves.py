@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .classic import Trace, _classic_run
+from .classic import Trace, _classic_run, _greedy
 from .core import (
     ElementSet,
     Matroid,
     NotCommonIndependent,
     PostconditionFailed,
     UniverseMismatch,
+    _mask,
 )
 
 
@@ -101,32 +102,39 @@ def largest_wave(ctx: PairContext, start: ElementSet | None = None, trace=None) 
     So the M-side is the largest wave and I & E_M witnesses it.  f does
     not depend on I, so neither does W: the classic run may start from
     any common independent ``start`` (default empty) and only the
-    witness and ``rest`` can change.  A start that is not common
-    independent raises PostconditionFailed.  On infinite matroids the
-    largest wave needs a transfinite accumulation over quotients; on
-    finite ones that loop stops after this one step.  The witness is
-    re-checked against the raw oracles.
-
-    A ``trace`` (a ``classic.Trace``) counts the run in ``wave_runs``:
-    as cold from the empty set, else as warm, and its classic phases.
+    witness and ``rest`` can change.  A non-empty start that is not
+    common independent raises NotCommonIndependent.  On infinite
+    matroids the largest wave needs a transfinite accumulation over
+    quotients; on finite ones that loop stops after this one step.  The
+    run, its count in ``trace`` and the re-check of the witness are
+    ``_wave_run``'s.
     """
-    smask = 0 if start is None else start.mask
+    smask = _require_common_independent(ctx, start) if start else 0
+    return _wave_run(ctx, smask, (), trace)
+
+
+def _wave_run(ctx: PairContext, warm: int, carried: tuple[int, ...], trace) -> "Wave":
+    """The largest wave of ``ctx`` from one classic run, re-checked from raw oracles.
+
+    With ``carried`` layers the run resumes that backward search from
+    ``warm`` (the lemma in ``intersect.extend_to_nice``); else it starts
+    from the greedy common independent part of ``warm``, which two
+    queries on the whole set answer when it is all of ``warm``.  W is
+    the certificate's M-side, whose set is maximum, so W is the largest
+    wave; the witness is the part of that set in W, and the wave keeps
+    the layers of the search that found it.  A ``trace`` (a
+    ``classic.Trace``) counts the run in ``wave_runs``: as resumed, else
+    as cold from the empty set or warm, with the full runs' phases.
+    """
+    start = warm
+    if warm and not carried and not (ctx.M._indep(warm) and ctx.N._indep(warm)):
+        start = _mask(_greedy(ctx.M, ctx.N, 0, warm))
     run = None if trace is None else Trace()
-    cert = _classic_run(ctx.M, ctx.N, run, smask)
+    cert = _classic_run(ctx.M, ctx.N, run, start, carried)
     if trace is not None:
-        trace.wave_runs["warm" if smask else "cold"] += 1
-        trace.wave_runs["phases"] += run.phases
-    return _wave_of(ctx, cert)
-
-
-def _wave_of(ctx: PairContext, cert) -> "Wave":
-    """The wave a classic certificate of ``ctx`` gives, re-checked from raw oracles.
-
-    W is the certificate's M-side, the witness the part of its set in
-    W, and the wave keeps the layers of the search that found it.  The
-    set of every ``_classic_run`` certificate is maximum, so W is the
-    largest wave.
-    """
+        trace.wave_runs["resumed" if carried else "warm" if start else "cold"] += 1
+        if not carried:
+            trace.wave_runs["phases"] += run.phases
     wave = Wave(cert.E_M, cert.I & cert.E_M, cert.I - cert.E_M, cert.layers)
     _verify_wave(ctx, wave)
     return wave
@@ -150,7 +158,7 @@ def _verify_wave(ctx: PairContext, wave: "Wave") -> None:
 class Wave:
     """A wave together with one witnessing base.
 
-    ``rest`` (default empty) is, in the wave ``largest_wave`` returns, the
+    ``rest`` (default empty) is, in the wave ``_wave_run`` returns, the
     part outside W of the maximum common independent set W was read
     from.  It is independent in M/W, since the witness spans W, and it
     spans E - W in N, so it is a maximum common independent set of the
@@ -174,7 +182,7 @@ def check_cond_plus(ctx: PairContext, start: ElementSet | None = None, trace=Non
 
     ``start`` is any common independent set of the pair to start the wave
     run from; the largest wave, and so the answer, is the same for every
-    start (see ``largest_wave``, which counts the run in ``trace``).
+    start (see ``largest_wave``; ``_wave_run`` counts the run in ``trace``).
     """
     return is_clean(ctx, largest_wave(ctx, start, trace))
 

@@ -373,10 +373,16 @@ def test_input_errors_exit_2(files, capsys):
         code, out, err = run(capsys, ["orient", "--graph", bad, "--demands", o])
         assert code == 2 and not out, edges
         assert "two endpoints" in json.loads(err)["error"]["message"], edges
-    fam = write("fam.json", {"universe": ["a", "b"], "members": 5})
-    code, out, err = run(capsys, ["packcov", "--family", fam])
-    assert code == 2 and not out
-    assert json.loads(err)["error"]["type"] == "InvalidDocument"
+    for doc, message in (
+        ({"universe": ["a", "b"], "members": 5}, "must be a JSON list"),
+        ({"universe": ["a", "b"]}, "needs universe and members"),
+        ({"members": []}, "needs universe and members"),
+    ):
+        fam = write("fam.json", doc)
+        code, out, err = run(capsys, ["packcov", "--family", fam])
+        assert code == 2 and not out, doc
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidDocument" and message in error["message"], doc
 
 
 def test_graphic_with_repeated_vertex_name_exits_2(files, capsys):
@@ -435,19 +441,23 @@ def test_internal_failures_exit_3(files, capsys, monkeypatch):
 
 
 def test_broken_extension_state_exits_3(files, capsys, monkeypatch):
-    # a common base that is the quotient's whole universe leaves a state set
-    # that is not common independent: the solver's bug, not the input's
+    # a common base, or an augmented set, that is the whole universe leaves
+    # a state set that is not common independent: the solver's bug, not the
+    # input's
     tmp, write = files
     m = write("m.json", {"kind": "uniform", "n": 4, "r": 4, "labels": ["a", "b", "c", "d"]})
     n = write("n.json", UNIFORM)
-    monkeypatch.setattr(
-        intersect, "common_base_B", lambda pair, _w: C.ElementSet(pair.ground, pair.M.universe_mask)
-    )
-    code, out, err = run(capsys, ["intersect", "--m", m, "--n", n, "--solver", "mixed"])
-    assert code == 3 and not out
-    error = json.loads(err)["error"]
-    assert error["type"] == "PostconditionFailed"
-    assert error["message"] == "extended state invalid: state set is not common independent"
+    for name, broken, step in (
+        ("common_base_B", lambda pair, _w: C.ElementSet(pair.ground, pair.M.universe_mask), "extended"),
+        ("_augmented", lambda m, n, imask, path, e0: m.universe_mask, "augmented"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(intersect, name, broken)
+            code, out, err = run(capsys, ["intersect", "--m", m, "--n", n, "--solver", "mixed"])
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "PostconditionFailed"
+        assert error["message"] == f"{step} state invalid: state set is not common independent"
 
 
 def test_removed_options_exit_2(files, capsys):

@@ -262,6 +262,9 @@ def test_minor_commutation_exhaustive():
     a = m.contract(xs).delete(ys)
     b = m.delete(ys).contract(xs)
     assert oracle_equal(a, b)
+    # a restriction of a restriction is one restriction of the first child
+    c = m.delete(ys).delete(xs)
+    assert c.child is m and oracle_equal(c, m.delete(xs | ys))
 
 
 def test_minor_commutation_random_explicit():
@@ -449,6 +452,13 @@ def test_axiom_check_missing_empty_set():
             return mask in (0b001, 0b010)
 
     assert not axiom_check(NoEmpty(G3, G3.full_mask))
+
+    # and one that holds a pair but not its one-element deletions
+    class NotClosed(C.Matroid):
+        def _indep_raw(self, mask):
+            return mask in (0, 0b011)
+
+    assert not axiom_check(NotClosed(G3, G3.full_mask))
 
 
 def test_axiom_check_evaluates_augmentation_honestly():

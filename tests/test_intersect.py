@@ -954,7 +954,7 @@ def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypat
     # quotient is that part, so two queries on the whole set answer and the
     # greedy runs only on the other warm sets.  Warm sets are the ones the
     # mixed loop carries and random subsets of the quotient's universe.
-    import matroidkit.intersect as intersect
+    import matroidkit.waves as waves
 
     greedy_runs, starts = [], []
 
@@ -962,12 +962,12 @@ def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypat
         greedy_runs.append(args)
         return _greedy(*args)
 
-    def recorded_wave(pair, start=None, trace=None):
-        starts.append(start.mask)
-        return largest_wave(pair, start, trace)
+    def recorded_run(m, n, trace=None, start=0, carried=()):
+        starts.append(start)
+        return _classic_run(m, n, trace, start, carried)
 
-    monkeypatch.setattr(intersect, "_greedy", recorded_greedy)
-    monkeypatch.setattr(intersect, "largest_wave", recorded_wave)
+    monkeypatch.setattr(waves, "_greedy", recorded_greedy)
+    monkeypatch.setattr(waves, "_classic_run", recorded_run)
     rng = random.Random(9)
     whole = partial = 0
     for inst in corpus.pairs:
@@ -978,10 +978,10 @@ def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypat
                 for warm in (augmented.warm.mask, _mask(rng.sample(outside, rng.randint(0, len(outside))))):
                     state = FeasibleState(augmented.ctx, augmented.I, ElementSet(pair.ground, warm))
                     keeps = pair.M._indep(warm) and pair.N._indep(warm)
-                    before = len(greedy_runs)
+                    before, first_run = len(greedy_runs), len(starts)
                     extend_to_nice(state)
                     assert len(greedy_runs) == before + (not keeps), inst.name
-                    assert starts[-1] == greedy_common_part(pair.M, pair.N, warm), inst.name
+                    assert starts[first_run] == greedy_common_part(pair.M, pair.N, warm), inst.name
                     whole += keeps
                     partial += not keeps
     assert whole > 100 and partial > 50, (whole, partial)
@@ -1137,9 +1137,9 @@ def test_mixed_loop_at_bench_size_warm_starts_every_postcondition():
 def test_every_resumed_wave_equals_a_full_run_from_its_start(monkeypatch, size, seed):
     # the lemma in extend_to_nice: a resumed backward search gives the W,
     # witness and rest of a full wave run from the same start
-    import matroidkit.intersect as intersect
+    import matroidkit.waves as waves
 
-    real_run = intersect._classic_run
+    real_run = waves._classic_run
     resumed = []
 
     def checked_run(m, n, trace=None, start=0, carried=()):
@@ -1152,7 +1152,7 @@ def test_every_resumed_wave_equals_a_full_run_from_its_start(monkeypatch, size, 
             resumed.append(cert)
         return cert
 
-    monkeypatch.setattr(intersect, "_classic_run", checked_run)
+    monkeypatch.setattr(waves, "_classic_run", checked_run)
     rng = random.Random(seed)
     m = connected_graphic(rng, size)
     n = capped_partition(rng, m.ground)

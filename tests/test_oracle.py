@@ -164,12 +164,14 @@ def test_no_solver_module_reaches_subset_enumeration():
 
 
 def _callers(tree: ast.AST, method: str) -> set[str]:
-    """The functions of ``tree`` that call a method named ``method``."""
+    """The functions of ``tree`` that call a method or function named ``method``."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
             for inner in ast.walk(node):
-                if isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == method:
+                if isinstance(inner, ast.Call) and method in (
+                    getattr(inner.func, "attr", None), getattr(inner.func, "id", None)
+                ):
                     found.add(node.name)
     return found
 
@@ -187,6 +189,22 @@ def test_exchange_digraph_asks_matroids_through_two_questions():
     assert _callers(digraph, "_spanned") == {"sinks", "heads", "tails_into"}
     assert _callers(digraph, "_circuits") == {"heads", "tails_into"}
     assert _callers(tree, "_circuit") == set()
+
+
+def test_every_largest_wave_run_goes_through_one_function():
+    # waves._wave_run starts, resumes, counts and re-checks every largest-wave
+    # run; is_wave runs the classic engine only on the minors of one set
+    waves = ast.parse((PACKAGE / "waves.py").read_text())
+    assert _callers(waves, "_classic_run") == {"_wave_run", "is_wave"}
+    assert _callers(waves, "_greedy") == {"_wave_run"}
+    intersect = ast.parse((PACKAGE / "intersect.py").read_text())
+    extend = next(
+        node for node in ast.walk(intersect)
+        if isinstance(node, ast.FunctionDef) and node.name == "extend_to_nice"
+    )
+    assert _callers(extend, "_wave_run") == {"extend_to_nice"}
+    for name in ("_classic_run", "_greedy", "largest_wave", "is_clean"):
+        assert _callers(extend, name) == set(), name
 
 
 def test_boundary_check_sees_each_kind_of_breach():
@@ -250,6 +268,9 @@ def test_package_imports_sit_at_module_top_and_form_no_cycle():
     assert nested == {}
     assert _cyclic_modules(graph) == set()
     assert {"core"} == graph["classic"] and "classic" in graph["waves"]
+    # the ground truth runs none of the solvers it checks
+    oracle = ast.parse((PACKAGE / "oracle.py").read_text())
+    assert "_classic_run" not in {getattr(n, "id", getattr(n, "name", None)) for n in ast.walk(oracle)}
 
 
 def test_import_check_sees_nested_imports_and_cycles():

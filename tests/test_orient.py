@@ -259,7 +259,7 @@ def test_counting_example_path():
 def test_counting_false_on_feasible_instance():
     g = cycle3()
     vertices = list(g.vertices)
-    for mask in range(1, 1 << len(vertices)):
+    for mask in range(1 << len(vertices)):  # the empty set included
         vset = [vertices[i] for i in range(len(vertices)) if mask >> i & 1]
         assert not deficiency_counting_check(g, vset)
 

@@ -17,6 +17,7 @@ from matroidkit.waves import (
     _verify_wave,
     check_cond_plus,
     common_base_B,
+    is_clean,
     is_wave,
     largest_wave,
     nice_feasible,
@@ -268,9 +269,15 @@ def test_empty_set_nice_feasible_iff_cond_plus(corpus):
 
 
 def test_feasible_requires_common_independent():
+    # a caller's start that is not common independent is an input error,
+    # not the solver bug (PostconditionFailed) the classic run would raise
     ctx = PairContext(C.zero(G3), C.free(G3))
     with pytest.raises(C.NotCommonIndependent):
         feasible(ctx, G3.subset("a"))
+    with pytest.raises(C.NotCommonIndependent):
+        largest_wave(ctx, G3.subset("a"))
+    with pytest.raises(C.NotCommonIndependent):
+        check_cond_plus(ctx, G3.subset("a"))
 
 
 def test_feasible_stacking(corpus):
@@ -335,6 +342,22 @@ def test_wave_base_members_are_nice_feasible(corpus):
         if checked >= 8:
             break
     assert checked > 0
+    # in quotients by common independent sets, the largest wave's common
+    # base is empty exactly when the wave is clean; so extend_to_nice
+    # checks no quotient whose base is empty
+    rng = random.Random(5)
+    empty_on_loops = full = 0
+    for inst in small_pairs(corpus, limit=30, max_size=6):
+        greedy = _greedy(inst.M, inst.N, 0)
+        for k in range(len(greedy) + 1):
+            pair = PairContext(inst.M, inst.N).quotient(_mask(rng.sample(greedy, k)))
+            wave = largest_wave(pair)
+            base = common_base_B(pair, wave.W)
+            empty = base is not None and not base
+            assert empty == is_clean(pair, wave), inst.name
+            empty_on_loops += empty and bool(wave.W)
+            full += bool(base)
+    assert empty_on_loops > 0 and full > 0, (empty_on_loops, full)
 
 
 # ---------------------------------------------------------------------------
