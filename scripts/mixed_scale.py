@@ -9,10 +9,21 @@ Each instance is a graphic M on 3n/4 vertices (a random spanning tree,
 then random extra edges) against a partition N of random blocks of 2-4
 elements, each capped at half its size, all drawn from random.Random(n).
 The mixed solver runs twice: with E1 empty and with E1 the odd-indexed
-blocks of N.  Each cell prints the median CPU time (time.process_time)
-over ``--repeats`` runs and the leaf oracle calls of one run, the
-entries of the two leaf handles' memos, which fresh handles start
-without.
+blocks of N.  A last row solves a graphic M against a graphic N at
+n = 256, E1 empty, drawn from random.Random(-256).  Each cell prints the
+median CPU time (time.process_time) over ``--repeats`` runs, then the
+leaf oracle calls of one run, the entries of the two leaf handles'
+memos, which fresh handles start without, and "+ N structural", the
+span and circuit questions the two leaves answered from their structure
+(calls of a leaf's own ``_spanned`` or ``_circuit`` that do not hand the
+question to the query version).  The call ratio compares the two
+cells' sums.
+
+The contraction and restriction handles each solve builds are collected
+(the script wraps their ``__init__``).  After the solve, each is asked
+one seeded span question and one seeded circuit question, and each
+answer is checked against the query versions (``Matroid._spanned``,
+``Matroid._circuit``) asked of a deep copy; the last line counts them.
 
 After the table it always solves the glued family: 16 disjoint copies
 of the 15-element instance of
@@ -22,39 +33,121 @@ copy's only augmenting path of length 5 leaves an element of I in E1,
 so only the N*-rule makes it.  One run of each solver prints the same
 cells, and the traced mixed run counts its augmenting paths through
 I & E1: those with an odd position in the ``augment`` event's
-``before`` set and in E1.  A last line prints that run's wave-run mix
+``before`` set and in E1.  The next line prints that run's wave-run mix
 (``Trace.wave_runs``): full runs cold and warm, resumed runs, rounds
 that needed no check run, and the full runs' classic phases.
 
 The exit code is 1 when a mixed run's |I| or E_M differs from the
-classic solver's, or when fewer than 16 glued paths pass through I & E1.
+classic solver's, when fewer than 16 glued paths pass through I & E1, or
+when a structural answer differs from the query version's.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import random
 import statistics
 import sys
 import time
+from collections import Counter
 
 from matroidkit.classic import Trace
-from matroidkit.core import ElementSet, PartitionMatroid, graphic
+from matroidkit.core import (
+    ContractMatroid,
+    ElementSet,
+    GraphicMatroid,
+    Matroid,
+    PartitionMatroid,
+    RestrictMatroid,
+    bit_indices,
+    graphic,
+)
 from matroidkit.intersect import SplitInput, edmonds_solve, mixed_solve
 from matroidkit.waves import PairContext
 
 
-def instance(size: int, odd_e1: bool):
-    """The seeded pair at ``size`` elements, with E1 the odd-indexed blocks of N or empty."""
-    rng = random.Random(size)
+# the query versions, kept before the leaves' own answers are counted
+QUERY = {name: getattr(Matroid, name) for name in ("_spanned", "_circuit")}
+LEAVES = (GraphicMatroid, PartitionMatroid)
+
+
+class Watch:
+    """The contraction and restriction handles built, and the leaves'
+    structural answers, since the last ``clear``."""
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        self.built: list = []
+        self.answers = 0
+
+    def install(self) -> None:
+        """Wrap the two handle classes' ``__init__`` to collect each handle,
+        and the leaves' own ``_spanned`` and ``_circuit`` to count one answer
+        per call, less each call that hands the question to the query
+        version."""
+        watch = self
+        for cls in (ContractMatroid, RestrictMatroid):
+            def recording(handle, *args, init=cls.__init__):
+                init(handle, *args)
+                watch.built.append(handle)
+
+            cls.__init__ = recording
+        for name, query in QUERY.items():
+            def handed(handle, a, b, query=query):
+                watch.answers -= isinstance(handle, LEAVES)
+                return query(handle, a, b)
+
+            setattr(Matroid, name, handed)
+            for cls in LEAVES:
+                def own(handle, a, b, answer=vars(cls)[name]):
+                    watch.answers += 1
+                    return answer(handle, a, b)
+
+                setattr(cls, name, own)
+
+    def cross_check(self, rng) -> tuple[int, int]:
+        """Questions asked of the handles built and answers that differ from the query versions.
+
+        Each handle is asked for the span of a seeded independent set I
+        within a seeded ``among``, then for the circuit of I + x, for a
+        seeded x that I spans there, within the whole universe; the query
+        versions answer on a deep copy of all the handles.
+        """
+        refs = copy.deepcopy(self.built)
+        asked = wrong = 0
+        for h, ref in zip(self.built, refs):
+            u = h.universe_mask
+            imask = ref._max_indep(rng.getrandbits(u.bit_length()) & u)
+            among = rng.getrandbits(u.bit_length()) & u
+            spanned = QUERY["_spanned"](ref, imask, among)
+            asked += 1
+            wrong += h._spanned(imask, among) != spanned
+            if spanned:
+                dep = imask | 1 << rng.choice(list(bit_indices(spanned)))
+                asked += 1
+                wrong += h._circuit(dep, u) != QUERY["_circuit"](ref, dep, u)
+        return asked, wrong
+
+
+def graphic_on(rng, size: int):
+    """A graphic matroid on ``size`` edges and 3n/4 vertices: a random spanning tree, then random extra edges."""
     labels = [f"e{i}" for i in range(size)]
     vs = [f"v{i}" for i in range(size * 3 // 4)]
     ends = [(rng.randrange(i), i) for i in range(1, len(vs))]
     while len(ends) < size:
         ends.append(tuple(rng.sample(range(len(vs)), 2)))
     rng.shuffle(ends)
-    m = graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
+    return graphic(vs, [(vs[u], vs[v], e) for (u, v), e in zip(ends, labels)])
+
+
+def instance(size: int, odd_e1: bool):
+    """The seeded pair at ``size`` elements, with E1 the odd-indexed blocks of N or empty."""
+    rng = random.Random(size)
+    m = graphic_on(rng, size)
     order = list(range(size))
     rng.shuffle(order)
     blocks = []
@@ -102,15 +195,26 @@ def through_i_e1(trace: Trace, e1: int) -> int:
     )
 
 
-def measure(build, solve, repeats: int):
-    """Median CPU seconds, leaf calls and certificate of ``solve`` on fresh handles from ``build()``."""
+def graphic_pair(size: int):
+    """Two seeded graphic matroids on one ground set of ``size`` edges, and E1 empty."""
+    rng = random.Random(-size)
+    m = graphic_on(rng, size)
+    n = graphic_on(rng, size)
+    return m, GraphicMatroid(m.ground, n.vertices, n.endpoints), 0
+
+
+def measure(build, solve, repeats: int, watch: Watch):
+    """Median CPU seconds, leaf calls, structural answers and certificate of
+    ``solve`` on fresh handles from ``build()``; the counts are the last
+    run's, and ``watch`` holds the handles it built."""
     times = []
     for _ in range(repeats):
         m, n, e1 = build()
+        watch.clear()
         t0 = time.process_time()
         cert = solve(m, n, e1)
         times.append(time.process_time() - t0)
-    return statistics.median(times), len(m._memo_indep) + len(n._memo_indep), cert
+    return statistics.median(times), len(m._memo_indep) + len(n._memo_indep), watch.answers, cert
 
 
 def classic(m, n, _e1):
@@ -128,38 +232,58 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    print("| n | E1 | classic | mixed | CPU ratio | leaf ratio |")
+    watch = Watch()
+    watch.install()
+    rng = random.Random(0)
+    checked = Counter()
+
+    def solved(build, solve, repeats):
+        """``measure``, then the cross-check of the handles its last run built:
+        the CPU seconds, the cell's calls, their total and the certificate."""
+        seconds, leaf, answers, cert = measure(build, solve, repeats, watch)
+        asked, wrong = watch.cross_check(rng)
+        checked.update(handles=len(watch.built), asked=asked, wrong=wrong)
+        return seconds, f"{leaf:,} + {answers:,} structural", leaf + answers, cert
+
+    print("| n | E1 | classic | mixed | CPU ratio | call ratio |")
     print("| --- | --- | --- | --- | --- | --- |")
     mismatches = 0
-    for size in args.sizes:
-        c_s, c_calls, c_cert = measure(lambda: instance(size, False), classic, args.repeats)
-        for name, odd_e1 in (("∅", False), ("odd blocks", True)):
-            m_s, m_calls, m_cert = measure(lambda: instance(size, odd_e1), mixed, args.repeats)
-            same = len(m_cert.I) == len(c_cert.I) and m_cert.E_M == c_cert.E_M
-            mismatches += not same
-            print(
-                f"| {size} | {name} | {c_s:.3f} s, {c_calls:,} | {m_s:.3f} s, {m_calls:,} "
-                f"| {m_s / c_s:.1f}x | {m_calls / c_calls:.1f}x |"
-                + ("" if same else " |I| or E_M differs from classic")
-            )
+    rows = [(size, name, functools.partial(instance, size, False), functools.partial(instance, size, odd_e1))
+            for size in args.sizes for name, odd_e1 in (("∅", False), ("odd blocks", True))]
+    rows.append((256, "∅, graphic N", functools.partial(graphic_pair, 256), functools.partial(graphic_pair, 256)))
+    for size, name, classic_build, mixed_build in rows:
+        c_s, c_calls, c_total, c_cert = solved(classic_build, classic, args.repeats)
+        m_s, m_calls, m_total, m_cert = solved(mixed_build, mixed, args.repeats)
+        same = len(m_cert.I) == len(c_cert.I) and m_cert.E_M == c_cert.E_M
+        mismatches += not same
+        print(
+            f"| {size} | {name} | {c_s:.3f} s, {c_calls} | {m_s:.3f} s, {m_calls} "
+            f"| {m_s / c_s:.1f}x | {m_total / c_total:.1f}x |"
+            + ("" if same else " |I| or E_M differs from classic")
+        )
 
     # one run each; the mixed one is traced
     build = functools.partial(glued, GLUED_COPIES)
     trace, e1 = Trace(), build()[2]
-    c_s, c_calls, c_cert = measure(build, classic, 1)
-    m_s, m_calls, m_cert = measure(build, lambda *pair: mixed(*pair, trace), 1)
+    c_s, c_calls, _total, c_cert = solved(build, classic, 1)
+    m_s, m_calls, _total, m_cert = solved(build, lambda *pair: mixed(*pair, trace), 1)
     same = len(m_cert.I) == len(c_cert.I) and m_cert.E_M == c_cert.E_M
     paths = through_i_e1(trace, e1)
     mismatches += not same or paths < GLUED_COPIES
     print(
         f"\nglued family, {GLUED_COPIES} copies ({15 * GLUED_COPIES} elements), "
-        f"|I| = {len(m_cert.I)}: classic {c_s:.3f} s, {c_calls:,} | mixed {m_s:.3f} s, {m_calls:,} "
+        f"|I| = {len(m_cert.I)}: classic {c_s:.3f} s, {c_calls} | mixed {m_s:.3f} s, {m_calls} "
         f"| {paths} augmenting paths through I & E1"
         + ("" if same else " | |I| or E_M differs from classic")
         + ("" if paths >= GLUED_COPIES else f" | fewer than {GLUED_COPIES} through I & E1")
     )
     print("glued mixed wave runs: " + ", ".join(f"{k} {v:,}" for k, v in trace.wave_runs.items()))
-    return 1 if mismatches else 0
+    print(
+        f"structural cross-checks: {checked['asked']:,} span and circuit questions on "
+        f"{checked['handles']:,} contraction and restriction handles, {checked['wrong']} differ "
+        "from the query versions"
+    )
+    return 1 if mismatches or checked["wrong"] else 0
 
 
 if __name__ == "__main__":

@@ -9,16 +9,34 @@ through the orientation solver against the brute orientation scan.
 The brute oracles ask the same dual handles as the solvers, so every
 dual node of each pair and family member (and of the duals of M and N,
 which the solvers ask) is also checked on every submask against its
-child's rank table.
+child's rank table.  Every graphic, partition, contraction and
+restriction node of each pair's M, N, M* and N*, and of two minor chains
+over each (Contract(Restrict(.)) and Restrict(Contract(.)) on fixed
+index patterns), answers span and circuit questions itself; on every
+independent set I its answers are checked against the query versions
+on a deep copy: the span of I, and the circuit of I + x for each x that
+I spans.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import sys
 import time
 
-from matroidkit.core import DualMatroid, ExtensionFailed, Stuck
+from matroidkit.core import (
+    ContractMatroid,
+    DualMatroid,
+    ElementSet,
+    ExtensionFailed,
+    GraphicMatroid,
+    Matroid,
+    PartitionMatroid,
+    RestrictMatroid,
+    Stuck,
+    bit_indices,
+)
 from matroidkit.intersect import SplitInput, Trace, edmonds_solve, mixed_solve, verify_certificate
 from matroidkit.oracle import (
     CorpusSpec,
@@ -35,20 +53,53 @@ from matroidkit.packcov import packcov_solve, verify_packcov
 from matroidkit.waves import PairContext, largest_wave
 
 
-def dual_nodes(roots) -> list[DualMatroid]:
-    """Every dual node in the expression trees of ``roots``, each once."""
+STRUCTURAL = (GraphicMatroid, PartitionMatroid, ContractMatroid, RestrictMatroid)
+# the minor chains contract the elements at indices 0, 3, 6, 9 and drop those at 2, 5, 8
+CONTRACTED, DROPPED = 0b1001001001, 0b0100100100
+
+
+def tree_nodes(roots, kinds) -> list[Matroid]:
+    """Every node of a class in ``kinds`` in the expression trees of ``roots``, each once."""
     stack, seen, out = list(roots), set(), []
     while stack:
         m = stack.pop()
         if id(m) in seen:
             continue
         seen.add(id(m))
-        if isinstance(m, DualMatroid):
+        if isinstance(m, kinds):
             out.append(m)
         stack.extend(getattr(m, "parts", ()))
         if hasattr(m, "child"):
             stack.append(m.child)
     return out
+
+
+def minor_chains(m: Matroid) -> list[Matroid]:
+    """Contract(Restrict(m)) and Restrict(Contract(m)) on the fixed index patterns."""
+    u = m.universe_mask
+    kept, contracted = ElementSet(m.ground, u & ~DROPPED), ElementSet(m.ground, u & CONTRACTED)
+    return [
+        m.restrict(kept).contract(contracted),
+        m.contract(contracted).restrict(ElementSet(m.ground, u & ~DROPPED & ~CONTRACTED)),
+    ]
+
+
+def structural_mismatches(h: Matroid) -> int:
+    """Independent sets I where ``h`` and the query versions, asked of a deep
+    copy of ``h``, disagree on the span of I or on the circuit of I + x for
+    some x that I spans."""
+    ref = copy.deepcopy(h)
+    u = h.universe_mask
+    wrong = 0
+    for i in iter_submasks(u):
+        if not ref._indep(i):
+            continue
+        spanned = Matroid._spanned(ref, i, u)
+        bad = h._spanned(i, u) != spanned
+        for x in bit_indices(spanned):
+            bad |= h._circuit(i | 1 << x, u) != Matroid._circuit(ref, i | 1 << x, u)
+        wrong += bad
+    return wrong
 
 
 def dual_mismatches(d: DualMatroid) -> int:
@@ -81,6 +132,20 @@ def main() -> int:
     start = time.time()
     disagreements = 0
     stuck = 0
+
+    # first, so that a wrong answer is reported before a solver that takes it fails
+    structural_checks = 0
+    for inst in corpus.pairs:
+        handles = [inst.M, inst.N, inst.M.dual(), inst.N.dual()]
+        for h in handles[:]:
+            handles += minor_chains(h)
+        for h in tree_nodes(handles, STRUCTURAL):
+            structural_checks += 1
+            wrong = structural_mismatches(h)
+            if wrong:
+                disagreements += 1
+                print(f"  !! {inst.name}: {h.kind} handle's span or circuit answers differ "
+                      f"from the query versions at {wrong} independent sets")
 
     mixed_runs = 0
     wave_checks = 0
@@ -134,7 +199,7 @@ def main() -> int:
     roots = [(inst.name, (inst.M, inst.N, inst.M.dual(), inst.N.dual())) for inst in corpus.pairs]
     roots += [(inst.name, inst.family.members) for inst in corpus.families]
     for name, handles in roots:
-        for d in dual_nodes(handles):
+        for d in tree_nodes(handles, DualMatroid):
             dual_checks += 1
             wrong = dual_mismatches(d)
             if wrong:
@@ -146,6 +211,7 @@ def main() -> int:
     print(f"  generator coverage : {dict(sorted(corpus.kind_counts.items()))}")
     print(f"  mixed-solver runs  : {mixed_runs} ({wave_checks} wave cross-checks)")
     print(f"  dual cross-checks  : {dual_checks} dual handles, every submask")
+    print(f"  structural cross-checks: {structural_checks} handles, every independent set")
     print(f"  augmentations      : {trace.augmentations}")
     print(f"  classic phases     : {trace.phases}")
     print(f"  wave runs          : {trace.wave_runs}")

@@ -205,9 +205,10 @@ class Matroid:
     Handles are immutable after construction, except for pure caches,
     which are replaced atomically: the memo dictionaries, which only
     gain pure oracle answers, and the graphic and partition kernels'
-    anchors, one attribute each that a query reads once and replaces with
-    one assignment.  So concurrent queries from several threads are safe
-    under CPython and always return the same verdicts.
+    anchors, one attribute each that a query or a structural span or
+    circuit answer reads at most once and replaces with one assignment.
+    So concurrent queries from several threads are safe under CPython and
+    always return the same verdicts.
     """
 
     kind = "abstract"
@@ -256,7 +257,9 @@ class Matroid:
     def _spanned(self, imask: int, among: int) -> int:
         """The elements of ``among - imask`` that the independent set ``imask`` spans.
 
-        One query, I + x, per element, in ascending order.
+        The query version: one query, I + x, per element, in ascending
+        order.  A handle whose structure answers the whole question at
+        once may override it; this version stays the reference.
         """
         out = 0
         among &= ~imask
@@ -289,6 +292,8 @@ class Matroid:
         one circuit C, and dep - S is independent exactly when S meets C.
         Every part on the stack meets C and is split in two; when the first
         half misses C, the second half meets it, and that is not asked.
+        This is the query version, which a handle may override as it may
+        ``_spanned``.
         """
         if not among or not self._indep(dep & ~among):
             return 0
@@ -455,6 +460,9 @@ class GraphicMatroid(Matroid):
     and hung from u (``_linked``), so a greedy that adds one edge at a
     time keeps its anchor.  Any other query runs the union-find and, when
     it finds a forest, becomes the new anchor.
+
+    Span and circuit questions with two or more candidates are answered
+    from the graph, with no query (``_spanned``, ``_circuit``).
     """
 
     kind = "graphic"
@@ -543,7 +551,7 @@ class GraphicMatroid(Matroid):
         # One read of the anchor and one assignment to replace it, so a
         # query on another thread sees the old anchor or the new, both forests.
         held = self._anchor
-        anchor, root, up, up_bit, depth = held
+        anchor, root = held[0], held[1]
         extra = mask & ~anchor
         if not extra:
             return True
@@ -554,30 +562,53 @@ class GraphicMatroid(Matroid):
                 if not dropped:
                     self._anchor = self._linked(held, extra, u, v)
                 return True
-            if not dropped:
-                return False
-            # Walk the path from u to v: the deeper end up to the other's
-            # depth, then both ends up to where they meet.  A self-loop has
-            # the empty path and is dependent.
-            du, dv = depth[u], depth[v]
-            if du < dv:
-                u, v, du, dv = v, u, dv, du
-            while du > dv:
-                if up_bit[u] & dropped:
-                    return True
-                u = up[u]
-                du -= 1
-            while u != v:
-                if (up_bit[u] | up_bit[v]) & dropped:
-                    return True
-                u = up[u]
-                v = up[v]
+            # A self-loop has the empty path and is dependent.
+            return bool(dropped and self._path(held, u, v, dropped) & dropped)
+        if self._forest(mask) is None:
             return False
-        # Union-find with path halving, inlined, from the forest with no
-        # edges: a self-loop has u == v and so fails the same root test as
-        # an edge that closes a cycle.
+        self._anchor = self._rooted(mask)
+        return True
+
+    @staticmethod
+    def _path(held: tuple, u: int, v: int, stop: int = 0) -> int:
+        """The edges of the tree path from u to v in the rooted forest ``held``.
+
+        The walk takes the deeper end up to the other's depth, then both
+        ends up to where they meet; it returns early, with the edges
+        walked so far, at the first edge in ``stop``.  u and v must lie
+        in one tree.
+        """
+        _forest, _root, up, up_bit, depth = held
+        path = 0
+        du, dv = depth[u], depth[v]
+        if du < dv:
+            u, v, du, dv = v, u, dv, du
+        while du > dv:
+            path |= up_bit[u]
+            if path & stop:
+                return path
+            u = up[u]
+            du -= 1
+        while u != v:
+            path |= up_bit[u] | up_bit[v]
+            if path & stop:
+                return path
+            u = up[u]
+            v = up[v]
+        return path
+
+    def _forest(self, mask: int, cycles: int = 0) -> tuple[list[int], int] | None:
+        """Union-find over the edges of ``mask``, least first: the parent
+        links and the edges that closed a cycle, or None once more than
+        ``cycles`` edges close one.
+
+        Path halving is inlined, from the forest with no edges; a
+        self-loop has u == v and so fails the same root test as an edge
+        that closes a cycle.
+        """
         parent = self._no_edges[:]
         endpoints = self.endpoints
+        closing = 0
         rest = mask
         while rest:
             low = rest & -rest
@@ -587,11 +618,56 @@ class GraphicMatroid(Matroid):
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+            elif cycles:
+                cycles -= 1
+                closing |= low
+            else:
+                return None
+        return parent, closing
+
+    def _spanned(self, imask: int, among: int) -> int:
+        """One union-find over I, then one root test per candidate.
+
+        The query version answers a question with at most one candidate
+        (the memo usually holds it) and a dependent I.
+        """
+        among &= ~imask
+        found = self._forest(imask) if among & (among - 1) else None
+        if found is None:
+            return Matroid._spanned(self, imask, among)
+        parent, _closing = found
+        endpoints = self.endpoints
+        out = 0
+        rest = among
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u, v = endpoints[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
             if u == v:
-                return False
-            parent[v] = u
-        self._anchor = self._rooted(mask)
-        return True
+                out |= low
+        return out
+
+    def _circuit(self, dep: int, among: int) -> int:
+        """The one edge e of ``dep`` that closes a cycle, least first, plus
+        the tree path between its ends in the forest dep - e, which is
+        rooted for the walk and becomes the anchor.
+
+        The query version answers a question with at most one candidate
+        and a ``dep`` with no cycle or with two.
+        """
+        found = self._forest(dep, 1) if among & (among - 1) else None
+        if found is None or not found[1]:
+            return Matroid._circuit(self, dep, among)
+        closing = found[1]
+        u, v = self.endpoints[closing.bit_length() - 1]
+        self._anchor = held = self._rooted(dep & ~closing)
+        return (closing | self._path(held, u, v)) & among
 
     def _json_doc(self) -> dict:
         return {
@@ -610,7 +686,9 @@ class PartitionMatroid(Matroid):
     The kernel answers from an anchor, the last set it found independent.
     Every block fits within its capacity on the anchor, so a query checks
     only the blocks that hold an element the anchor lacks, each once,
-    read from a per-element (block, cap) table.
+    read from a per-element (block, cap) table.  Span and circuit
+    questions with two or more candidates are answered from the blocks,
+    with no query (``_spanned``, ``_circuit``).
     """
 
     kind = "partition"
@@ -644,6 +722,59 @@ class PartitionMatroid(Matroid):
             extra &= ~bmask
         self._anchor = mask
         return True
+
+    def _spanned(self, imask: int, among: int) -> int:
+        """The candidates whose block I fills; an element outside every
+        block is never spanned.
+
+        Only the blocks that hold a candidate or an element of I outside
+        the anchor are read, each once, and I, found independent, becomes
+        the anchor.  The query version answers a question with at most one
+        candidate and a dependent I.
+        """
+        among &= ~imask
+        if not among & (among - 1):
+            return Matroid._spanned(self, imask, among)
+        block_of = self._block_of
+        out = 0
+        touched = (imask & ~self._anchor | among) & self._covered
+        while touched:
+            bmask, cap = block_of[touched.bit_length() - 1]
+            held = (imask & bmask).bit_count()
+            if held > cap:
+                return Matroid._spanned(self, imask, among)
+            if held >= cap:
+                out |= among & bmask
+            touched &= ~bmask
+        self._anchor = imask
+        return out
+
+    def _circuit(self, dep: int, among: int) -> int:
+        """``dep`` within its one block that holds one element over its cap.
+
+        Only the blocks that hold an element of ``dep`` outside the anchor
+        can be over-full, and ``dep`` less one element of the circuit
+        becomes the anchor.  The query version answers a question with at
+        most one candidate and a ``dep`` with no over-full block, with two,
+        or with one that is more than one over.
+        """
+        block_of = self._block_of
+        over = 0
+        touched = dep & ~self._anchor & self._covered if among & (among - 1) else 0
+        while touched:
+            bmask, cap = block_of[touched.bit_length() - 1]
+            excess = (dep & bmask).bit_count() - cap
+            if excess > 1 or excess == 1 and over:
+                over = 0
+                break
+            if excess == 1:
+                over = bmask
+            touched &= ~bmask
+        if over:
+            circ = dep & over
+            self._anchor = dep & ~(circ & -circ)
+            return circ & among
+        return Matroid._circuit(self, dep, among)
 
     def _json_doc(self) -> dict:
         return {
@@ -753,6 +884,12 @@ class RestrictMatroid(Matroid):
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask)
 
+    def _spanned(self, imask: int, among: int) -> int:
+        return self.child._spanned(imask, among)
+
+    def _circuit(self, dep: int, among: int) -> int:
+        return self.child._circuit(dep, among)
+
     def _json_doc(self) -> dict:
         return {
             "kind": "restrict",
@@ -763,7 +900,9 @@ class RestrictMatroid(Matroid):
 
 class ContractMatroid(Matroid):
     # With B_C a base of the contracted set C, X is independent in M/C
-    # exactly when X | B_C is independent in M.
+    # exactly when X | B_C is independent in M.  So I spans x in M/C
+    # exactly when I | B_C spans it in M, and the circuit of dep in M/C is
+    # the circuit of dep | B_C in M less B_C: the child answers both.
     kind = "contract"
 
     def __init__(self, child: Matroid, mask: int) -> None:
@@ -776,6 +915,13 @@ class ContractMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask | self._base_of_contracted)
+
+    def _spanned(self, imask: int, among: int) -> int:
+        return self.child._spanned(imask | self._base_of_contracted, among)
+
+    def _circuit(self, dep: int, among: int) -> int:
+        base = self._base_of_contracted
+        return self.child._circuit(dep | base, among & ~base)
 
     def _json_doc(self) -> dict:
         return {

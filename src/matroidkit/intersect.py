@@ -165,7 +165,10 @@ class FeasibleState:
 
     @cached_property
     def safe_base(self) -> ElementSet:
-        """One query per element of E1 - I, none when E1 is empty."""
+        """One ``_spanned`` question of M.  M answers it from its structure
+        when it is a graphic or partition leaf under contractions and
+        restrictions and E1 - I holds two or more elements; otherwise by
+        one query per element of E1 - I, none when E1 is empty."""
         return ElementSet(self.ctx.ground, self.ctx.M._spanned(self.I.mask, self.ctx.E1.mask))
 
     @cached_property

@@ -873,9 +873,14 @@ def replay(leaf, masks) -> Counter:
     return ask_in_order(fresh, masks, lambda mask: blocks_fit(blocks, mask), partition_anchor)
 
 
-def test_kernels_replay_classic_runs_at_n128():
+def test_kernels_replay_classic_runs_at_n128(monkeypatch):
     # the masks each edmonds_solve asks of its leaves, in order, asked
-    # again of fresh handles, whose anchors then move as they did
+    # again of fresh handles, whose anchors then move as they did; the
+    # leaves answer span and circuit questions by queries, so the solve
+    # asks the query stream whose shapes these kernels are built for
+    for cls in (C.GraphicMatroid, C.PartitionMatroid):
+        monkeypatch.setattr(cls, "_spanned", C.Matroid._spanned)
+        monkeypatch.setattr(cls, "_circuit", C.Matroid._circuit)
     rng = random.Random(128)
     m = connected_graphic(rng, 128)
     shapes = {"graphic": Counter(), "partition": Counter()}
@@ -1117,3 +1122,215 @@ def test_dual_kernel_keeps_every_result_and_never_asks_more_leaf_calls(corpus, m
     # the slice asks dual handles, and the kernel saves leaf calls on it
     saved = sum(f[2] - k[2] for k, f in zip(kernel, formula))
     assert leaf["dual"] > 1000 and saved > 1000, (leaf["dual"], saved)
+
+
+# ---------------------------------------------------------------------------
+# structural span and circuit answers against the query versions
+
+STRUCTURAL_KINDS = (C.GraphicMatroid, C.PartitionMatroid, C.ContractMatroid, C.RestrictMatroid)
+
+
+def structural_nodes(roots) -> list[C.Matroid]:
+    """Every graphic, partition, contract and restrict node in the trees of ``roots``, each once."""
+    stack, seen, out = list(roots), set(), []
+    while stack:
+        m = stack.pop()
+        if id(m) in seen:
+            continue
+        seen.add(id(m))
+        if isinstance(m, STRUCTURAL_KINDS):
+            out.append(m)
+        stack.extend(getattr(m, "parts", ()))
+        if hasattr(m, "child"):
+            stack.append(m.child)
+    return out
+
+
+def chain_of(m: C.Matroid) -> list[C.Matroid]:
+    """``m`` and its children down to the first node without one."""
+    out = [m]
+    while hasattr(out[-1], "child"):
+        out.append(out[-1].child)
+    return out
+
+
+def check_structural(h: C.Matroid, rng: random.Random, rounds: int = 6) -> Counter:
+    """Ask ``h`` seeded span and circuit questions, each also asked of the
+    query version (``Matroid._spanned``, ``Matroid._circuit``) on a fresh
+    deep copy of ``h``, and assert equal answers.
+
+    The shapes are the solvers' (I + x, a circuit within I) and the
+    fallback's: one candidate, a dependent I, a ``dep`` with no cycle or
+    with two; ``among`` may meet I or reach outside ``dep``.  When every
+    node of ``h``'s chain answers structurally, a question with two or
+    more candidates on well-formed input must ask no query (every memo
+    along the chain keeps its size), and the leaf's anchor, which the
+    answer may move, must stay an independent set, rooted when graphic.
+    Returns the shapes asked.
+    """
+    ref = copy.deepcopy(h)
+    universe = h.universe_mask
+    width = universe.bit_length()
+    chain = chain_of(h)
+    structural = all(isinstance(m, STRUCTURAL_KINDS) for m in chain)
+    leaf, ref_leaf = chain[-1], chain_of(ref)[-1]
+    shapes: Counter = Counter()
+
+    def draw(density=None) -> int:
+        density = rng.choice([0.1, 0.5, 0.9]) if density is None else density
+        return sum(1 << e for e in bit_indices(universe) if rng.random() < density)
+
+    def ask(shape, method, a, b, pure=False):
+        memos = [len(m._memo_indep) for m in chain]
+        got = getattr(h, method)(a, b)
+        assert got == getattr(C.Matroid, method)(ref, a, b), (h.kind, shape, a, b)
+        if pure and structural:
+            assert [len(m._memo_indep) for m in chain] == memos, (h.kind, shape)
+            if leaf.kind == "graphic":
+                assert_rooted(leaf)
+                assert ref_leaf._indep(leaf._anchor[0]), (h.kind, shape)
+            else:
+                assert ref_leaf._indep(leaf._anchor), (h.kind, shape)
+            shapes["no query"] += 1
+        shapes[shape] += 1
+
+    def several(mask: int) -> bool:
+        return bool(mask & (mask - 1))
+
+    for _ in range(rounds):
+        imask = ref._max_indep(draw())
+        among = draw()
+        ask("spanned", "_spanned", imask, among, several(among & ~imask))
+        ask("spanned, among meets I", "_spanned", imask, among | imask, several(among & ~imask))
+        if outside := universe & ~imask:
+            ask("spanned, one candidate", "_spanned", imask, 1 << rng.choice(list(bit_indices(outside))))
+        if not ref._indep(dependent := imask | draw()):
+            ask("spanned, dependent I", "_spanned", dependent, draw())
+        spanned = list(bit_indices(C.Matroid._spanned(ref, imask, universe)))
+        if spanned:
+            dep = imask | 1 << rng.choice(spanned)
+            ask("circuit", "_circuit", dep, dep, several(dep))
+            among = draw()
+            ask("circuit, among reaches outside dep", "_circuit", dep, among, several(among))
+            ask("circuit, one candidate", "_circuit", dep, 1 << rng.choice(list(bit_indices(dep))))
+        if len(spanned) >= 2:
+            x, y = rng.sample(spanned, 2)
+            ask("circuit, two cycles", "_circuit", imask | 1 << x | 1 << y, universe)
+        ask("circuit, no cycle", "_circuit", imask, universe)
+    return shapes
+
+
+def minor_chains(h: C.Matroid, rng: random.Random) -> list[C.Matroid]:
+    """Contract(Restrict(h)), Restrict(Contract(h)) and Contract(Contract(h)) on seeded sets."""
+    universe = h.universe_mask
+    width = universe.bit_length()
+    rmask = rng.getrandbits(width) & universe | rng.getrandbits(width) & universe
+    c1 = rng.getrandbits(width) & rmask & rng.getrandbits(width)
+    c2 = rng.getrandbits(width) & universe & ~c1 & rng.getrandbits(width)
+    return [
+        C.ContractMatroid(C.RestrictMatroid(h, rmask), c1),
+        C.RestrictMatroid(C.ContractMatroid(h, c1), rmask & ~c1),
+        C.ContractMatroid(C.ContractMatroid(h, c1), c2),
+    ]
+
+
+def test_structural_answers_match_the_query_versions_on_the_corpus(corpus):
+    # every structural node of each pair's handles, of their duals, and of
+    # the three minor chains over each, against the query versions
+    rng = random.Random(47)
+    shapes: Counter = Counter()
+    kinds: Counter = Counter()
+    for inst in corpus.pairs[::2]:
+        roots = [inst.M, inst.N, inst.M.dual(), inst.N.dual()]
+        for h in roots[:]:
+            roots += minor_chains(h, rng)
+        for node in structural_nodes(roots):
+            shapes += check_structural(node, rng, rounds=3)
+            kinds[node.kind] += 1
+    assert min(kinds[k] for k in ("graphic", "partition", "contract", "restrict")) > 100, kinds
+    assert len(shapes) == 10 and min(shapes.values()) > 300, shapes
+
+
+def test_structural_answers_match_the_query_versions_through_minor_chains():
+    # multigraphs with self-loops and parallel edges, and blocks with
+    # cap 0 and elements outside every block, at n = 64-128, each under
+    # the three chains of contraction and restriction
+    rng = random.Random(53)
+    shapes: Counter = Counter()
+    for i in range(24):
+        size = rng.randint(64, 128)
+        if i % 2:
+            leaf = partition_of(size, random_blocks(rng, size))
+        else:
+            n_vertices = rng.randint(size // 4, size)
+            leaf = random_child(rng, 0, size) if i % 4 else C.GraphicMatroid(
+                GroundSet(tuple(f"e{j}" for j in range(size))),
+                tuple(f"v{j}" for j in range(n_vertices)),
+                random_multigraph(rng, n_vertices, size),
+            )
+        for h in [leaf, *minor_chains(leaf, rng)]:
+            shapes += check_structural(h, rng)
+    assert len(shapes) == 10 and min(shapes.values()) > 50, shapes
+    assert shapes["no query"] > 500, shapes
+
+
+def test_structural_answers_on_loops_parallel_edges_and_free_elements():
+    # a self-loop is its own circuit and spanned by the empty set; a
+    # parallel pair is a circuit; an element outside every block is never
+    # spanned; an element of a cap-0 block is always spanned
+    g = C.graphic("uvw", [("u", "u", "a"), ("u", "v", "b"), ("v", "u", "c"), ("v", "w", "d")])
+    bit = {label: 1 << g.ground.index(label) for label in "abcd"}
+    assert g._spanned(bit["b"], g.universe_mask) == bit["a"] | bit["c"]
+    assert g._circuit(bit["b"] | bit["c"], g.universe_mask) == bit["b"] | bit["c"]
+    assert g._circuit(bit["a"] | bit["d"], g.universe_mask) == bit["a"]
+    p = partition_of(5, [([0, 1], 0), ([2, 3], 1)])
+    assert p._spanned(1 << 2, 0b11111) == 0b01011
+    assert p._circuit(0b00101, 0b11111) == 0b00001
+    assert p._circuit(0b01100, 0b11111) == 0b01100
+
+
+def test_structural_answers_keep_every_result_and_never_cost_more(corpus, monkeypatch):
+    # every run once as is and once with the graphic, partition, contract
+    # and restrict handles answering span and circuit questions by
+    # queries: equal results, and over the slice no more leaf calls plus
+    # structural answers, each counted as one call
+    counts = Counter()
+    for cls in (C.GraphicMatroid, C.PartitionMatroid, C.UniformMatroid, C.ExplicitMatroid):
+        def counted(self, mask, raw=cls._indep_raw):
+            counts["leaf"] += 1
+            return raw(self, mask)
+
+        monkeypatch.setattr(cls, "_indep_raw", counted)
+    query = {name: getattr(C.Matroid, name) for name in ("_spanned", "_circuit")}
+    leaves = (C.GraphicMatroid, C.PartitionMatroid)
+    for name, reference in query.items():
+        # a leaf's own answer is structural unless it hands the question
+        # to the query version
+        def handed(self, a, b, reference=reference):
+            counts["structural"] -= isinstance(self, leaves)
+            return reference(self, a, b)
+
+        monkeypatch.setattr(C.Matroid, name, handed)
+        for cls in leaves:
+            def own(self, a, b, answer=vars(cls)[name]):
+                counts["structural"] += 1
+                return answer(self, a, b)
+
+            monkeypatch.setattr(cls, name, own)
+
+    def measure(runs):
+        before = counts["leaf"] + counts["structural"]
+        out = [(name, run()) for name, run in runs]
+        return out, counts["leaf"] + counts["structural"] - before
+
+    runs = corpus_runs(corpus)
+    structural, structural_calls = measure(runs)
+    answered = counts["structural"]
+    for cls in STRUCTURAL_KINDS:
+        for name, reference in query.items():
+            monkeypatch.setattr(cls, name, reference)
+    queried, queried_calls = measure(runs)
+    assert counts["structural"] == answered
+    assert structural == queried
+    # the slice takes the structural answers, and they save calls on it
+    assert answered > 400 and structural_calls < queried_calls, (answered, structural_calls, queried_calls)

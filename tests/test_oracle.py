@@ -207,6 +207,67 @@ def test_every_largest_wave_run_goes_through_one_function():
         assert _callers(extend, name) == set(), name
 
 
+STRUCTURAL_QUESTIONS = {"_spanned", "_circuit", "_circuits"}
+# the certificate and invariant checks, and the Matroid methods of the raw
+# query path they take, by module
+VERIFIERS = {
+    "classic": ("verify_certificate", "_augmented", "_same_span"),
+    "waves": ("_verify_wave", "is_clean"),
+    "intersect": ("FeasibleState.__post_init__",),
+    "core": ("Matroid._indep", "Matroid._spans", "Matroid._max_indep"),
+}
+
+
+def _functions(tree: ast.AST) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of ``tree`` and the methods of its classes, as ``Class.method``."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for inner in node.body:
+                if isinstance(inner, ast.FunctionDef):
+                    found[f"{node.name}.{inner.name}"] = inner
+    return found
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` mentions."""
+    return {
+        getattr(inner, "id", None) or getattr(inner, "attr", None)
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    }
+
+
+def test_verifiers_never_take_a_structural_answer():
+    # the certificate and invariant checks ask raw queries, and so does the
+    # query path under them: Matroid's _indep, _spans and _max_indep and
+    # every kernel, which no handle overrides; so every certificate is
+    # re-derived by a path that no structural span or circuit answer is on
+    named = {}
+    for module, names in VERIFIERS.items():
+        functions = _functions(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        for name in names:
+            named[name] = _names(functions[name]) & STRUCTURAL_QUESTIONS
+    core_tree = ast.parse((PACKAGE / "core.py").read_text())
+    kernels = [name for name in _functions(core_tree) if name.endswith("._indep_raw")]
+    assert len(kernels) == 10
+    for name in kernels:
+        named[name] = _names(_functions(core_tree)[name]) & STRUCTURAL_QUESTIONS
+    assert named == dict.fromkeys(named, set())
+    handles = [
+        node for node in core_tree.body
+        if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "Matroid" for b in node.bases)
+    ]
+    assert len(handles) == 9
+    overriding = {
+        f"{cls.name}.{f.name}" for cls in handles for f in cls.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("_indep", "_spans")
+    }
+    assert overriding == set()
+
+
 def test_boundary_check_sees_each_kind_of_breach():
     tree = ast.parse(
         "from .oracle import brute_minmax\n"
