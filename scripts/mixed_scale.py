@@ -14,16 +14,17 @@ n = 256, E1 empty, drawn from random.Random(-256).  Each cell prints the
 median CPU time (time.process_time) over ``--repeats`` runs, then the
 leaf oracle calls of one run, the entries of the two leaf handles'
 memos, which fresh handles start without, and "+ N structural", the
-span and circuit questions the two leaves answered from their structure
-(calls of a leaf's own ``_spanned`` or ``_circuit`` that do not hand the
-question to the query version).  The call ratio compares the two
-cells' sums.
+span and circuit questions the two leaves answered from their structure,
+one answer per question (calls of a leaf's own ``_spanned`` or
+``_circuits`` that do not hand the question to the query version).  The
+call ratio compares the two cells' sums.
 
 The contraction and restriction handles each solve builds are collected
 (the script wraps their ``__init__``).  After the solve, each is asked
-one seeded span question and one seeded circuit question, and each
-answer is checked against the query versions (``Matroid._spanned``,
-``Matroid._circuit``) asked of a deep copy; the last line counts them.
+one seeded span question and two seeded circuit questions, with one
+tail and with many, and each answer is checked against the query
+versions (``Matroid._spanned``, ``Matroid._circuits``) asked of a deep
+copy; the last line counts them.
 
 After the table it always solves the glued family: 16 disjoint copies
 of the 15-element instance of
@@ -69,7 +70,7 @@ from matroidkit.waves import PairContext
 
 
 # the query versions, kept before the leaves' own answers are counted
-QUERY = {name: getattr(Matroid, name) for name in ("_spanned", "_circuit")}
+QUERY = {name: getattr(Matroid, name) for name in ("_spanned", "_circuits")}
 LEAVES = (GraphicMatroid, PartitionMatroid)
 
 
@@ -86,7 +87,7 @@ class Watch:
 
     def install(self) -> None:
         """Wrap the two handle classes' ``__init__`` to collect each handle,
-        and the leaves' own ``_spanned`` and ``_circuit`` to count one answer
+        and the leaves' own ``_spanned`` and ``_circuits`` to count one answer
         per call, less each call that hands the question to the query
         version."""
         watch = self
@@ -97,15 +98,15 @@ class Watch:
 
             cls.__init__ = recording
         for name, query in QUERY.items():
-            def handed(handle, a, b, query=query):
+            def handed(handle, *args, query=query):
                 watch.answers -= isinstance(handle, LEAVES)
-                return query(handle, a, b)
+                return query(handle, *args)
 
             setattr(Matroid, name, handed)
             for cls in LEAVES:
-                def own(handle, a, b, answer=vars(cls)[name]):
+                def own(handle, *args, answer=vars(cls)[name]):
                     watch.answers += 1
-                    return answer(handle, a, b)
+                    return answer(handle, *args)
 
                 setattr(cls, name, own)
 
@@ -114,8 +115,9 @@ class Watch:
 
         Each handle is asked for the span of a seeded independent set I
         within a seeded ``among``, then for the circuit of I + x, for a
-        seeded x that I spans there, within the whole universe; the query
-        versions answer on a deep copy of all the handles.
+        seeded x that I spans there, and for the union of the circuits of
+        I + y over seeded tails y, both within the whole universe; the
+        query versions answer on a deep copy of all the handles.
         """
         refs = copy.deepcopy(self.built)
         asked = wrong = 0
@@ -127,9 +129,10 @@ class Watch:
             asked += 1
             wrong += h._spanned(imask, among) != spanned
             if spanned:
-                dep = imask | 1 << rng.choice(list(bit_indices(spanned)))
-                asked += 1
-                wrong += h._circuit(dep, u) != QUERY["_circuit"](ref, dep, u)
+                one = 1 << rng.choice(list(bit_indices(spanned)))
+                for tails in (one, rng.getrandbits(u.bit_length()) & u):
+                    asked += 1
+                    wrong += h._circuits(imask, tails, u) != QUERY["_circuits"](ref, imask, tails, u)
         return asked, wrong
 
 

@@ -14,8 +14,8 @@ restriction node of each pair's M, N, M* and N*, and of two minor chains
 over each (Contract(Restrict(.)) and Restrict(Contract(.)) on fixed
 index patterns), answers span and circuit questions itself; on every
 independent set I its answers are checked against the query versions
-on a deep copy: the span of I, and the circuit of I + x for each x that
-I spans.
+on a deep copy: the span of I, the circuit of I + x for each x that I
+spans, and the union of the circuits of I + x over every x at once.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ def minor_chains(m: Matroid) -> list[Matroid]:
 
 def structural_mismatches(h: Matroid) -> int:
     """Independent sets I where ``h`` and the query versions, asked of a deep
-    copy of ``h``, disagree on the span of I or on the circuit of I + x for
-    some x that I spans."""
+    copy of ``h``, disagree on the span of I, on the circuit of I + x for
+    some x that I spans, or on the union of those circuits."""
     ref = copy.deepcopy(h)
     u = h.universe_mask
     wrong = 0
@@ -97,7 +97,8 @@ def structural_mismatches(h: Matroid) -> int:
         spanned = Matroid._spanned(ref, i, u)
         bad = h._spanned(i, u) != spanned
         for x in bit_indices(spanned):
-            bad |= h._circuit(i | 1 << x, u) != Matroid._circuit(ref, i | 1 << x, u)
+            bad |= h._circuits(i, 1 << x, u) != Matroid._circuits(ref, i, 1 << x, u)
+        bad |= h._circuits(i, u, u) != Matroid._circuits(ref, i, u, u)
         wrong += bad
     return wrong
 

@@ -138,7 +138,8 @@ class ExchangeDigraph:
           are what I spans among what I - H does not (``Matroid._spanned``
           twice, I - H first).
         - N-rule: the tails into an N-spanned z outside I are the elements
-          of C_N(z, I) - z, found by halving (``Matroid._circuits``).
+          of C_N(z, I) - z; one circuit question asks them for every head
+          (``Matroid._circuits``).
         """
         m, imask = self.m, self.imask
         out = self.n._circuits(imask, heads, among & imask & self.e0)
@@ -290,9 +291,10 @@ def _classic_run(
     backward from the sinks and augments along paths of one length,
     longer than the last phase's, until a search meets no source; that
     search gives the certificate.  ``m`` and ``n`` share one universe, as
-    the members of a ``PairContext`` do.  A start that is not common
-    independent is a caller's bug and raises PostconditionFailed.
-    ``carried`` layers resume the first phase's search (``_classic_step``).
+    the members of a ``PairContext`` do.  ``start`` must be common
+    independent; ``waves._wave_run``, the one caller that passes one,
+    tests it.  ``carried`` layers resume the first phase's search
+    (``_classic_step``).
 
     The first phase is one greedy pass over the start (``_greedy``), the
     phase with paths of length 0, which it computes exactly:
@@ -313,8 +315,6 @@ def _classic_run(
     and the carried set is already maximum.
     """
     universe = m.universe_mask
-    if start and (start & ~universe or not (m._indep(start) and n._indep(start))):
-        raise PostconditionFailed("classic run start is not common independent")
     imask = start
     step = [] if carried else list(zip(_greedy(m, n, imask)))  # one-element paths
     # each phase but the last grows I by at least one; a certificate counts

@@ -153,13 +153,14 @@ def _cmd_wave(args) -> tuple[dict, int]:
 def _cmd_packcov(args) -> tuple[dict, int]:
     doc = _load(args.family)
     try:
-        universe = tuple(doc["universe"])
+        universe = doc["universe"]
         member_docs = doc["members"]
     except (KeyError, TypeError) as exc:
         raise InvalidDocument(f"family document needs universe and members: {exc}")
-    if not isinstance(member_docs, list):
-        raise InvalidDocument("family members must be a JSON list")
-    ground = GroundSet(universe)
+    for name, value in (("universe", universe), ("members", member_docs)):
+        if not isinstance(value, list):
+            raise InvalidDocument(f"family {name} must be a JSON list")
+    ground = GroundSet(tuple(universe))
     members = []
     for mdoc in member_docs:
         member = matroid_from_json(mdoc)
@@ -187,6 +188,8 @@ def _cmd_orient(args) -> tuple[dict, int]:
     g_doc = _load(args.graph)
     o_doc = _load(args.demands)
     try:
+        if not isinstance(g_doc["vertices"], list):
+            raise InvalidDocument("graph vertices must be a JSON list")
         graph = DemandGraph.build(g_doc["vertices"], g_doc["edges"], o_doc)
     except (KeyError, TypeError) as exc:
         raise InvalidDocument(f"graph document needs vertices and edges: {exc}")

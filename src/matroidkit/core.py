@@ -292,8 +292,7 @@ class Matroid:
         one circuit C, and dep - S is independent exactly when S meets C.
         Every part on the stack meets C and is split in two; when the first
         half misses C, the second half meets it, and that is not asked.
-        This is the query version, which a handle may override as it may
-        ``_spanned``.
+        No handle overrides it; the query version of ``_circuits`` asks it.
         """
         if not among or not self._indep(dep & ~among):
             return 0
@@ -318,7 +317,8 @@ class Matroid:
 
         Only an x that the independent set ``base`` spans has a circuit, so
         each x asks that first, then one ``_circuit``, least x first, until
-        every element of ``among`` is found.
+        every element of ``among`` is found.  This is the query version,
+        which a handle may override as it may ``_spanned``.
         """
         found = 0
         tails &= ~base
@@ -394,14 +394,14 @@ class Matroid:
         Two elements share a class exactly when the fundamental circuits
         of one greedy base link them (Krogdahl, "The dependence graph for
         bases in matroids", 1977).  The base is maximal, so it spans every
-        x outside it, and halving (``_circuit``) finds the circuit C of
-        base + x in at most 1 + 2|C|ceil(log2(r)) queries, not r.  Loops and
-        coloops come out as singleton classes.
+        x outside it, and one ``_circuits`` question per x finds the circuit
+        C of base + x, by halving in at most 2 + 2|C|ceil(log2(r)) queries,
+        not r.  Loops and coloops come out as singleton classes.
         """
         base = self._max_indep(self.universe_mask)
         classes: list[int] = []
         for x in bit_indices(self.universe_mask & ~base):
-            merged = 1 << x | self._circuit(base | 1 << x, base)
+            merged = 1 << x | self._circuits(base, 1 << x, base)
             keep = []
             for c in classes:
                 if c & merged:
@@ -410,9 +410,7 @@ class Matroid:
                     keep.append(c)
             keep.append(merged)
             classes = keep
-        covered = 0
-        for c in classes:
-            covered |= c
+        covered = sum(classes)  # the classes are disjoint
         classes.extend(1 << e for e in bit_indices(self.universe_mask & ~covered))
         classes.sort(key=lambda m: m & -m)
         return [ElementSet(self.ground, m) for m in classes]
@@ -462,7 +460,8 @@ class GraphicMatroid(Matroid):
     it finds a forest, becomes the new anchor.
 
     Span and circuit questions with two or more candidates are answered
-    from the graph, with no query (``_spanned``, ``_circuit``).
+    from the graph, with no query (``_spanned``, ``_circuits``, which
+    roots the independent set once and walks each tail's tree path).
     """
 
     kind = "graphic"
@@ -597,18 +596,14 @@ class GraphicMatroid(Matroid):
             v = up[v]
         return path
 
-    def _forest(self, mask: int, cycles: int = 0) -> tuple[list[int], int] | None:
+    def _forest(self, mask: int) -> list[int] | None:
         """Union-find over the edges of ``mask``, least first: the parent
-        links and the edges that closed a cycle, or None once more than
-        ``cycles`` edges close one.
-
-        Path halving is inlined, from the forest with no edges; a
-        self-loop has u == v and so fails the same root test as an edge
-        that closes a cycle.
+        links, or None at the first edge that closes a cycle (a self-loop
+        has u == v, so it fails the same root test).  Path halving is
+        inlined, from the forest with no edges.
         """
         parent = self._no_edges[:]
         endpoints = self.endpoints
-        closing = 0
         rest = mask
         while rest:
             low = rest & -rest
@@ -618,14 +613,10 @@ class GraphicMatroid(Matroid):
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[v] = u
-            elif cycles:
-                cycles -= 1
-                closing |= low
-            else:
+            if u == v:
                 return None
-        return parent, closing
+            parent[v] = u
+        return parent
 
     def _spanned(self, imask: int, among: int) -> int:
         """One union-find over I, then one root test per candidate.
@@ -634,40 +625,44 @@ class GraphicMatroid(Matroid):
         (the memo usually holds it) and a dependent I.
         """
         among &= ~imask
-        found = self._forest(imask) if among & (among - 1) else None
-        if found is None:
+        parent = self._forest(imask) if among & (among - 1) else None
+        if parent is None:
             return Matroid._spanned(self, imask, among)
-        parent, _closing = found
         endpoints = self.endpoints
         out = 0
-        rest = among
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u, v = endpoints[low.bit_length() - 1]
+        for x in bit_indices(among):
+            u, v = endpoints[x]
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
             if u == v:
-                out |= low
+                out |= 1 << x
         return out
 
-    def _circuit(self, dep: int, among: int) -> int:
-        """The one edge e of ``dep`` that closes a cycle, least first, plus
-        the tree path between its ends in the forest dep - e, which is
-        rooted for the walk and becomes the anchor.
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        """Each tail x = (u, v) with both ends in one tree of ``base``, plus
+        the tree path between them, from ``base`` rooted once.
 
-        The query version answers a question with at most one candidate
-        and a ``dep`` with no cycle or with two.
+        The anchor is used as it is when it already is ``base``; else
+        ``base`` is rooted and becomes the anchor.  The query version
+        answers a question with at most one candidate in ``among`` (the
+        memo usually holds it), unless the anchor is ``base``, and a
+        ``base`` that is not a forest.
         """
-        found = self._forest(dep, 1) if among & (among - 1) else None
-        if found is None or not found[1]:
-            return Matroid._circuit(self, dep, among)
-        closing = found[1]
-        u, v = self.endpoints[closing.bit_length() - 1]
-        self._anchor = held = self._rooted(dep & ~closing)
-        return (closing | self._path(held, u, v)) & among
+        tails &= ~base
+        held = self._anchor
+        if held[0] != base:
+            if not among & (among - 1) or self._forest(base) is None:
+                return Matroid._circuits(self, base, tails, among)
+            self._anchor = held = self._rooted(base)
+        root, endpoints = held[1], self.endpoints
+        found = 0
+        for x in bit_indices(tails):
+            u, v = endpoints[x]
+            if root[u] == root[v]:
+                found |= 1 << x | self._path(held, u, v)
+        return found & among
 
     def _json_doc(self) -> dict:
         return {
@@ -688,7 +683,7 @@ class PartitionMatroid(Matroid):
     only the blocks that hold an element the anchor lacks, each once,
     read from a per-element (block, cap) table.  Span and circuit
     questions with two or more candidates are answered from the blocks,
-    with no query (``_spanned``, ``_circuit``).
+    with no query (``_spanned``, ``_circuits``).
     """
 
     kind = "partition"
@@ -749,32 +744,29 @@ class PartitionMatroid(Matroid):
         self._anchor = imask
         return out
 
-    def _circuit(self, dep: int, among: int) -> int:
-        """``dep`` within its one block that holds one element over its cap.
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        """Each tail whose block ``base`` fills, plus that block's part of ``base``.
 
-        Only the blocks that hold an element of ``dep`` outside the anchor
-        can be over-full, and ``dep`` less one element of the circuit
-        becomes the anchor.  The query version answers a question with at
-        most one candidate and a ``dep`` with no over-full block, with two,
-        or with one that is more than one over.
+        Only the blocks that hold a tail are read, each once; a tail
+        outside every block has no circuit.  The query version answers a
+        question with at most one candidate in ``among`` and a ``base``
+        that holds more than its cap in a block it reads.
         """
+        tails &= ~base
+        if not among & (among - 1):
+            return Matroid._circuits(self, base, tails, among)
         block_of = self._block_of
-        over = 0
-        touched = dep & ~self._anchor & self._covered if among & (among - 1) else 0
+        found = 0
+        touched = tails & self._covered
         while touched:
             bmask, cap = block_of[touched.bit_length() - 1]
-            excess = (dep & bmask).bit_count() - cap
-            if excess > 1 or excess == 1 and over:
-                over = 0
-                break
-            if excess == 1:
-                over = bmask
+            held = (base & bmask).bit_count()
+            if held > cap:
+                return Matroid._circuits(self, base, tails, among)
+            if held == cap:
+                found |= (base | tails) & bmask
             touched &= ~bmask
-        if over:
-            circ = dep & over
-            self._anchor = dep & ~(circ & -circ)
-            return circ & among
-        return Matroid._circuit(self, dep, among)
+        return found & among
 
     def _json_doc(self) -> dict:
         return {
@@ -887,8 +879,8 @@ class RestrictMatroid(Matroid):
     def _spanned(self, imask: int, among: int) -> int:
         return self.child._spanned(imask, among)
 
-    def _circuit(self, dep: int, among: int) -> int:
-        return self.child._circuit(dep, among)
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        return self.child._circuits(base, tails, among)
 
     def _json_doc(self) -> dict:
         return {
@@ -901,8 +893,8 @@ class RestrictMatroid(Matroid):
 class ContractMatroid(Matroid):
     # With B_C a base of the contracted set C, X is independent in M/C
     # exactly when X | B_C is independent in M.  So I spans x in M/C
-    # exactly when I | B_C spans it in M, and the circuit of dep in M/C is
-    # the circuit of dep | B_C in M less B_C: the child answers both.
+    # exactly when I | B_C spans it in M, and the circuit of I + x in M/C
+    # is the circuit of I | B_C + x in M less B_C: the child answers both.
     kind = "contract"
 
     def __init__(self, child: Matroid, mask: int) -> None:
@@ -919,9 +911,9 @@ class ContractMatroid(Matroid):
     def _spanned(self, imask: int, among: int) -> int:
         return self.child._spanned(imask | self._base_of_contracted, among)
 
-    def _circuit(self, dep: int, among: int) -> int:
-        base = self._base_of_contracted
-        return self.child._circuit(dep | base, among & ~base)
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        contracted = self._base_of_contracted
+        return self.child._circuits(base | contracted, tails, among & ~contracted)
 
     def _json_doc(self) -> dict:
         return {
@@ -1114,6 +1106,12 @@ def matroid_to_json(m: Matroid) -> dict:
     return m._json_doc()
 
 
+def _listed(value, name: str) -> list:
+    if not isinstance(value, list):  # a string would be read letter by letter
+        raise TypeError(f"{name} must be a JSON list")
+    return value
+
+
 def matroid_from_json(doc: Mapping) -> Matroid:
     if not isinstance(doc, Mapping):
         raise InvalidDocument("matroid document must be a JSON object")
@@ -1121,26 +1119,27 @@ def matroid_from_json(doc: Mapping) -> Matroid:
     try:
         if kind == "uniform":
             n = int(doc["n"])
-            labels = doc.get("labels") or [f"e{i}" for i in range(n)]
+            labels = _listed(doc.get("labels", []), "labels") or [f"e{i}" for i in range(n)]
             if len(labels) != n:
                 raise InvalidDocument("uniform: labels must have length n")
             return uniform(GroundSet(tuple(labels)), int(doc["r"]))
         if kind == "graphic":
-            return graphic(doc["vertices"], doc["edges"])
+            return graphic(_listed(doc["vertices"], "vertices"), doc["edges"])
         if kind == "partition":
             return partition(
-                [(blk["elements"], int(blk["cap"])) for blk in doc["blocks"]]
+                [(_listed(blk["elements"], "elements"), int(blk["cap"])) for blk in doc["blocks"]]
             )
         if kind == "explicit":
-            return explicit(doc["universe"], doc["bases"])
+            bases = [_listed(b, "each of bases") for b in _listed(doc["bases"], "bases")]
+            return explicit(_listed(doc["universe"], "universe"), bases)
         if kind == "dual":
             return matroid_from_json(doc["of"]).dual()
         if kind == "restrict":
             child = matroid_from_json(doc["of"])
-            return child.restrict(child.ground.subset(doc["set"]))
+            return child.restrict(child.ground.subset(_listed(doc["set"], "set")))
         if kind == "contract":
             child = matroid_from_json(doc["of"])
-            return child.contract(child.ground.subset(doc["set"]))
+            return child.contract(child.ground.subset(_listed(doc["set"], "set")))
         if kind == "sum":
             return concat_sum([matroid_from_json(p) for p in doc["parts"]])
     except InvalidDocument:

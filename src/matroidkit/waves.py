@@ -116,18 +116,25 @@ def largest_wave(ctx: PairContext, start: ElementSet | None = None, trace=None) 
 def _wave_run(ctx: PairContext, warm: int, carried: tuple[int, ...], trace) -> "Wave":
     """The largest wave of ``ctx`` from one classic run, re-checked from raw oracles.
 
-    With ``carried`` layers the run resumes that backward search from
-    ``warm`` (the lemma in ``intersect.extend_to_nice``); else it starts
-    from the greedy common independent part of ``warm``, which two
-    queries on the whole set answer when it is all of ``warm``.  W is
-    the certificate's M-side, whose set is maximum, so W is the largest
-    wave; the witness is the part of that set in W, and the wave keeps
-    the layers of the search that found it.  A ``trace`` (a
+    Every start is tested once, by two queries on the whole set.  With
+    ``carried`` layers the run resumes that backward search from ``warm``
+    (the lemma in ``intersect.extend_to_nice``); else it starts from the
+    greedy common independent part of ``warm``, which is all of it when
+    the test holds.  A ``warm`` that leaves the universe, or a carried one
+    that is not common independent, is a caller's bug and raises
+    PostconditionFailed.
+
+    W is the certificate's M-side, whose set is maximum, so W is the
+    largest wave; the witness is the part of that set in W, and the wave
+    keeps the layers of the search that found it.  A ``trace`` (a
     ``classic.Trace``) counts the run in ``wave_runs``: as resumed, else
     as cold from the empty set or warm, with the full runs' phases.
     """
     start = warm
-    if warm and not carried and not (ctx.M._indep(warm) and ctx.N._indep(warm)):
+    outside = warm & ~ctx.universe_mask
+    if outside or warm and not (ctx.M._indep(warm) and ctx.N._indep(warm)):
+        if carried or outside:
+            raise PostconditionFailed("classic run start is not common independent")
         start = _mask(_greedy(ctx.M, ctx.N, 0, warm))
     run = None if trace is None else Trace()
     cert = _classic_run(ctx.M, ctx.N, run, start, carried)

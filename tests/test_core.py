@@ -880,7 +880,7 @@ def test_kernels_replay_classic_runs_at_n128(monkeypatch):
     # asks the query stream whose shapes these kernels are built for
     for cls in (C.GraphicMatroid, C.PartitionMatroid):
         monkeypatch.setattr(cls, "_spanned", C.Matroid._spanned)
-        monkeypatch.setattr(cls, "_circuit", C.Matroid._circuit)
+        monkeypatch.setattr(cls, "_circuits", C.Matroid._circuits)
     rng = random.Random(128)
     m = connected_graphic(rng, 128)
     shapes = {"graphic": Counter(), "partition": Counter()}
@@ -1156,34 +1156,36 @@ def chain_of(m: C.Matroid) -> list[C.Matroid]:
 
 def check_structural(h: C.Matroid, rng: random.Random, rounds: int = 6) -> Counter:
     """Ask ``h`` seeded span and circuit questions, each also asked of the
-    query version (``Matroid._spanned``, ``Matroid._circuit``) on a fresh
+    query version (``Matroid._spanned``, ``Matroid._circuits``) on a fresh
     deep copy of ``h``, and assert equal answers.
 
-    The shapes are the solvers' (I + x, a circuit within I) and the
-    fallback's: one candidate, a dependent I, a ``dep`` with no cycle or
-    with two; ``among`` may meet I or reach outside ``dep``.  When every
-    node of ``h``'s chain answers structurally, a question with two or
-    more candidates on well-formed input must ask no query (every memo
-    along the chain keeps its size), and the leaf's anchor, which the
-    answer may move, must stay an independent set, rooted when graphic.
-    Returns the shapes asked.
+    The shapes are the solvers' (several tails, some not spanned, some in
+    I; ``among`` within I or reaching outside every circuit; one tail)
+    and the fallback's: one candidate in ``among``, from the graphic
+    leaf's anchor when it is the leaf's I and from another anchor; a
+    dependent I.  When every node of ``h``'s chain answers structurally, a
+    question with two or more candidates on well-formed input, and a
+    graphic one-candidate question whose anchor is the leaf's I, must ask
+    no query (every memo along the chain keeps its size), and the leaf's
+    anchor, which the answer may move, must stay an independent set,
+    rooted when graphic.  Returns the shapes asked.
     """
     ref = copy.deepcopy(h)
     universe = h.universe_mask
-    width = universe.bit_length()
     chain = chain_of(h)
     structural = all(isinstance(m, STRUCTURAL_KINDS) for m in chain)
     leaf, ref_leaf = chain[-1], chain_of(ref)[-1]
+    contracted = sum(getattr(m, "_base_of_contracted", 0) for m in chain)
     shapes: Counter = Counter()
 
     def draw(density=None) -> int:
         density = rng.choice([0.1, 0.5, 0.9]) if density is None else density
         return sum(1 << e for e in bit_indices(universe) if rng.random() < density)
 
-    def ask(shape, method, a, b, pure=False):
+    def ask(shape, method, *args, pure=False):
         memos = [len(m._memo_indep) for m in chain]
-        got = getattr(h, method)(a, b)
-        assert got == getattr(C.Matroid, method)(ref, a, b), (h.kind, shape, a, b)
+        got = getattr(h, method)(*args)
+        assert got == getattr(C.Matroid, method)(ref, *args), (h.kind, shape, args)
         if pure and structural:
             assert [len(m._memo_indep) for m in chain] == memos, (h.kind, shape)
             if leaf.kind == "graphic":
@@ -1200,23 +1202,36 @@ def check_structural(h: C.Matroid, rng: random.Random, rounds: int = 6) -> Count
     for _ in range(rounds):
         imask = ref._max_indep(draw())
         among = draw()
-        ask("spanned", "_spanned", imask, among, several(among & ~imask))
-        ask("spanned, among meets I", "_spanned", imask, among | imask, several(among & ~imask))
+        ask("spanned", "_spanned", imask, among, pure=several(among & ~imask))
+        ask("spanned, among meets I", "_spanned", imask, among | imask, pure=several(among & ~imask))
         if outside := universe & ~imask:
             ask("spanned, one candidate", "_spanned", imask, 1 << rng.choice(list(bit_indices(outside))))
         if not ref._indep(dependent := imask | draw()):
             ask("spanned, dependent I", "_spanned", dependent, draw())
+        tails = draw() | draw() & imask
+        ask("circuits", "_circuits", imask, tails, imask, pure=several(imask))
+        ask("circuits, among reaches outside them", "_circuits", imask, tails, among, pure=several(among))
         spanned = list(bit_indices(C.Matroid._spanned(ref, imask, universe)))
-        if spanned:
-            dep = imask | 1 << rng.choice(spanned)
-            ask("circuit", "_circuit", dep, dep, several(dep))
-            among = draw()
-            ask("circuit, among reaches outside dep", "_circuit", dep, among, several(among))
-            ask("circuit, one candidate", "_circuit", dep, 1 << rng.choice(list(bit_indices(dep))))
-        if len(spanned) >= 2:
-            x, y = rng.sample(spanned, 2)
-            ask("circuit, two cycles", "_circuit", imask | 1 << x | 1 << y, universe)
-        ask("circuit, no cycle", "_circuit", imask, universe)
+        if not spanned:
+            continue
+        x = rng.choice(spanned)
+        one = 1 << rng.choice(list(bit_indices(imask | 1 << x)))
+        if leaf.kind == "graphic":
+            leaf._anchor = leaf._rooted(0)
+        else:
+            leaf._anchor = 0
+        ask("circuits, one candidate", "_circuits", imask, 1 << x, one)
+        ask("circuits, one tail", "_circuits", imask, 1 << x, universe, pure=several(universe))
+        if leaf.kind == "graphic" and leaf._anchor[0] == imask | contracted:
+            ask("circuits, one candidate, anchor is I", "_circuits", imask, 1 << x, one, pure=True)
+        # I + z holds the circuit of z, which meets the circuit of the tail
+        # x in I (z is not spanned by I less that part): in a partition the
+        # two share a block, which x makes read
+        apart = C.Matroid._spanned(ref, imask & ~C.Matroid._circuits(ref, imask, 1 << x, imask), universe)
+        meets = [z for z in spanned if z != x and not apart >> z & 1]
+        if meets:
+            z = rng.choice(meets)
+            ask("circuits, dependent I", "_circuits", imask | 1 << z, draw() | 1 << x, universe)
     return shapes
 
 
@@ -1248,7 +1263,7 @@ def test_structural_answers_match_the_query_versions_on_the_corpus(corpus):
             shapes += check_structural(node, rng, rounds=3)
             kinds[node.kind] += 1
     assert min(kinds[k] for k in ("graphic", "partition", "contract", "restrict")) > 100, kinds
-    assert len(shapes) == 10 and min(shapes.values()) > 300, shapes
+    assert len(shapes) == 11 and min(shapes.values()) > 300, shapes
 
 
 def test_structural_answers_match_the_query_versions_through_minor_chains():
@@ -1270,7 +1285,7 @@ def test_structural_answers_match_the_query_versions_through_minor_chains():
             )
         for h in [leaf, *minor_chains(leaf, rng)]:
             shapes += check_structural(h, rng)
-    assert len(shapes) == 10 and min(shapes.values()) > 50, shapes
+    assert len(shapes) == 11 and min(shapes.values()) > 50, shapes
     assert shapes["no query"] > 500, shapes
 
 
@@ -1281,12 +1296,25 @@ def test_structural_answers_on_loops_parallel_edges_and_free_elements():
     g = C.graphic("uvw", [("u", "u", "a"), ("u", "v", "b"), ("v", "u", "c"), ("v", "w", "d")])
     bit = {label: 1 << g.ground.index(label) for label in "abcd"}
     assert g._spanned(bit["b"], g.universe_mask) == bit["a"] | bit["c"]
-    assert g._circuit(bit["b"] | bit["c"], g.universe_mask) == bit["b"] | bit["c"]
-    assert g._circuit(bit["a"] | bit["d"], g.universe_mask) == bit["a"]
+    # tails b and c of I = {b}, one in I, d not spanned; then a loop and an edge between trees
+    assert g._circuits(bit["b"], bit["b"] | bit["c"] | bit["d"], g.universe_mask) == bit["b"] | bit["c"]
+    assert g._circuits(bit["d"], bit["a"] | bit["b"], g.universe_mask) == bit["a"]
+    # the anchor is now {d}, so one candidate asks no query; {b, c} is not a forest
+    memo = len(g._memo_indep)
+    assert g._circuits(bit["d"], bit["a"], bit["a"]) == bit["a"] and len(g._memo_indep) == memo
+    ref = copy.deepcopy(g)
+    cycle = bit["b"] | bit["c"]
+    assert g._circuits(cycle, bit["a"] | bit["d"], g.universe_mask) == C.Matroid._circuits(
+        ref, cycle, bit["a"] | bit["d"], g.universe_mask
+    )
     p = partition_of(5, [([0, 1], 0), ([2, 3], 1)])
     assert p._spanned(1 << 2, 0b11111) == 0b01011
-    assert p._circuit(0b00101, 0b11111) == 0b00001
-    assert p._circuit(0b01100, 0b11111) == 0b01100
+    assert p._circuits(0b00100, 0b10011, 0b11111) == 0b00011
+    assert p._circuits(0b00100, 0b11000, 0b11111) == 0b01100
+    # a block over its cap that holds a tail is read, and the query version answers
+    q = partition_of(4, [([0, 1, 2], 1)])
+    ref = copy.deepcopy(q)
+    assert q._circuits(0b0011, 0b1100, 0b1111) == C.Matroid._circuits(ref, 0b0011, 0b1100, 0b1111)
 
 
 def test_structural_answers_keep_every_result_and_never_cost_more(corpus, monkeypatch):
@@ -1301,20 +1329,20 @@ def test_structural_answers_keep_every_result_and_never_cost_more(corpus, monkey
             return raw(self, mask)
 
         monkeypatch.setattr(cls, "_indep_raw", counted)
-    query = {name: getattr(C.Matroid, name) for name in ("_spanned", "_circuit")}
+    query = {name: getattr(C.Matroid, name) for name in ("_spanned", "_circuits")}
     leaves = (C.GraphicMatroid, C.PartitionMatroid)
     for name, reference in query.items():
         # a leaf's own answer is structural unless it hands the question
         # to the query version
-        def handed(self, a, b, reference=reference):
+        def handed(self, *args, reference=reference):
             counts["structural"] -= isinstance(self, leaves)
-            return reference(self, a, b)
+            return reference(self, *args)
 
         monkeypatch.setattr(C.Matroid, name, handed)
         for cls in leaves:
-            def own(self, a, b, answer=vars(cls)[name]):
+            def own(self, *args, answer=vars(cls)[name]):
                 counts["structural"] += 1
-                return answer(self, a, b)
+                return answer(self, *args)
 
             monkeypatch.setattr(cls, name, own)
 

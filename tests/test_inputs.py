@@ -73,3 +73,54 @@ def test_e1_file_that_is_not_a_list_exits_2(tmp_path, capsys):
         "type": "InvalidDocument",
         "message": "expected a JSON list of element labels",
     }
+
+
+UNIFORM_OF_TWO = {"kind": "uniform", "n": 2, "r": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"kind": "uniform", "n": 3, "r": 1, "labels": "abc"}, "labels"),
+        ({"kind": "graphic", "vertices": "uv", "edges": [["u", "v"]]}, "vertices"),
+        ({"kind": "partition", "blocks": [{"elements": "ab", "cap": 1}]}, "elements"),
+        ({"kind": "explicit", "universe": "ab", "bases": [["a"]]}, "universe"),
+        ({"kind": "explicit", "universe": ["a", "b"], "bases": "ab"}, "bases"),
+        ({"kind": "explicit", "universe": ["a", "b"], "bases": ["ab"]}, "each of bases"),
+        ({"kind": "restrict", "of": UNIFORM_OF_TWO, "set": "e0"}, "set"),
+        ({"kind": "contract", "of": UNIFORM_OF_TWO, "set": "e0"}, "set"),
+    ],
+    ids=["labels", "vertices", "elements", "universe", "bases", "a-base", "restrict-set", "contract-set"],
+)
+def test_label_list_given_as_a_string_is_rejected(tmp_path, capsys, doc, field):
+    # a JSON string is not read as a list of one-letter labels
+    with pytest.raises(C.InvalidDocument) as exc:
+        C.matroid_from_json(doc)
+    assert str(exc.value).endswith(f": {field} must be a JSON list")
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    code = main(["check", "--m", str(tmp_path / "m.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"]["message"].endswith(f": {field} must be a JSON list")
+
+
+def test_cli_label_list_given_as_a_string_exits_2(tmp_path, capsys):
+    # the family universe and the graph vertices, which the CLI reads itself
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    family = {"universe": "ab", "members": [UNIFORM]}
+    graph = {"vertices": "ab", "edges": [["a", "b"]]}
+    routes = (
+        (["packcov", "--family", write("fam.json", family)], "family universe must be a JSON list"),
+        (
+            ["orient", "--graph", write("g.json", graph), "--demands", write("o.json", {"a": 1})],
+            "graph vertices must be a JSON list",
+        ),
+    )
+    for argv, message in routes:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, argv
+        assert json.loads(captured.err)["error"] == {"type": "InvalidDocument", "message": message}

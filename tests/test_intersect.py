@@ -476,21 +476,6 @@ def _least_shortest_path(out, size, source, sinks):
     return None
 
 
-def test_classic_run_rejects_a_start_that_is_not_common_independent():
-    free, u31 = C.free(G3), C.uniform(G3, 1)
-    ab = G3.subset("ab").mask
-    ab_only = free.restrict(G3.subset("ab"))
-    cases = [
-        (u31, free, ab),  # dependent in M
-        (free, u31, ab),  # dependent in N
-        (ab_only, ab_only, G3.subset("c").mask),  # outside the universe
-    ]
-    for m, n, start in cases:
-        with pytest.raises(C.PostconditionFailed, match="start is not common independent"):
-            _classic_run(m, n, start=start)
-    assert len(_classic_run(free, u31, start=G3.subset("b").mask).I) == 1
-
-
 class _DeadEndDigraph(DictDigraph):
     """Counts the ``heads`` questions that find nothing; once a path is
     known to exist, each one is a dead end of the walk."""

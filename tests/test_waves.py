@@ -15,6 +15,7 @@ from matroidkit.waves import (
     PairContext,
     Wave,
     _verify_wave,
+    _wave_run,
     check_cond_plus,
     common_base_B,
     is_clean,
@@ -35,6 +36,28 @@ from conftest import (
 
 G2 = GroundSet(tuple("ab"))
 G3 = GroundSet(tuple("abc"))
+
+
+def test_wave_run_rejects_a_carried_start_that_is_not_common_independent():
+    # every wave run's start is tested in _wave_run alone: a carried start,
+    # which the run resumes as it is, must be common independent, and no
+    # start may leave the universe; any other start is cut to its greedy part
+    free, u31 = C.free(G3), C.uniform(G3, 1)
+    ab = G3.subset("ab").mask
+    ab_only = free.restrict(G3.subset("ab"))
+    cases = [
+        (u31, free, ab),  # dependent in M
+        (free, u31, ab),  # dependent in N
+        (ab_only, ab_only, G3.subset("c").mask),  # outside the universe
+    ]
+    for m, n, start in cases:
+        with pytest.raises(C.PostconditionFailed, match="start is not common independent"):
+            _wave_run(PairContext(m, n), start, (0,), None)  # the test comes before the layers
+    with pytest.raises(C.PostconditionFailed, match="start is not common independent"):
+        _wave_run(PairContext(ab_only, ab_only), G3.subset("c").mask, (), None)
+    for start in (G3.subset("b").mask, ab):
+        wave = _wave_run(PairContext(free, u31), start, (), None)
+        assert len(wave.witness) + len(wave.rest) == 1
 
 
 def small_pairs(corpus, limit=40, max_size=7):
