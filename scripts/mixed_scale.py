@@ -9,15 +9,18 @@ Each instance is a graphic M on 3n/4 vertices (a random spanning tree,
 then random extra edges) against a partition N of random blocks of 2-4
 elements, each capped at half its size, all drawn from random.Random(n).
 The mixed solver runs twice: with E1 empty and with E1 the odd-indexed
-blocks of N.  A last row solves a graphic M against a graphic N at
-n = 256, E1 empty, drawn from random.Random(-256).  Each cell prints the
-median CPU time (time.process_time) over ``--repeats`` runs, then the
-leaf oracle calls of one run, the entries of the two leaf handles'
-memos, which fresh handles start without, and "+ N structural", the
-span and circuit questions the two leaves answered from their structure,
-one answer per question (calls of a leaf's own ``_spanned`` or
-``_circuits`` that do not hand the question to the query version).  The
-call ratio compares the two cells' sums.
+blocks of N.  Two more rows solve the n = 256 pair with N replaced by
+the dual of its partition, with E1 empty and with E1 the odd-indexed
+blocks, so the solves build contractions of restrictions of that dual.
+A last row solves a graphic M against a graphic N at n = 256, E1 empty,
+drawn from random.Random(-256).  Each cell prints the median CPU time
+(time.process_time) over ``--repeats`` runs, then the leaf oracle calls
+of one run, the entries of the two leaf handles' memos (under a dual N,
+its partition's), which fresh handles start without, and "+ N
+structural", the span and circuit questions the two leaves answered
+from their structure, one answer per question (calls of a leaf's own
+``_spanned`` or ``_circuits`` that do not hand the question to the query
+version).  The call ratio compares the two cells' sums.
 
 The contraction and restriction handles each solve builds are collected
 (the script wraps their ``__init__``).  After the solve, each is asked
@@ -57,6 +60,7 @@ from collections import Counter
 from matroidkit.classic import Trace
 from matroidkit.core import (
     ContractMatroid,
+    DualMatroid,
     ElementSet,
     GraphicMatroid,
     Matroid,
@@ -198,6 +202,16 @@ def through_i_e1(trace: Trace, e1: int) -> int:
     )
 
 
+def dual_instance(size: int, odd_e1: bool):
+    """The seeded pair at ``size`` elements with N the dual of its partition.
+
+    The dual of a partition matroid is the direct sum of its blocks' duals,
+    so the odd-indexed blocks are still a union of components of N.
+    """
+    m, n, e1 = instance(size, odd_e1)
+    return m, n.dual(), e1
+
+
 def graphic_pair(size: int):
     """Two seeded graphic matroids on one ground set of ``size`` edges, and E1 empty."""
     rng = random.Random(-size)
@@ -217,7 +231,8 @@ def measure(build, solve, repeats: int, watch: Watch):
         t0 = time.process_time()
         cert = solve(m, n, e1)
         times.append(time.process_time() - t0)
-    return statistics.median(times), len(m._memo_indep) + len(n._memo_indep), watch.answers, cert
+    leaf = n.child if isinstance(n, DualMatroid) else n
+    return statistics.median(times), len(m._memo_indep) + len(leaf._memo_indep), watch.answers, cert
 
 
 def classic(m, n, _e1):
@@ -253,6 +268,8 @@ def main() -> int:
     mismatches = 0
     rows = [(size, name, functools.partial(instance, size, False), functools.partial(instance, size, odd_e1))
             for size in args.sizes for name, odd_e1 in (("∅", False), ("odd blocks", True))]
+    rows += [(256, f"{name}, dual N", functools.partial(dual_instance, 256, False),
+              functools.partial(dual_instance, 256, odd_e1)) for name, odd_e1 in (("∅", False), ("odd blocks", True))]
     rows.append((256, "∅, graphic N", functools.partial(graphic_pair, 256), functools.partial(graphic_pair, 256)))
     for size, name, classic_build, mixed_build in rows:
         c_s, c_calls, c_total, c_cert = solved(classic_build, classic, args.repeats)

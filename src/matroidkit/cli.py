@@ -164,7 +164,7 @@ def _cmd_packcov(args) -> tuple[dict, int]:
     members = []
     for mdoc in member_docs:
         member = matroid_from_json(mdoc)
-        if sorted(member.ground.labels) != sorted(universe):
+        if set(member.ground.labels) != set(universe):  # each holds distinct labels
             raise InvalidDocument("family member universe differs from shared universe")
         members.append(relabel_onto(member, ground))
     fam = MatroidFamily(ground, tuple(members))

@@ -285,48 +285,39 @@ class Matroid:
                 return False
         return True
 
-    def _circuit(self, dep: int, among: int) -> int:
-        """The elements of ``among`` in the one circuit of ``dep``, found by halving.
-
-        ``dep`` is an independent set plus one element, so it holds exactly
-        one circuit C, and dep - S is independent exactly when S meets C.
-        Every part on the stack meets C and is split in two; when the first
-        half misses C, the second half meets it, and that is not asked.
-        No handle overrides it; the query version of ``_circuits`` asks it.
-        """
-        if not among or not self._indep(dep & ~among):
-            return 0
-        found = 0
-        stack = [list(bit_indices(among))]
-        while stack:
-            part = stack.pop()
-            if len(part) == 1:
-                found |= 1 << part[0]
-                continue
-            mid = len(part) // 2
-            low, high = part[:mid], part[mid:]
-            low_meets = self._indep(dep & ~_mask(low))
-            if low_meets:
-                stack.append(low)
-            if not low_meets or self._indep(dep & ~_mask(high)):
-                stack.append(high)
-        return found
-
     def _circuits(self, base: int, tails: int, among: int) -> int:
         """The elements of ``among`` in the circuit of base + x, for some x of ``tails - base``.
 
-        Only an x that the independent set ``base`` spans has a circuit, so
-        each x asks that first, then one ``_circuit``, least x first, until
-        every element of ``among`` is found.  This is the query version,
-        which a handle may override as it may ``_spanned``.
+        This is the query version, which a handle may override as it may
+        ``_spanned``.  Tails are taken least first, until every element of
+        ``among`` is found.  Only an x that the independent set ``base``
+        spans has a circuit C, and base + x - S is independent exactly
+        when S meets C.  So the rest of ``among`` is asked once, then found
+        by halving: every part on the stack meets C and is split in two;
+        when the first half misses C, the second half meets it, and that
+        is not asked.
         """
         found = 0
         tails &= ~base
         while tails and among & ~found:
-            low = tails & -tails
-            tails ^= low
-            if not self._indep(base | low):
-                found |= self._circuit(base | low, among & ~found)
+            x = tails & -tails
+            tails ^= x
+            dep, rest = base | x, among & ~found
+            if self._indep(dep) or not self._indep(dep & ~rest):
+                continue
+            stack = [list(bit_indices(rest))]
+            while stack:
+                part = stack.pop()
+                if len(part) == 1:
+                    found |= 1 << part[0]
+                    continue
+                mid = len(part) // 2
+                low, high = part[:mid], part[mid:]
+                low_meets = self._indep(dep & ~_mask(low))
+                if low_meets:
+                    stack.append(low)
+                if not low_meets or self._indep(dep & ~_mask(high)):
+                    stack.append(high)
         return found
 
     def _check_subset(self, s: ElementSet) -> int:
@@ -393,24 +384,21 @@ class Matroid:
 
         Two elements share a class exactly when the fundamental circuits
         of one greedy base link them (Krogdahl, "The dependence graph for
-        bases in matroids", 1977).  The base is maximal, so it spans every
-        x outside it, and one ``_circuits`` question per x finds the circuit
-        C of base + x, by halving in at most 2 + 2|C|ceil(log2(r)) queries,
-        not r.  Loops and coloops come out as singleton classes.
+        bases in matroids", 1977).  The greedy dropped each x outside the
+        base as dependent on P, the base below x, so one ``_circuits``
+        question per x against P finds the circuit C of P + x, which is
+        that of base + x, by halving in at most 1 + 2|C|ceil(log2(r)) more
+        queries (the greedy asked P + x), not r.  Loops and coloops come
+        out as singleton classes.
         """
         base = self._max_indep(self.universe_mask)
         classes: list[int] = []
         for x in bit_indices(self.universe_mask & ~base):
-            merged = 1 << x | self._circuits(base, 1 << x, base)
-            keep = []
-            for c in classes:
-                if c & merged:
-                    merged |= c
-                else:
-                    keep.append(c)
-            keep.append(merged)
-            classes = keep
-        covered = sum(classes)  # the classes are disjoint
+            prefix = base & ((1 << x) - 1)
+            merged = 1 << x | self._circuits(prefix, 1 << x, prefix)
+            merged |= sum(c for c in classes if c & merged)  # the classes are disjoint
+            classes = [c for c in classes if not c & merged] + [merged]
+        covered = sum(classes)
         classes.extend(1 << e for e in bit_indices(self.universe_mask & ~covered))
         classes.sort(key=lambda m: m & -m)
         return [ElementSet(self.ground, m) for m in classes]
@@ -1112,22 +1100,28 @@ def _listed(value, name: str) -> list:
     return value
 
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):  # int() floors 1.9; True is an int
+        raise TypeError(f"{name} must be an integer: {value!r}")
+    return value
+
+
 def matroid_from_json(doc: Mapping) -> Matroid:
     if not isinstance(doc, Mapping):
         raise InvalidDocument("matroid document must be a JSON object")
     kind = doc.get("kind")
     try:
         if kind == "uniform":
-            n = int(doc["n"])
+            n = _integer(doc["n"], "n")
             labels = _listed(doc.get("labels", []), "labels") or [f"e{i}" for i in range(n)]
             if len(labels) != n:
                 raise InvalidDocument("uniform: labels must have length n")
-            return uniform(GroundSet(tuple(labels)), int(doc["r"]))
+            return uniform(GroundSet(tuple(labels)), _integer(doc["r"], "r"))
         if kind == "graphic":
             return graphic(_listed(doc["vertices"], "vertices"), doc["edges"])
         if kind == "partition":
             return partition(
-                [(_listed(blk["elements"], "elements"), int(blk["cap"])) for blk in doc["blocks"]]
+                [(_listed(blk["elements"], "elements"), _integer(blk["cap"], "cap")) for blk in doc["blocks"]]
             )
         if kind == "explicit":
             bases = [_listed(b, "each of bases") for b in _listed(doc["bases"], "bases")]

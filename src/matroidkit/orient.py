@@ -59,7 +59,11 @@ class DemandGraph:
             else:
                 kept.append((u, v, label))
         vtuple = tuple(vindex)
-        graph = cls(vtuple, tuple(kept), tuple(sorted((v, demands.get(v, 0)) for v in vtuple)))
+        try:
+            demand_list = tuple(sorted((v, demands.get(v, 0)) for v in vtuple))
+        except TypeError:
+            raise MatroidKitError(f"vertex names must be of one orderable type: {list(vtuple)!r}") from None
+        graph = cls(vtuple, tuple(kept), demand_list)
         for v in vtuple:
             if abs(graph.o(v)) > graph.degree(v):
                 raise DemandOutOfRange(

@@ -91,7 +91,7 @@ def scan_circuit(m: C.Matroid, e: int, imask: int) -> int:
 
     It holds e and exactly those f of I whose removal makes I + e
     independent: one query per element of I.  The reference for the
-    halving of ``Matroid._circuit``.
+    halving in ``Matroid._circuits`` and for each handle's own answer.
     """
     dep = imask | 1 << e
     return 1 << e | sum(1 << f for f in bit_indices(imask) if m._indep(dep ^ 1 << f))
@@ -308,8 +308,12 @@ def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
 def drive_mixed(m: C.Matroid, split, trace=None):
     """Replay the mixed solver's augmenting loop through the public API.
 
-    Returns (wave, context, final state, records); each record is a tuple
-    (state before, path, state after augmenting, state after extending).
+    As ``mixed_solve`` does, the first state carries the wave's rest as
+    its warm set, and each path is searched from the E0 floor, the E0
+    elements from the one to be spanned up, so the replayed rounds take
+    the same warm and resumed wave runs.  Returns (wave, context, final
+    state, records); each record is a tuple (state before, path, state
+    after augmenting, state after extending).
     """
     from matroidkit.intersect import (
         FeasibleState,
@@ -326,11 +330,11 @@ def drive_mixed(m: C.Matroid, split, trace=None):
     mq = m.contract(wave.W)
     nq = split.N.delete(wave.W)
     ctx = PairContext(mq, nq, ElementSet(ground, split.E1.mask & e_n))
-    state = FeasibleState(ctx, ground.empty())
+    state = FeasibleState(ctx, ground.empty(), wave.rest)
     records = []
     for e in bit_indices(ctx.E0.mask):
         while not ctx.N._span(state.I.mask) >> e & 1:
-            path = find_aug_path(state)
+            path = find_aug_path(state, ctx.E0.mask & -(1 << e))
             assert path is not None
             augmented = augment(state, path, trace=trace)
             extended = extend_to_nice(augmented, trace=trace)

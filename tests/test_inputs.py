@@ -124,3 +124,64 @@ def test_cli_label_list_given_as_a_string_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 2 and not captured.out, argv
         assert json.loads(captured.err)["error"] == {"type": "InvalidDocument", "message": message}
+
+
+@pytest.mark.parametrize(
+    "doc, field, value",
+    [
+        ({"kind": "uniform", "n": 2, "r": 1.9}, "r", 1.9),
+        ({"kind": "uniform", "n": 2.5, "r": 1}, "n", 2.5),
+        ({"kind": "uniform", "n": 2, "r": True}, "r", True),
+        ({"kind": "uniform", "n": "2", "r": 1}, "n", "2"),
+        ({"kind": "partition", "blocks": [{"elements": ["a", "b"], "cap": "2"}]}, "cap", "2"),
+        ({"kind": "partition", "blocks": [{"elements": ["a", "b"], "cap": 1.0}]}, "cap", 1.0),
+        ({"kind": "dual", "of": {"kind": "uniform", "n": 3, "r": False}}, "r", False),
+    ],
+    ids=["float-rank", "float-size", "bool-rank", "string-size", "string-cap", "float-cap", "bool-rank-in-dual"],
+)
+def test_matroid_number_that_is_not_an_integer_is_rejected(tmp_path, capsys, doc, field, value):
+    # n, r and cap are integers that are not bools, as demands are; int()
+    # would read 1.9 as 1 and accept true and "2"
+    message = f"{field} must be an integer: {value!r}"
+    with pytest.raises(C.InvalidDocument) as exc:
+        C.matroid_from_json(doc)
+    assert str(exc.value).endswith(message)
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    code = main(["check", "--m", str(tmp_path / "m.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"]["message"].endswith(message)
+
+
+def test_family_universe_of_mixed_label_types_is_compared_as_a_set(tmp_path, capsys):
+    # the labels "a" and 1 cannot be ordered; the member universe is the
+    # shared one in another order, then a different one
+    def packcov(member_universe):
+        member = {"kind": "explicit", "universe": member_universe, "bases": [["a"]]}
+        (tmp_path / "fam.json").write_text(json.dumps({"universe": ["a", 1], "members": [member]}))
+        code = main(["packcov", "--family", str(tmp_path / "fam.json")])
+        return code, capsys.readouterr()
+
+    code, captured = packcov([1, "a"])
+    assert code == 0 and not captured.err
+    out = json.loads(captured.out)
+    assert out["verification"]["packcov_valid"] and sorted(map(str, out["output"]["E_p"])) == ["1", "a"]
+    code, captured = packcov([2, "a"])
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"] == {
+        "type": "InvalidDocument",
+        "message": "family member universe differs from shared universe",
+    }
+
+
+def test_vertex_names_that_cannot_be_ordered_are_named_as_the_fault(tmp_path, capsys):
+    message = "vertex names must be of one orderable type: [1, 'a']"
+    with pytest.raises(C.MatroidKitError) as exc:
+        DemandGraph.build([1, "a"], [[1, "a"]], {})
+    assert str(exc.value) == message
+    (tmp_path / "g.json").write_text(json.dumps({"vertices": [1, "a"], "edges": [[1, "a"]]}))
+    (tmp_path / "o.json").write_text(json.dumps({}))
+    code = main(["orient", "--graph", str(tmp_path / "g.json"), "--demands", str(tmp_path / "o.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"] == {"type": "MatroidKitError", "message": message}

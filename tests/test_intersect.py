@@ -1270,6 +1270,38 @@ def test_arc_persistence_across_corpus_sample(corpus):
     assert done == 12
 
 
+def test_replay_records_the_states_and_wave_runs_of_a_traced_mixed_solve(corpus):
+    # drive_mixed starts from the wave's rest and searches from the E0 floor,
+    # as mixed_solve does: each round's augment and extend events name the
+    # sets of its record, and its extensions take the same cold, warm,
+    # resumed and reused wave runs; the solver's two runs before the loop
+    # are its largest wave (cold) and the check from the wave's rest
+    rounds = 0
+    for inst in corpus.pairs[:200]:
+        for e0, e1 in inst.splits:
+            solved, replayed = Trace(), Trace()
+            mixed_solve(inst.M, SplitInput(inst.N, e0, e1), solved)
+            wave, _ctx, _state, records = drive_mixed(inst.M, SplitInput(inst.N, e0, e1), replayed)
+            want = []
+            for before, path, augmented, extended in records:
+                ia = augmented.I.mask
+                want.append(("augment", before.I.mask, path, ia))
+                want.append(("extend", ia, extended.I.mask & ~ia))
+            got = [
+                ("augment", ev["before"], ev["path"], ev["after"]) if ev["kind"] == "augment"
+                else ("extend", ev["before"], ev["added"])
+                for ev in solved.events
+                if ev["kind"] in ("augment", "extend")
+            ]
+            assert got == want, inst.name
+            rest = bool(wave.rest)
+            before_loop = {"cold": 2 - rest, "warm": rest, "resumed": 0, "reused": 0}
+            for kind, runs in before_loop.items():
+                assert solved.wave_runs[kind] - runs == replayed.wave_runs[kind], (inst.name, kind)
+            rounds += len(records)
+    assert rounds > 90
+
+
 def test_trace_counters():
     m = C.free(G4)
     n = C.uniform(G4, 2)

@@ -210,11 +210,12 @@ def test_every_largest_wave_run_goes_through_one_function():
 STRUCTURAL_QUESTIONS = {"_spanned", "_circuit", "_circuits"}
 
 
-def test_handles_answer_the_two_digraph_questions_and_only_matroid_finds_one_circuit():
+def test_handles_answer_the_two_digraph_questions_and_no_handle_finds_one_circuit():
     # the structural seam is the digraph's own pair of questions: graphic and
     # partition leaves, and contraction and restriction, which pass them on,
-    # define _spanned and _circuits; one circuit by halving (_circuit) is the
-    # query version's alone, and no other handle answers a structural question
+    # define _spanned and _circuits; the query version of _circuits does its
+    # own halving, so no class defines a one-circuit _circuit, and no other
+    # handle answers a structural question
     tree = ast.parse((PACKAGE / "core.py").read_text())
     handles = {"Matroid"}
     methods = {}
@@ -225,7 +226,7 @@ def test_handles_answer_the_two_digraph_questions_and_only_matroid_finds_one_cir
             handles.add(node.name)
             methods[node.name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
     assert len(handles) == 10, handles
-    assert {name for name, defined in methods.items() if "_circuit" in defined} == {"Matroid"}
+    assert {name for name, defined in methods.items() if "_circuit" in defined} == set()
     structural = {"GraphicMatroid", "PartitionMatroid", "ContractMatroid", "RestrictMatroid"}
     for name, defined in methods.items():
         if name != "Matroid":
