@@ -1,5 +1,8 @@
 """Command-line interface: one binary, JSON in, verified JSON out.
 
+Each subcommand makes one library call, which verifies its answer from
+raw oracles and raises on a failed check (exit 3).
+
 Exit codes: 0 verified success, 1 verified negative verdict (for
 example a deficiency certificate), 2 input errors, 3 internal assertion
 failures.  Identical inputs and flags produce byte-identical output.
@@ -13,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .classic import Trace, verify_certificate
+from .classic import Trace
 from .core import (
     CertificateInvalid,
     ElementSet,
@@ -37,8 +40,8 @@ from .oracle import (
     brute_minmax,
     fuzz_corpus,
 )
-from .orient import DemandGraph, build_instance, orient_solve, verify_outcome
-from .packcov import MatroidFamily, lift_family, packcov_solve, verify_packcov
+from .orient import DemandGraph, build_instance, orient_solve
+from .packcov import MatroidFamily, lift_family, packcov_solve
 from .waves import PairContext, check_cond_plus, is_clean, largest_wave
 
 INTERNAL_ERRORS = (Stuck, PostconditionFailed, ExtensionFailed, CertificateInvalid)
@@ -125,8 +128,6 @@ def _cmd_intersect(args) -> tuple[dict, int]:
         },
         "solver": args.solver,
     }
-    if not verify_certificate(m, n, cert):
-        raise CertificateInvalid("certificate failed raw verification")
     verification = {"verified": True, "certificate_valid": True}
     if args.trace:
         Path(args.trace).write_text(_canon(trace.as_dict()))
@@ -178,8 +179,6 @@ def _cmd_packcov(args) -> tuple[dict, int]:
         "I": [_labels(i) for i in res.I],
         "product_labels": list(res.product_labels),
     }
-    if not verify_packcov(fam, res):
-        raise CertificateInvalid("packing/covering failed raw verification")
     verification = {"verified": True, "packcov_valid": True}
     return _result("packcov", {"family": _digest(doc)}, output, verification, _telemetry(trace)), 0
 
@@ -202,8 +201,6 @@ def _cmd_orient(args) -> tuple[dict, int]:
         "v_prime": list(out.v_prime),
         "counting_check": out.counting_ok,
     }
-    if not verify_outcome(graph, out):
-        raise CertificateInvalid("orientation outcome failed verification")
     verification = {"verified": True, "outcome_valid": True}
     payload = _result(
         "orient",

@@ -49,7 +49,9 @@ class DemandGraph:
             raise MatroidKitError("demands must map vertex names to integers")
         for v, d in demands.items():
             if v not in vindex:
-                raise MatroidKitError(f"demand for unknown vertex {v!r}")
+                same = [u for u in vindex if not isinstance(u, str) and str(u) == v]
+                why = f"; demand keys are strings, and vertex {same[0]!r} is not one" if same else ""
+                raise MatroidKitError(f"demand for unknown vertex {v!r}{why}")
             if not isinstance(d, int) or isinstance(d, bool):
                 raise MatroidKitError(f"demand at {v!r} is not an integer: {d!r}")
         kept = []
@@ -161,7 +163,7 @@ def orient_solve(
     e1: ElementSet | None = None,
     trace: Trace | None = None,
 ) -> OrientationOutcome:
-    """Solve the orientation problem; deficiency certificates are verified."""
+    """Solve the orientation problem; every outcome is verified."""
     inst = build_instance(g)
     cert = solve(inst.M, inst.N, solver, e1, trace)
 
@@ -172,22 +174,22 @@ def orient_solve(
         orientation[label] = v if imask & fwd else u
     indeg = indegrees(g, orientation)
     pairs = tuple(sorted(orientation.items()))
-    if all(above_at(g, indeg, v) for v in g.vertices):
-        return OrientationOutcome(pairs, "above", (), None)
-    # I & E_M is independent in M, so its size on a block is its rank
-    # there; the vertex is deficient when that falls short of the
-    # block's rank min(|block|, cap)
-    im = imask & cert.E_M.mask
-    v_prime = tuple(sorted(
-        v
-        for v, (mask, cap) in zip(g.vertices, inst.M.blocks)
-        if (im & mask).bit_count() < min(mask.bit_count(), cap)
-    ))
-    out = OrientationOutcome(
-        pairs, "deficient", v_prime, deficiency_counting_check(g, v_prime)
-    )
+    out = OrientationOutcome(pairs, "above", (), None)
+    if not all(above_at(g, indeg, v) for v in g.vertices):
+        # I & E_M is independent in M, so its size on a block is its rank
+        # there; the vertex is deficient when that falls short of the
+        # block's rank min(|block|, cap)
+        im = imask & cert.E_M.mask
+        v_prime = tuple(sorted(
+            v
+            for v, (mask, cap) in zip(g.vertices, inst.M.blocks)
+            if (im & mask).bit_count() < min(mask.bit_count(), cap)
+        ))
+        out = OrientationOutcome(
+            pairs, "deficient", v_prime, deficiency_counting_check(g, v_prime)
+        )
     if not verify_outcome(g, out):
-        raise CertificateInvalid("deficiency certificate failed verification")
+        raise CertificateInvalid(f"{out.verdict} outcome failed verification")
     return out
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from matroidkit import cli, intersect
+from matroidkit import intersect, orient, packcov
 from matroidkit import core as C
 from matroidkit.cli import main
 from matroidkit.classic import Trace
@@ -431,13 +431,25 @@ def test_malformed_exhaustive_bound_exits_2(files, capsys, monkeypatch):
 
 
 def test_internal_failures_exit_3(files, capsys, monkeypatch):
+    # each solving subcommand prints only what the library call verified:
+    # a rejecting verifier, the one that solver calls, turns into exit 3
     tmp, write = files
     m = write("m.json", UNIFORM)
     n = write("n.json", PARTITION)
-    monkeypatch.setattr(cli, "verify_certificate", lambda *a, **k: False)
-    code, out, err = run(capsys, ["intersect", "--m", m, "--n", n])
-    assert code == 3 and not out
-    assert json.loads(err)["error"]["type"] == "CertificateInvalid"
+    fam = write("fam.json", {"universe": ["a", "b", "c", "d"], "members": [UNIFORM, PARTITION]})
+    graph = write("g.json", {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]]})
+    demands = write("o.json", {"a": 1, "b": 1, "c": 1})
+    for module, verifier, argv, error in (
+        (intersect, "verify_certificate", ["intersect", "--m", m, "--n", n], "PostconditionFailed"),
+        (intersect, "verify_certificate", ["intersect", "--m", m, "--n", n, "--solver", "mixed"], "PostconditionFailed"),
+        (packcov, "verify_packcov", ["packcov", "--family", fam], "PostconditionFailed"),
+        (orient, "verify_outcome", ["orient", "--graph", graph, "--demands", demands], "CertificateInvalid"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, verifier, lambda *a, **k: False)
+            code, out, err = run(capsys, argv)
+        assert code == 3 and not out, argv
+        assert json.loads(err)["error"]["type"] == error, argv
 
 
 def test_broken_extension_state_exits_3(files, capsys, monkeypatch):
@@ -461,7 +473,7 @@ def test_broken_extension_state_exits_3(files, capsys, monkeypatch):
 
 
 def test_removed_options_exit_2(files, capsys):
-    # every subcommand re-verifies, and only MATROIDKIT_MAX_EXHAUSTIVE moves
+    # every answer is verified, and only MATROIDKIT_MAX_EXHAUSTIVE moves
     # the enumeration bounds, so neither flag parses any more
     tmp, write = files
     m = write("m.json", UNIFORM)

@@ -185,3 +185,26 @@ def test_vertex_names_that_cannot_be_ordered_are_named_as_the_fault(tmp_path, ca
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert json.loads(captured.err)["error"] == {"type": "MatroidKitError", "message": message}
+
+
+def test_demand_key_that_is_a_vertex_name_as_a_string_says_why(tmp_path, capsys):
+    # JSON object keys are strings, so the key "1" cannot name vertex 1
+    message = "demand for unknown vertex '1'; demand keys are strings, and vertex 1 is not one"
+    with pytest.raises(C.MatroidKitError) as exc:
+        DemandGraph.build([1, 2], [[1, 2]], {"1": 1})
+    assert str(exc.value) == message
+    (tmp_path / "g.json").write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]]}))
+    (tmp_path / "o.json").write_text(json.dumps({"1": 1}))
+    code = main(["orient", "--graph", str(tmp_path / "g.json"), "--demands", str(tmp_path / "o.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"] == {"type": "MatroidKitError", "message": message}
+    # a key naming a vertex, and vertices that are not strings given no
+    # demand, are read as before
+    assert DemandGraph.build(["1", "2"], [["1", "2"]], {"1": 1}).demands == (("1", 1), ("2", 0))
+    assert DemandGraph.build([1, 2], [[1, 2]], {}).demands == ((1, 0), (2, 0))
+    # the key "1" names the vertex "1", so what is wrong with ["1", 1] stays
+    # their order, not the key
+    with pytest.raises(C.MatroidKitError) as exc:
+        DemandGraph.build(["1", 1], [["1", 1]], {"1": 1})
+    assert str(exc.value) == "vertex names must be of one orderable type: ['1', 1]"

@@ -292,6 +292,30 @@ def test_verifiers_never_take_a_structural_answer():
     assert overriding == set()
 
 
+# each solving entry point and the one check of what it returns, by module
+ENTRY_VERIFIERS = {
+    "intersect": {"edmonds_solve": "verify_certificate", "mixed_solve": "verify_certificate"},
+    "packcov": {"packcov_solve": "verify_packcov"},
+    "orient": {"orient_solve": "verify_outcome"},
+}
+
+
+def test_each_answer_is_verified_once_by_the_call_that_returns_it():
+    # every entry point checks its answer at one call site that each
+    # verdict reaches, so the CLI, which prints it, checks nothing again
+    verifiers = {v for entries in ENTRY_VERIFIERS.values() for v in entries.values()}
+    assert _names(ast.parse((PACKAGE / "cli.py").read_text())) & verifiers == set()
+    sites = {}
+    for module, entries in ENTRY_VERIFIERS.items():
+        functions = _functions(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        for name, verifier in entries.items():
+            sites[name] = sum(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == verifier
+                for node in ast.walk(functions[name])
+            )
+    assert sites == dict.fromkeys(sites, 1)
+
+
 def test_boundary_check_sees_each_kind_of_breach():
     tree = ast.parse(
         "from .oracle import brute_minmax\n"

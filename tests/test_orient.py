@@ -220,6 +220,15 @@ def test_verify_outcome_rejects_starving_above():
     assert not verify_outcome(g, pretended)
 
 
+def test_orient_solve_verifies_both_verdicts(monkeypatch):
+    # a feasible and a deficient graph: neither outcome is returned when
+    # its check rejects it
+    monkeypatch.setattr(orient, "verify_outcome", lambda *a, **k: False)
+    for g, verdict in ((cycle3(), "above"), (path3(), "deficient")):
+        with pytest.raises(C.CertificateInvalid, match=f"^{verdict} outcome failed verification$"):
+            orient_solve(g)
+
+
 @pytest.mark.parametrize(
     "broken",
     [
