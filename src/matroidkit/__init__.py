@@ -48,7 +48,6 @@ from .intersect import (
     edmonds_solve,
     extend_to_nice,
     find_aug_path,
-    key_step,
     mixed_solve,
     solve,
 )

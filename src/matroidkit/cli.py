@@ -27,6 +27,7 @@ from .core import (
     MatroidKitError,
     PostconditionFailed,
     Stuck,
+    UniverseMismatch,
     matroid_from_json,
     matroid_to_json,
     relabel_onto,
@@ -66,6 +67,8 @@ def _load(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidDocument(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise InvalidDocument(f"{path} nests too deeply to read") from None
 
 
 def _labels(s: ElementSet) -> list[str]:
@@ -88,11 +91,14 @@ def _e1_from_args(args, ground_of) -> ElementSet | None:
 
 
 def _pair_from_args(args) -> tuple[Matroid, Matroid, dict]:
+    """M and N from their documents, N read onto M's label order."""
     m_doc = _load(args.m)
     n_doc = _load(args.n)
     m = matroid_from_json(m_doc)
     n = matroid_from_json(n_doc)
-    return m, n, {"m": _digest(m_doc), "n": _digest(n_doc)}
+    if set(m.ground.labels) != set(n.ground.labels):  # each holds distinct labels
+        raise UniverseMismatch("pair members list different element labels")
+    return m, relabel_onto(n, m.ground), {"m": _digest(m_doc), "n": _digest(n_doc)}
 
 
 def _telemetry(trace: Trace) -> dict:

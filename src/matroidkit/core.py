@@ -1142,4 +1142,6 @@ def matroid_from_json(doc: Mapping) -> Matroid:
         raise InvalidDocument(f"malformed {kind!r} document: {exc}") from exc
     except MatroidKitError as exc:
         raise InvalidDocument(f"invalid {kind!r} document: {exc}") from exc
+    except RecursionError:
+        raise InvalidDocument("matroid document nests too deeply to read") from None
     raise InvalidDocument(f"unknown matroid kind {kind!r}")

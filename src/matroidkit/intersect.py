@@ -321,45 +321,17 @@ def extend_to_nice(state: FeasibleState, trace: Trace | None = None) -> Feasible
     return new
 
 
-def key_step(state: FeasibleState, e: int, trace: Trace | None = None) -> FeasibleState:
-    """Grow the state until element ``e`` of E0 is spanned in N.
-
-    Every element of E0 below ``e`` must already be N-spanned, as it is
-    when ``mixed_solve`` calls this in ascending order of E0.  The N-span
-    on E0 only grows, so no source lies below ``e`` and the path search
-    starts there.
-    """
-    ctx = state.ctx
-    if not (1 << e) & ctx.E0.mask:
-        raise PreconditionViolated("target element must lie in E0")
-    floor = ctx.E0.mask & -(1 << e)  # the E0 elements from e up
-    size = ctx.universe_mask.bit_count()
-    # _validate_path admits only odd paths along exchange arcs, which alternate
-    # out of and into I, so each round grows I by at least one; |I| <= |E|
-    # then caps the rounds at |E|
-    max_rounds = size
-    rounds = 0
-    while not ctx.N._spans(state.I.mask, 1 << e):
-        rounds += 1
-        if rounds > max_rounds:
-            raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
-        path = find_aug_path(state, floor)
-        if path is None:
-            raise Stuck(f"no augmenting path while element {e} is unspanned")
-        before = state.I.mask
-        state = augment(state, path, trace)
-        state = extend_to_nice(state, trace)
-        # N is N|E0 + N|E1, so the E0 part of the N-span grows exactly when
-        # the new set spans the E0 part of the old one
-        if not ctx.N._spans(state.I.mask, before & ctx.E0.mask):
-            raise PostconditionFailed("N-span on E0 stopped being ascending")
-    return state
-
-
 def mixed_solve(
     m: Matroid, split: SplitInput, trace: Trace | None = None
 ) -> IntersectionCertificate:
-    """Wave removal plus the mixed augmenting loop, with a verified certificate."""
+    """Wave removal plus the mixed augmenting loop, with a verified certificate.
+
+    For each e of E0, least first, while N does not span e, a round takes
+    one augmenting path from the E0 elements from e up, then one extension
+    to a nice state.  No source lies below e: ``_augmented`` checks that
+    the N-span on E0 only grows, and an extension only adds to I.  Each
+    round grows I, which lies in E - W, so |E - W| rounds bound the solve.
+    """
     split.validate()
     n = split.N
     ground = m.ground
@@ -377,13 +349,23 @@ def mixed_solve(
         raise PostconditionFailed("quotient after wave removal is not clean")
 
     state = FeasibleState(ctx, ElementSet(ground, 0), wave.rest)
+    max_rounds = ctx.universe_mask.bit_count()
+    rounds = 0
     for e in bit_indices(ctx.E0.mask):
-        state = key_step(state, e, trace)
+        floor = ctx.E0.mask & -(1 << e)  # the E0 elements from e up
+        while not ctx.N._spans(state.I.mask, 1 << e):
+            rounds += 1
+            if rounds > max_rounds:
+                raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
+            path = find_aug_path(state, floor)
+            if path is None:
+                raise Stuck(f"no augmenting path while element {e} is unspanned")
+            state = extend_to_nice(augment(state, path, trace), trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)
     tail_m = mq.contract(state.I).restrict(rest)
     tail_n = nq.onto(rest)
-    tail = edmonds_solve(PairContext(tail_m, tail_n))
+    tail = _classic_run(tail_m, tail_n)  # verified with the whole answer below
     if not tail_n._spans(tail.I.mask, rest.mask):
         raise Stuck("cofinitary tail admits no spanning base")
 

@@ -90,6 +90,7 @@ def rank_table(m: Matroid) -> dict[int, int]:
 
 def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
     """Exhaustive maximum common independent set; smallest bitmask wins ties."""
+    PairContext(m, n)  # raises UniverseMismatch unless m and n share ground and universe
     require_exhaustive("brute max-common", m.universe_mask.bit_count(), "elements", MAX_COMMON_BOUND)
     best = 0
     best_mask = 0
@@ -102,6 +103,7 @@ def brute_max_common(m: Matroid, n: Matroid) -> tuple[int, ElementSet]:
 
 def brute_minmax(m: Matroid, n: Matroid) -> int:
     """Minimum over all subsets X of rank_M(X) + rank_N(complement of X)."""
+    PairContext(m, n)  # raises UniverseMismatch unless m and n share ground and universe
     require_exhaustive("brute min-max", m.universe_mask.bit_count(), "elements", MAX_COMMON_BOUND)
     universe = m.universe_mask
     best = None
@@ -143,6 +145,7 @@ def brute_largest_wave(m: Matroid, n: Matroid) -> ElementSet:
     A witness for W is a base of M restricted to W whose complement in W
     spans it in the dual of N.  The union is checked to be a wave itself.
     """
+    PairContext(m, n)  # raises UniverseMismatch unless m and n share ground and universe
     require_exhaustive("brute wave scan", m.size, "elements", LARGEST_WAVE_SCAN_BOUND)
     universe = m.universe_mask
     rm = rank_table(m)
@@ -271,6 +274,13 @@ class CorpusSpec:
     graphs: int = 40
     max_graph_vertices: int = 6
     max_graph_edges: int = 9
+
+    def __post_init__(self) -> None:
+        # a pair needs two elements, a demand graph two vertices and an edge
+        least = dict(max_elements=2, max_graph_vertices=2, max_graph_edges=1, pairs=0, families=0, graphs=0)
+        for name, bound in least.items():
+            if getattr(self, name) < bound:
+                raise MatroidKitError(f"{name} must be at least {bound}, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

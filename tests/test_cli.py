@@ -507,3 +507,100 @@ def test_fuzz_writes_round_trippable_corpus(files, capsys):
             emitted = matroid_to_json(matroid_from_json(doc[side]))
             again = matroid_to_json(matroid_from_json(emitted))
             assert emitted == again
+
+
+def test_pair_members_may_list_their_labels_in_any_order(files, capsys):
+    # a partition's document lists its labels block by block, here b before
+    # a; N is read onto M's order, so a stays the loop of N in every answer
+    _tmp, write = files
+    m = write("m.json", {"kind": "uniform", "n": 2, "r": 1, "labels": ["a", "b"]})
+    n = write(
+        "n.json",
+        {"kind": "partition", "blocks": [{"elements": ["b"], "cap": 1}, {"elements": ["a"], "cap": 0}]},
+    )
+    for first, second in ((m, n), (n, m)):
+        pair = ["--m", first, "--n", second]
+        code, out, _ = run(capsys, ["brute", *pair, "--wave"])
+        assert code == 0
+        brute = json.loads(out)["output"]
+        assert brute["max_common"] == 1 and brute["witness"] == ["b"]
+        for solver in ("classic", "mixed"):
+            code, out, _ = run(capsys, ["intersect", *pair, "--solver", solver])
+            assert code == 0
+            assert json.loads(out)["output"]["certificate"]["I"] == ["b"], solver
+        code, out, _ = run(capsys, ["wave", *pair])
+        assert code == 0
+        assert json.loads(out)["output"]["W"] == brute["largest_wave"]
+
+
+def test_pair_members_with_different_labels_exit_2(files, capsys):
+    # the brute scan once paired elements by index and answered such a pair
+    _tmp, write = files
+    m = write("m.json", {"kind": "uniform", "n": 3, "r": 2, "labels": ["a", "b", "c"]})
+    n = write("n.json", {"kind": "uniform", "n": 2, "r": 1})
+    for subcommand in ("brute", "intersect", "wave"):
+        code, out, err = run(capsys, [subcommand, "--m", m, "--n", n])
+        assert code == 2 and not out, subcommand
+        error = json.loads(err)["error"]
+        assert error == {"type": "UniverseMismatch", "message": "pair members list different element labels"}
+
+
+def test_every_fuzzed_pair_document_answers_alike_through_each_subcommand(files, capsys):
+    tmp, write = files
+    outdir = tmp / "corpus"
+    code, _, _ = run(capsys, ["fuzz", "--pairs", "30", "--families", "0", "--graphs", "0", "--out", str(outdir)])
+    assert code == 0
+    reordered = 0
+    for path in sorted(outdir.glob("pair*.json")):
+        doc = json.loads(path.read_text())
+        reordered += (
+            C.matroid_from_json(doc["m"]).ground.labels != C.matroid_from_json(doc["n"]).ground.labels
+        )
+        pair = ["--m", write("m.json", doc["m"]), "--n", write("n.json", doc["n"])]
+        code, out, _ = run(capsys, ["brute", *pair, "--wave"])
+        assert code == 0, path.name
+        brute = json.loads(out)["output"]
+        code, out, _ = run(capsys, ["intersect", *pair])
+        assert code == 0, path.name
+        assert json.loads(out)["output"]["certificate"]["size"] == brute["max_common"], path.name
+        code, out, _ = run(capsys, ["wave", *pair])
+        assert code == 0, path.name
+        assert sorted(json.loads(out)["output"]["W"]) == sorted(brute["largest_wave"]), path.name
+    assert reordered >= 10
+
+
+def test_over_deep_documents_exit_2(files, capsys):
+    # a document nested deeper than Python's recursion limit is an input
+    # error, not a RecursionError traceback with exit 1
+    tmp, _write = files
+    depth = 100_000
+    text = '{"kind": "dual", "of": ' * depth + json.dumps(UNIFORM) + "}" * depth
+    deep = tmp / "deep.json"
+    deep.write_text(text)
+    fam = tmp / "fam.json"
+    fam.write_text('{"universe": ["a", "b", "c", "d"], "members": [' + text + "]}")
+    for argv in (
+        ["intersect", "--m", str(deep), "--n", str(deep)],
+        ["check", "--m", str(deep)],
+        ["packcov", "--family", str(fam)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out, argv
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidDocument" and "nests too deeply" in error["message"], argv
+
+
+def test_impossible_fuzz_sizes_exit_2(files, capsys):
+    tmp, _write = files
+    outdir = tmp / "corpus"
+    for option, value, message in (
+        ("--max-elements", "1", "max_elements must be at least 2, not 1"),
+        ("--max-elements", "0", "max_elements must be at least 2, not 0"),
+        ("--pairs", "-3", "pairs must be at least 0, not -3"),
+        ("--families", "-1", "families must be at least 0, not -1"),
+        ("--graphs", "-1", "graphs must be at least 0, not -1"),
+    ):
+        code, out, err = run(capsys, ["fuzz", option, value, "--out", str(outdir)])
+        assert code == 2 and not out, option
+        assert json.loads(err)["error"] == {"type": "MatroidKitError", "message": message}
+    assert not outdir.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -208,3 +209,12 @@ def test_demand_key_that_is_a_vertex_name_as_a_string_says_why(tmp_path, capsys)
     with pytest.raises(C.MatroidKitError) as exc:
         DemandGraph.build(["1", 1], [["1", 1]], {"1": 1})
     assert str(exc.value) == "vertex names must be of one orderable type: ['1', 1]"
+
+
+@pytest.mark.parametrize("kind", ["dual", "sum"])
+def test_matroid_document_deeper_than_the_recursion_limit_is_invalid(kind):
+    doc = UNIFORM
+    for _ in range(sys.getrecursionlimit() + 10):
+        doc = {"kind": "dual", "of": doc} if kind == "dual" else {"kind": "sum", "parts": [doc]}
+    with pytest.raises(C.InvalidDocument, match="nests too deeply"):
+        C.matroid_from_json(doc)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,6 @@ from matroidkit.intersect import (
     edmonds_solve,
     extend_to_nice,
     find_aug_path,
-    key_step,
     mixed_solve,
     solve,
     verify_certificate,
@@ -866,7 +867,7 @@ def test_mixed_path_search_matches_classic_augmentations(corpus):
 
 
 # ---------------------------------------------------------------------------
-# extend_to_nice / key_step
+# extend_to_nice and the mixed loop
 
 
 def test_extend_to_nice_keeps_already_extended_state():
@@ -972,29 +973,66 @@ def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypat
     assert whole > 100 and partial > 50, (whole, partial)
 
 
-def test_key_step_noop_when_already_spanned():
-    ground, ctx, state = five_element_split()
-    spanned = next(iter(bit_indices(ctx.N._span(state.I.mask) & ctx.E0.mask)))
-    out = key_step(state, spanned)
-    assert out.I == state.I
+def test_mixed_loop_runs_no_round_when_n_already_spans_e0():
+    # a, b are loops of N, so N spans E0 - W = {a, b} from the empty set and
+    # the loop neither augments nor extends; the tail alone finds I
+    n = C.concat_sum([C.zero(GroundSet(("a", "b"))), C.uniform(GroundSet(("c", "d")), 1)])
+    m = C.uniform(G4, 2)
+    trace = Trace()
+    cert = mixed_solve(m, SplitInput(n, G4.subset("ab"), G4.subset("cd")), trace)
+    (wave,) = [e for e in trace.events if e["kind"] == "wave"]
+    assert wave["W"] == 0 and len(cert.I) == 1
+    assert trace.augmentations == trace.extensions == 0
 
 
-def test_key_step_requires_e0_target():
-    ground, ctx, state = five_element_split()
-    with pytest.raises(C.PreconditionViolated):
-        key_step(state, ground.index("d"))
-
-
-def test_key_step_cap_stops_a_loop_that_makes_no_progress(monkeypatch):
+def test_mixed_loop_cap_stops_a_loop_that_makes_no_progress(monkeypatch):
     # augment and extend_to_nice hand the state back unchanged, so every
-    # round finds the same path until the cap of |E| rounds stops the loop
+    # round finds the same path until the cap of |E - W| rounds for the
+    # whole solve stops the loop; the M-loop d is the wave, so the cap is 3
     import matroidkit.intersect as intersect
 
-    ground, ctx, state = five_element_split()
+    m = C.PartitionMatroid(G4, ((G4.subset("abc").mask, 3), (G4.subset("d").mask, 0)))
+    split = SplitInput(C.uniform(G4, 2), G4.full(), G4.empty())
+    assert mixed_solve(m, split).E_M == G4.subset("d")
     monkeypatch.setattr(intersect, "augment", lambda state, path, trace=None: state)
     monkeypatch.setattr(intersect, "extend_to_nice", lambda state, trace=None: state)
-    with pytest.raises(C.Stuck, match="iteration cap 5 reached"):
-        key_step(state, ground.index("s"))
+    with pytest.raises(C.Stuck, match="iteration cap 3 reached"):
+        mixed_solve(m, split)
+
+
+def _mixed_scale():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "mixed_scale.py"
+    spec = importlib.util.spec_from_file_location("mixed_scale", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mixed_rounds_never_exceed_the_size_of_the_quotient(corpus):
+    # each round grows I, which starts empty and lies in E - W, so a
+    # solve augments at most |E - W| times; on a corpus slice and on the
+    # instances of scripts/mixed_scale.py
+    scale = _mixed_scale()
+    runs = [
+        (inst.M, SplitInput(inst.N, e0, e1)) for inst in corpus.pairs[:150] for e0, e1 in inst.splits
+    ]
+    instances = [
+        *(scale.instance(size, odd) for size in (128, 256) for odd in (False, True)),
+        *(scale.dual_instance(256, odd) for odd in (False, True)),
+        scale.glued(scale.GLUED_COPIES),
+        scale.graphic_pair(256),
+    ]
+    for m, n, e1 in instances:
+        e1 = ElementSet(m.ground, e1)
+        runs.append((m, SplitInput(n, ElementSet(m.ground, m.universe_mask & ~e1.mask), e1)))
+    busy = 0
+    for m, split in runs:
+        trace = Trace()
+        mixed_solve(m, split, trace)
+        (wave,) = [e for e in trace.events if e["kind"] == "wave"]
+        assert trace.augmentations <= (m.universe_mask & ~wave["W"]).bit_count()
+        busy += trace.augmentations > 0
+    assert len(runs) > 300 and busy > 50, (len(runs), busy)
 
 
 # ---------------------------------------------------------------------------
