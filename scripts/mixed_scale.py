@@ -15,15 +15,17 @@ blocks, so the solves build contractions of restrictions of that dual.
 A last row solves a graphic M against a graphic N at n = 256, E1 empty,
 drawn from random.Random(-256).  Each cell prints the median CPU time
 (time.process_time) over ``--repeats`` runs, then the leaf oracle calls
-of one run, the entries of the two leaf handles' memos (under a dual N,
-its partition's), which fresh handles start without, and "+ N
-structural", the span and circuit questions the two leaves answered
-from their structure, one answer per question (calls of a leaf's own
-``_spanned`` or ``_circuits`` that do not hand the question to the query
-version).  The call ratio compares the two cells' sums.
+of one run, the ``_indep_raw`` calls of every graphic, partition,
+uniform and explicit handle (M, N and every leaf the solve builds, such
+as the closed form of a dual N), and "+ N structural", the span and
+circuit questions the leaves answered from their structure, one answer
+per question (calls of a leaf's own ``_spanned`` or ``_circuits`` that
+do not hand the question to the query version).  The call ratio compares
+the two cells' sums.
 
-The contraction and restriction handles each solve builds are collected
-(the script wraps their ``__init__``).  After the solve, each is asked
+The contraction and restriction handles each solve builds, and the dual
+handles it builds that answer from a closed form, are collected (the
+script wraps their ``__init__``).  After the solve, each is asked
 one seeded span question and two seeded circuit questions, with one
 tail and with many, and each answer is checked against the query
 versions (``Matroid._spanned``, ``Matroid._circuits``) asked of a deep
@@ -62,10 +64,12 @@ from matroidkit.core import (
     ContractMatroid,
     DualMatroid,
     ElementSet,
+    ExplicitMatroid,
     GraphicMatroid,
     Matroid,
     PartitionMatroid,
     RestrictMatroid,
+    UniformMatroid,
     bit_indices,
     graphic,
 )
@@ -76,31 +80,41 @@ from matroidkit.waves import PairContext
 # the query versions, kept before the leaves' own answers are counted
 QUERY = {name: getattr(Matroid, name) for name in ("_spanned", "_circuits")}
 LEAVES = (GraphicMatroid, PartitionMatroid)
+LEAF_KINDS = (GraphicMatroid, PartitionMatroid, UniformMatroid, ExplicitMatroid)
 
 
 class Watch:
-    """The contraction and restriction handles built, and the leaves'
-    structural answers, since the last ``clear``."""
+    """The contraction, restriction and closed-form dual handles built, and
+    the leaves' oracle calls and structural answers, since the last ``clear``."""
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
         self.built: list = []
+        self.calls = 0
         self.answers = 0
 
     def install(self) -> None:
-        """Wrap the two handle classes' ``__init__`` to collect each handle,
-        and the leaves' own ``_spanned`` and ``_circuits`` to count one answer
-        per call, less each call that hands the question to the query
-        version."""
+        """Wrap the contraction, restriction and dual classes' ``__init__`` to
+        collect each handle (a dual only with a closed form), every leaf
+        class's ``_indep_raw`` to count its calls, and the leaves' own
+        ``_spanned`` and ``_circuits`` to count one answer per call, less
+        each call that hands the question to the query version."""
         watch = self
-        for cls in (ContractMatroid, RestrictMatroid):
+        for cls in (ContractMatroid, RestrictMatroid, DualMatroid):
             def recording(handle, *args, init=cls.__init__):
                 init(handle, *args)
-                watch.built.append(handle)
+                if not isinstance(handle, DualMatroid) or handle._closed is not None:
+                    watch.built.append(handle)
 
             cls.__init__ = recording
+        for cls in LEAF_KINDS:
+            def counted(handle, mask, raw=cls._indep_raw):
+                watch.calls += 1
+                return raw(handle, mask)
+
+            cls._indep_raw = counted
         for name, query in QUERY.items():
             def handed(handle, *args, query=query):
                 watch.answers -= isinstance(handle, LEAVES)
@@ -231,8 +245,7 @@ def measure(build, solve, repeats: int, watch: Watch):
         t0 = time.process_time()
         cert = solve(m, n, e1)
         times.append(time.process_time() - t0)
-    leaf = n.child if isinstance(n, DualMatroid) else n
-    return statistics.median(times), len(m._memo_indep) + len(leaf._memo_indep), watch.answers, cert
+    return statistics.median(times), watch.calls, watch.answers, cert
 
 
 def classic(m, n, _e1):
@@ -300,7 +313,7 @@ def main() -> int:
     print("glued mixed wave runs: " + ", ".join(f"{k} {v:,}" for k, v in trace.wave_runs.items()))
     print(
         f"structural cross-checks: {checked['asked']:,} span and circuit questions on "
-        f"{checked['handles']:,} contraction and restriction handles, {checked['wrong']} differ "
+        f"{checked['handles']:,} contraction, restriction and closed-form dual handles, {checked['wrong']} differ "
         "from the query versions"
     )
     return 1 if mismatches or checked["wrong"] else 0

@@ -9,13 +9,16 @@ through the orientation solver against the brute orientation scan.
 The brute oracles ask the same dual handles as the solvers, so every
 dual node of each pair and family member (and of the duals of M and N,
 which the solvers ask) is also checked on every submask against its
-child's rank table.  Every graphic, partition, contraction and
-restriction node of each pair's M, N, M* and N*, and of two minor chains
-over each (Contract(Restrict(.)) and Restrict(Contract(.)) on fixed
-index patterns), answers span and circuit questions itself; on every
-independent set I its answers are checked against the query versions
-on a deep copy: the span of I, the circuit of I + x for each x that I
-spans, and the union of the circuits of I + x over every x at once.
+child's rank table: the handles that replay the child's greedy and
+those that answer from a closed form, and the dual nodes inside each
+closed form.  Every graphic, partition, contraction and restriction
+node, and every dual node with a closed form, of each pair's M, N, M*
+and N*, and of two minor chains over each (Contract(Restrict(.)) and
+Restrict(Contract(.)) on fixed index patterns), answers span and circuit
+questions itself; on every independent set I its answers are checked
+against the query versions on a deep copy: the span of I, the circuit
+of I + x for each x that I spans, and the union of the circuits of
+I + x over every x at once.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ CONTRACTED, DROPPED = 0b1001001001, 0b0100100100
 
 
 def tree_nodes(roots, kinds) -> list[Matroid]:
-    """Every node of a class in ``kinds`` in the expression trees of ``roots``, each once."""
+    """Every node of a class in ``kinds`` in the expression trees of ``roots``,
+    the closed forms of dual nodes included, each once."""
     stack, seen, out = list(roots), set(), []
     while stack:
         m = stack.pop()
@@ -71,6 +75,8 @@ def tree_nodes(roots, kinds) -> list[Matroid]:
         stack.extend(getattr(m, "parts", ()))
         if hasattr(m, "child"):
             stack.append(m.child)
+        if getattr(m, "_closed", None) is not None:
+            stack.append(m._closed)
     return out
 
 
@@ -140,7 +146,9 @@ def main() -> int:
         handles = [inst.M, inst.N, inst.M.dual(), inst.N.dual()]
         for h in handles[:]:
             handles += minor_chains(h)
-        for h in tree_nodes(handles, STRUCTURAL):
+        for h in tree_nodes(handles, STRUCTURAL + (DualMatroid,)):
+            if isinstance(h, DualMatroid) and h._closed is None:
+                continue
             structural_checks += 1
             wrong = structural_mismatches(h)
             if wrong:

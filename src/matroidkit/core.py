@@ -12,6 +12,7 @@ here enumerates subsets: that code, and its size bound, lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -204,11 +205,17 @@ class Matroid:
 
     Handles are immutable after construction, except for pure caches,
     which are replaced atomically: the memo dictionaries, which only
-    gain pure oracle answers, and the graphic and partition kernels'
-    anchors, one attribute each that a query or a structural span or
-    circuit answer reads at most once and replaces with one assignment.
-    So concurrent queries from several threads are safe under CPython and
-    always return the same verdicts.
+    gain pure oracle answers; the cached dual; a contraction's base of
+    its contracted set, built on first use; and the graphic and
+    partition kernels' anchors, one attribute each that a query or a
+    structural span or circuit answer reads at most once and replaces
+    with one assignment.  So concurrent queries from several threads are
+    safe under CPython and always return the same verdicts.
+
+    ``_indep`` answers the empty set True without asking the oracle:
+    every handle kind makes it independent by construction.
+    ``oracle.axiom_check`` asks ``_indep_raw(0)`` of every handle in the
+    expression tree.
     """
 
     kind = "abstract"
@@ -229,6 +236,8 @@ class Matroid:
         memo = self._memo_indep
         hit = memo.get(mask)
         if hit is None:
+            if not mask:
+                return True
             hit = memo[mask] = self._indep_raw(mask)
         return hit
 
@@ -347,10 +356,17 @@ class Matroid:
         return ElementSet(self.ground, self._loops_mask())
 
     def dual(self) -> "Matroid":
+        """The dual handle, cached both ways: ``m.dual().dual() is m``."""
         if self._dual_cache is None:
-            self._dual_cache = DualMatroid(self)
-            self._dual_cache._dual_cache = self
+            d = DualMatroid(self)
+            d._dual_cache = self
+            self._dual_cache = d
         return self._dual_cache
+
+    def _closed_dual(self) -> "Matroid | None":
+        """A handle that answers like the dual from a closed form, or None
+        when the dual replays this handle's greedy (``DualMatroid``)."""
+        return None
 
     def restrict(self, s: ElementSet) -> "Matroid":
         mask = self._check_subset(s)
@@ -422,6 +438,10 @@ class UniformMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return mask.bit_count() <= self.r
+
+    def _closed_dual(self) -> Matroid:
+        # U(r, n)* = U(n - r, n); a rank above n is n
+        return UniformMatroid(self.ground, max(0, self.ground.size - self.r))
 
     def _json_doc(self) -> dict:
         return {
@@ -706,6 +726,14 @@ class PartitionMatroid(Matroid):
         self._anchor = mask
         return True
 
+    def _closed_dual(self) -> Matroid:
+        # The direct sum of U(cap, B) over the blocks and a free part F:
+        # each block becomes cap |B| - cap (0 when cap exceeds |B|), F a cap-0 block.
+        blocks = [(bmask, max(0, bmask.bit_count() - cap)) for bmask, cap in self.blocks]
+        if free := self.universe_mask & ~self._covered:
+            blocks.append((free, 0))
+        return PartitionMatroid(self.ground, tuple(blocks))
+
     def _spanned(self, imask: int, among: int) -> int:
         """The candidates whose block I fills; an element outside every
         block is never spanned.
@@ -805,9 +833,21 @@ class ExplicitMatroid(Matroid):
 class DualMatroid(Matroid):
     """The dual: X is independent exactly when r(U - X) = r(U) in the child.
 
-    The kernel replays only the part of the greedy rank of U - X whose
-    answer is not already known.  Let B be the child's greedy base of U
-    (least indices first).  When X misses B, B lies in U - X and the
+    The handle answers from a closed form, the child's ``_closed_dual()``,
+    when the child has one.  A partition matroid's dual is a partition matroid and
+    U(r, n)* is U(n - r, n).  Duality passes through relabelings, direct
+    sums and minors, (N|X)* = N*/(U - X) and (N/C)* = N*|(U - C) (Oxley,
+    *Matroid Theory*, ch. 3-4), so each of those has a closed form
+    whenever the dual of its child (of some part, for a sum) does not
+    replay.  The closed form answers every query, span and circuit
+    question and shares this handle's memos; the handle keeps kind
+    "dual", its child and the child's JSON form.  The duals of graphic
+    and explicit matroids, and of minors, relabelings and sums of those
+    alone, replay the child's greedy.
+
+    The replay kernel replays only the part of the greedy rank of U - X
+    whose answer is not already known.  Let B be the child's greedy base
+    of U (least indices first).  When X misses B, B lies in U - X and the
     answer is True.  Otherwise let b0 be the least element of B & X.
     When the greedy over U - X reaches b0 it holds exactly B below b0:
     those base elements are not in X, and every other element below b0
@@ -826,8 +866,14 @@ class DualMatroid(Matroid):
     def __init__(self, child: Matroid) -> None:
         super().__init__(child.ground, child.universe_mask)
         self.child = child
+        self._closed = closed = child._closed_dual()
+        if closed is not None:
+            self._memo_indep = closed._memo_indep
+            self._memo_base = closed._memo_base
 
     def _indep_raw(self, mask: int) -> bool:
+        if self._closed is not None:
+            return self._closed._indep_raw(mask)
         child = self.child
         base = child._max_indep(self.universe_mask)
         hit = base & mask
@@ -848,8 +894,23 @@ class DualMatroid(Matroid):
                 need -= 1
         return True
 
+    def _spanned(self, imask: int, among: int) -> int:
+        if self._closed is None:
+            return Matroid._spanned(self, imask, among)
+        return self._closed._spanned(imask, among)
+
+    def _circuits(self, base: int, tails: int, among: int) -> int:
+        if self._closed is None:
+            return Matroid._circuits(self, base, tails, among)
+        return self._closed._circuits(base, tails, among)
+
     def _json_doc(self) -> dict:
         return {"kind": "dual", "of": self.child._json_doc()}
+
+
+def _replays(m: Matroid) -> bool:
+    """Whether ``m`` is a dual answered by the replay kernel, not a closed form."""
+    return isinstance(m, DualMatroid) and m._closed is None
 
 
 class RestrictMatroid(Matroid):
@@ -863,6 +924,12 @@ class RestrictMatroid(Matroid):
 
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask)
+
+    def _closed_dual(self) -> Matroid | None:
+        d = self.child.dual()
+        if _replays(d):
+            return None
+        return ContractMatroid(d, d.universe_mask & ~self.universe_mask)
 
     def _spanned(self, imask: int, among: int) -> int:
         return self.child._spanned(imask, among)
@@ -883,6 +950,8 @@ class ContractMatroid(Matroid):
     # exactly when X | B_C is independent in M.  So I spans x in M/C
     # exactly when I | B_C spans it in M, and the circuit of I + x in M/C
     # is the circuit of I | B_C + x in M less B_C: the child answers both.
+    # B_C is built on first use, so a handle asked only the empty set,
+    # which Matroid._indep answers itself, never runs that greedy.
     kind = "contract"
 
     def __init__(self, child: Matroid, mask: int) -> None:
@@ -891,10 +960,19 @@ class ContractMatroid(Matroid):
         super().__init__(child.ground, child.universe_mask & ~mask)
         self.child = child
         self.contracted_mask = mask
-        self._base_of_contracted = child._max_indep(mask)
+
+    @cached_property
+    def _base_of_contracted(self) -> int:
+        return self.child._max_indep(self.contracted_mask)
 
     def _indep_raw(self, mask: int) -> bool:
         return self.child._indep(mask | self._base_of_contracted)
+
+    def _closed_dual(self) -> Matroid | None:
+        d = self.child.dual()
+        if _replays(d):
+            return None
+        return RestrictMatroid(d, self.universe_mask)
 
     def _spanned(self, imask: int, among: int) -> int:
         return self.child._spanned(imask | self._base_of_contracted, among)
@@ -933,6 +1011,12 @@ class DirectSumMatroid(Matroid):
     def _indep_raw(self, mask: int) -> bool:
         return all(p._indep(mask & p.universe_mask) for p in self.parts)
 
+    def _closed_dual(self) -> Matroid | None:
+        duals = [p.dual() for p in self.parts]
+        if all(_replays(d) for d in duals):
+            return None
+        return DirectSumMatroid(duals)
+
     def _json_doc(self) -> dict:
         return {"kind": "sum", "parts": [p._json_doc() for p in self.parts]}
 
@@ -966,6 +1050,12 @@ class RelabelMatroid(Matroid):
         for e in bit_indices(mask):
             cmask |= 1 << self._to_child[e]
         return self.child._indep(cmask)
+
+    def _closed_dual(self) -> Matroid | None:
+        d = self.child.dual()
+        if _replays(d):
+            return None
+        return RelabelMatroid(self.ground, d, self.mapping)
 
     def _json_doc(self) -> dict:
         # Only label-preserving relabelings (as made by relabel_onto)

@@ -356,10 +356,10 @@ def mixed_solve(
         while not ctx.N._spans(state.I.mask, 1 << e):
             rounds += 1
             if rounds > max_rounds:
-                raise Stuck(f"iteration cap {max_rounds} reached while element {e} unspanned")
+                raise Stuck(f"iteration cap {max_rounds} reached while element {ground.label(e)} unspanned")
             path = find_aug_path(state, floor)
             if path is None:
-                raise Stuck(f"no augmenting path while element {e} is unspanned")
+                raise Stuck(f"no augmenting path while element {ground.label(e)} is unspanned")
             state = extend_to_nice(augment(state, path, trace), trace)
 
     rest = ElementSet(ground, ctx.E1.mask & ~state.I.mask)

@@ -203,12 +203,25 @@ def axiom_check(m: Matroid) -> bool:
     Checks that the empty set is independent, that independence is
     downward closed, and that every non-maximal independent set extends
     into every maximal one.  Raises TooLarge above the exhaustive bound.
+
+    ``_indep`` answers the empty set without asking, so the empty-set
+    axiom asks ``_indep_raw(0)`` of every handle in ``m``'s expression
+    tree: ``m``, each ``child`` and each of the ``parts``.
     """
     expand = [1 << e for e in bit_indices(m.universe_mask)]
     require_exhaustive("axiom check", len(expand), "elements", AXIOM_CHECK_BOUND)
+    stack, seen = [m], set()
+    while stack:
+        h = stack.pop()
+        if id(h) in seen:
+            continue
+        seen.add(id(h))
+        if not h._indep_raw(0):
+            return False
+        stack.extend(getattr(h, "parts", ()))
+        if hasattr(h, "child"):
+            stack.append(h.child)
     indep = [s for s in iter_submasks(m.universe_mask) if m._indep(s)]
-    if 0 not in indep:
-        return False
     indep_set = set(indep)
     for s in indep:
         for x in bit_indices(s):

@@ -15,18 +15,20 @@ from matroidkit.orient import DemandGraph, effective_lower_bound
 CORPUS_SEED = 20260810
 
 
+CORPUS_SPEC = CorpusSpec(
+    seed=CORPUS_SEED,
+    pairs=520,
+    families=60,
+    graphs=220,
+    max_elements=10,
+    max_graph_vertices=6,
+    max_graph_edges=12,
+)
+
+
 @pytest.fixture(scope="session")
 def corpus():
-    spec = CorpusSpec(
-        seed=CORPUS_SEED,
-        pairs=520,
-        families=60,
-        graphs=220,
-        max_elements=10,
-        max_graph_vertices=6,
-        max_graph_edges=12,
-    )
-    return fuzz_corpus(spec)
+    return fuzz_corpus(CORPUS_SPEC)
 
 
 def enumerate_matroids(labels: tuple[str, ...]) -> list[C.ExplicitMatroid]:

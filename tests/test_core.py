@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from matroidkit import core as C
 from matroidkit.core import ElementSet, GroundSet, bit_indices
 from matroidkit.intersect import SplitInput, edmonds_solve, mixed_solve
-from matroidkit.oracle import axiom_check, is_circuit, iter_submasks
+from matroidkit.oracle import axiom_check, fuzz_corpus, is_circuit, iter_submasks
 from matroidkit.orient import orient_solve
 from matroidkit.packcov import packcov_solve
 from matroidkit.waves import PairContext, largest_wave
 
 from conftest import (
+    CORPUS_SPEC,
     capped_partition,
     connected_graphic,
     enumerate_matroids,
@@ -451,6 +452,17 @@ def test_axiom_check_missing_empty_set():
             return mask in (0b001, 0b010)
 
     assert not axiom_check(NoEmpty(G3, G3.full_mask))
+    # behind a minor, a sum, a relabeling or a dual, since _indep answers
+    # the empty set without asking
+    bad = NoEmpty(G3, G3.full_mask)
+    for m in (
+        bad.restrict(ElementSet(G3, 0b011)),
+        bad.contract(ElementSet(G3, 0b100)),
+        C.DirectSumMatroid([NoEmpty(G3, 0b011), NoEmpty(G3, 0b100)]),
+        C.RelabelMatroid(GroundSet(tuple("cba")), bad, {0: 2, 1: 1, 2: 0}),
+        C.DualMatroid(bad),
+    ):
+        assert not axiom_check(m), m.kind
 
     # and one that holds a pair but not its one-element deletions
     class NotClosed(C.Matroid):
@@ -949,6 +961,14 @@ def rank_formula(child, mask) -> bool:
     return child._rank(u & ~mask) == child._rank(u)
 
 
+@pytest.fixture
+def replay_every_dual(monkeypatch):
+    """No handle has a closed-form dual, so every dual replays its child."""
+    for cls in (C.Matroid, *C.Matroid.__subclasses__()):
+        if "_closed_dual" in vars(cls):
+            monkeypatch.setattr(cls, "_closed_dual", lambda self: None)
+
+
 def asking(m) -> set:
     """Record every mask asked of ``m._indep``, memo hits included."""
     asked: set = set()
@@ -983,7 +1003,7 @@ def random_child(rng, k: int, size: int) -> C.Matroid:
     return C.uniform(ground, rng.randint(0, size))
 
 
-def test_dual_kernel_asks_a_subset_of_the_rank_formula():
+def test_dual_kernel_asks_a_subset_of_the_rank_formula(replay_every_dual):
     # each query on fresh copies of one child: the same answer as the two
     # full ranks, and no child mask that the ranks do not ask
     rng = random.Random(37)
@@ -1006,7 +1026,7 @@ def test_dual_kernel_asks_a_subset_of_the_rank_formula():
     assert fewer > 700, fewer
 
 
-def test_dual_kernel_answers_like_the_rank_formula_on_a_shared_handle():
+def test_dual_kernel_answers_like_the_rank_formula_on_a_shared_handle(replay_every_dual):
     # one dual handle answers a stream of queries, so the child's memos
     # and anchors carry over from query to query
     rng = random.Random(41)
@@ -1020,7 +1040,7 @@ def test_dual_kernel_answers_like_the_rank_formula_on_a_shared_handle():
             assert d._indep(mask) == rank_formula(reference, mask), (child.kind, mask)
 
 
-def test_dual_query_that_misses_the_base_asks_nothing_more():
+def test_dual_query_that_misses_the_base_asks_nothing_more(replay_every_dual):
     # once the child's greedy base B is known, an X outside B is answered
     # True with no further question of the child
     rng = random.Random(43)
@@ -1087,9 +1107,11 @@ def corpus_runs(corpus):
     return runs
 
 
-def test_dual_kernel_keeps_every_result_and_never_asks_more_leaf_calls(corpus, monkeypatch):
+def test_dual_kernel_keeps_every_result_and_never_asks_more_leaf_calls(replay_every_dual, monkeypatch):
     # every run once as is and once with the dual answered by two full
-    # ranks of the child: equal results, and per run no more leaf calls
+    # ranks of the child: equal results, and per run no more leaf calls.
+    # Every dual replays, in a corpus built without closed forms.
+    corpus = fuzz_corpus(CORPUS_SPEC)
     leaf = Counter()
     for cls in (C.GraphicMatroid, C.PartitionMatroid, C.UniformMatroid, C.ExplicitMatroid):
         def counted(self, mask, raw=cls._indep_raw):
@@ -1129,19 +1151,22 @@ def test_dual_kernel_keeps_every_result_and_never_asks_more_leaf_calls(corpus, m
 STRUCTURAL_KINDS = (C.GraphicMatroid, C.PartitionMatroid, C.ContractMatroid, C.RestrictMatroid)
 
 
-def structural_nodes(roots) -> list[C.Matroid]:
-    """Every graphic, partition, contract and restrict node in the trees of ``roots``, each once."""
+def tree_nodes(roots, kinds) -> list[C.Matroid]:
+    """Every node of a class in ``kinds`` in the trees of ``roots``, the
+    closed forms of dual nodes included, each once."""
     stack, seen, out = list(roots), set(), []
     while stack:
         m = stack.pop()
         if id(m) in seen:
             continue
         seen.add(id(m))
-        if isinstance(m, STRUCTURAL_KINDS):
+        if isinstance(m, kinds):
             out.append(m)
         stack.extend(getattr(m, "parts", ()))
         if hasattr(m, "child"):
             stack.append(m.child)
+        if getattr(m, "_closed", None) is not None:
+            stack.append(m._closed)
     return out
 
 
@@ -1258,7 +1283,7 @@ def test_structural_answers_match_the_query_versions_on_the_corpus(corpus):
         roots = [inst.M, inst.N, inst.M.dual(), inst.N.dual()]
         for h in roots[:]:
             roots += minor_chains(h, rng)
-        for node in structural_nodes(roots):
+        for node in tree_nodes(roots, STRUCTURAL_KINDS):
             shapes += check_structural(node, rng, rounds=3)
             kinds[node.kind] += 1
     assert min(kinds[k] for k in ("graphic", "partition", "contract", "restrict")) > 100, kinds
@@ -1361,3 +1386,78 @@ def test_structural_answers_keep_every_result_and_never_cost_more(corpus, monkey
     assert structural == queried
     # the slice takes the structural answers, and they save calls on it
     assert answered > 400 and structural_calls < queried_calls, (answered, structural_calls, queried_calls)
+
+
+# ---------------------------------------------------------------------------
+# closed-form duals
+
+
+def test_closed_forms_of_partition_and_uniform():
+    # a block B with cap c becomes cap |B| - c, no less than 0, and the
+    # elements outside every block a cap-0 block; U(r, n)* = U(n - r, n)
+    p = partition_of(7, [([0, 1], 0), ([2, 3, 4], 1), ([5], 3)])
+    closed = p.dual()._closed
+    assert closed.kind == "partition"
+    assert closed.blocks == ((0b11, 2), (0b11100, 2), (0b100000, 0), (0b1000000, 0))
+    assert C.uniform(G4, 1).dual()._closed.r == 3 and C.uniform(G4, 6).dual()._closed.r == 0
+    # graphic and explicit duals replay; a dual built directly takes the
+    # same closed form as dual()
+    assert k4().dual()._closed is None and C.explicit("ab", [["a"]]).dual()._closed is None
+    assert C.DualMatroid(p)._closed.blocks == closed.blocks
+
+
+def test_every_dual_agrees_with_the_rank_formula_on_every_submask(corpus):
+    # each dual() of the corpus handles and of the three minor chains over
+    # each, and each dual node inside its closed form, against two full
+    # ranks of its child
+    rng = random.Random(59)
+    closed: Counter = Counter()
+    checked = 0
+    for inst in corpus.pairs[::3]:
+        roots = [inst.M, inst.N]
+        for h in roots[:]:
+            roots += minor_chains(h, rng)
+        for d in tree_nodes([h.dual() for h in roots], C.DualMatroid):
+            if d._closed is not None:
+                closed[d.child.kind] += 1
+            for mask in iter_submasks(d.universe_mask):
+                assert d._indep(mask) == rank_formula(d.child, mask), (d.child.kind, mask)
+            checked += 1
+    kinds = ("partition", "uniform", "relabel", "sum", "restrict", "contract")
+    assert min(closed[k] for k in kinds) > 10 and checked > 1000, (closed, checked)
+
+
+def test_a_closed_form_dual_keeps_kind_child_and_json_form(corpus):
+    written = 0
+    for inst in corpus.pairs:
+        for x in (inst.M, inst.N, inst.N.restrict(ElementSet(inst.N.ground, inst.N.universe_mask & 0x5555))):
+            d = x.dual()
+            if isinstance(x, C.DualMatroid):  # the dual of a dual is its child
+                assert d is x.child
+                continue
+            assert d.kind == "dual" and d.child is x and d.dual() is x
+            try:
+                doc = C.matroid_to_json(x)
+            except C.MatroidKitError:  # a relabeling that changes labels
+                continue
+            assert C.matroid_to_json(d) == {"kind": "dual", "of": doc}
+            written += d._closed is not None
+    assert written > 500, written
+
+
+def test_the_empty_set_asks_no_oracle(corpus, monkeypatch):
+    # every kind makes the empty set independent, so _indep answers it
+    # itself, and a contraction asked nothing else never builds its base
+    handles = []
+    for inst in corpus.pairs[:60]:
+        for x in (inst.M, inst.N):
+            half = ElementSet(x.ground, x.universe_mask & 0x5555)
+            handles += [x, x.dual(), x.contract(half), x.restrict(half), x.contract(half).dual()]
+    for cls in (C.Matroid, *C.Matroid.__subclasses__()):
+        if "_indep_raw" in vars(cls):
+            monkeypatch.setattr(cls, "_indep_raw", lambda self, mask: pytest.fail(f"{self.kind} asked {mask}"))
+    kinds = {h.kind for h in handles}
+    for h in handles:
+        assert h._indep(0)
+        assert "_base_of_contracted" not in vars(h)
+    assert kinds == {"uniform", "graphic", "partition", "explicit", "dual", "restrict", "contract", "sum", "relabel"}

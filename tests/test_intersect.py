@@ -988,7 +988,8 @@ def test_mixed_loop_runs_no_round_when_n_already_spans_e0():
 def test_mixed_loop_cap_stops_a_loop_that_makes_no_progress(monkeypatch):
     # augment and extend_to_nice hand the state back unchanged, so every
     # round finds the same path until the cap of |E - W| rounds for the
-    # whole solve stops the loop; the M-loop d is the wave, so the cap is 3
+    # whole solve stops the loop; the M-loop d is the wave, so the cap is 3,
+    # and the message names the unspanned element by its label
     import matroidkit.intersect as intersect
 
     m = C.PartitionMatroid(G4, ((G4.subset("abc").mask, 3), (G4.subset("d").mask, 0)))
@@ -996,7 +997,10 @@ def test_mixed_loop_cap_stops_a_loop_that_makes_no_progress(monkeypatch):
     assert mixed_solve(m, split).E_M == G4.subset("d")
     monkeypatch.setattr(intersect, "augment", lambda state, path, trace=None: state)
     monkeypatch.setattr(intersect, "extend_to_nice", lambda state, trace=None: state)
-    with pytest.raises(C.Stuck, match="iteration cap 3 reached"):
+    with pytest.raises(C.Stuck, match="iteration cap 3 reached while element a unspanned"):
+        mixed_solve(m, split)
+    monkeypatch.setattr(intersect, "find_aug_path", lambda state, among=None: None)
+    with pytest.raises(C.Stuck, match="no augmenting path while element a is unspanned"):
         mixed_solve(m, split)
 
 

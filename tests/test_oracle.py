@@ -212,9 +212,10 @@ STRUCTURAL_QUESTIONS = {"_spanned", "_circuit", "_circuits"}
 
 def test_handles_answer_the_two_digraph_questions_and_no_handle_finds_one_circuit():
     # the structural seam is the digraph's own pair of questions: graphic and
-    # partition leaves, and contraction and restriction, which pass them on,
-    # define _spanned and _circuits; the query version of _circuits does its
-    # own halving, so no class defines a one-circuit _circuit, and no other
+    # partition leaves, and contraction, restriction and the dual, which
+    # pass them on (the dual to its closed form, when it has one), define
+    # _spanned and _circuits; the query version of _circuits does its own
+    # halving, so no class defines a one-circuit _circuit, and no other
     # handle answers a structural question
     tree = ast.parse((PACKAGE / "core.py").read_text())
     handles = {"Matroid"}
@@ -227,7 +228,7 @@ def test_handles_answer_the_two_digraph_questions_and_no_handle_finds_one_circui
             methods[node.name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
     assert len(handles) == 10, handles
     assert {name for name, defined in methods.items() if "_circuit" in defined} == set()
-    structural = {"GraphicMatroid", "PartitionMatroid", "ContractMatroid", "RestrictMatroid"}
+    structural = {"GraphicMatroid", "PartitionMatroid", "ContractMatroid", "RestrictMatroid", "DualMatroid"}
     for name, defined in methods.items():
         if name != "Matroid":
             want = {"_spanned", "_circuits"} if name in structural else set()
