@@ -267,16 +267,25 @@ def _greedy(m: Matroid, n: Matroid, imask: int, among: int | None = None) -> lis
     """The elements a greedy pass over ``among`` adds to the common independent ``imask``, in order.
 
     Least element of ``among`` (default the universe) first, x is added
-    when I + x is M-independent and then N-independent; so each element
-    outside I asks at most two queries.
+    when I + x is independent in both matroids.  M is asked first; when
+    the matroid asked second says no, the two swap, so the one that last
+    said no is asked first from then on.  The two questions are a
+    conjunction and I grows only when both say yes, so the order changes
+    which masks are asked, never the answers or the elements added.  Each
+    element outside I asks one query (the first matroid says no) or two.
     """
     added = []
     among = m.universe_mask if among is None else among
+    first, second = m, n
     for x in bit_indices(among & ~imask):
         grown = imask | 1 << x
-        if m._indep(grown) and n._indep(grown):
+        if not first._indep(grown):
+            continue
+        if second._indep(grown):
             imask = grown
             added.append(x)
+        else:
+            first, second = second, first
     return added
 
 
@@ -309,8 +318,11 @@ def _classic_run(
 
     The greedy's additions are applied as one-element paths, through the
     same loop as every later phase's paths.  A greedy that adds nothing
-    counts no phase; its queries are then the next phase's sink scan and
-    layer-0 source queries, read from the memo.  A resumed run skips it:
+    counts no phase, and the next phase reads its layer-0 source queries
+    from the memo, since the greedy asked N about every M-independent
+    I + x.  Its sink scan reads the memo too, except for an element that
+    N refused while asked first: M was not asked about that one, so the
+    scan asks it.  A resumed run skips the greedy:
     its search skips the sink scan, so the greedy's queries would be new,
     and the carried set is already maximum.
     """

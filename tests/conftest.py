@@ -449,10 +449,11 @@ def reference_orientation_blocks(g: DemandGraph) -> list[tuple[str, C.Matroid]]:
 # mixed-state references
 
 
-def greedy_common_part(m: C.Matroid, n: C.Matroid, mask: int) -> int:
-    """Greedy common independent subset of ``mask``, smallest indices first."""
-    kept = 0
-    for x in bit_indices(mask):
+def greedy_common_part(m: C.Matroid, n: C.Matroid, mask: int, start: int = 0) -> int:
+    """Greedy common independent subset of ``mask``, smallest indices first,
+    grown from the common independent ``start``; M is asked before N."""
+    kept = start
+    for x in bit_indices(mask & ~start):
         if m._indep(kept | 1 << x) and n._indep(kept | 1 << x):
             kept |= 1 << x
     return kept

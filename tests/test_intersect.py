@@ -687,15 +687,20 @@ def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
     assert len(states) > 150
 
 
+def classic_large_pairs():
+    """A graphic M at n = 64, 96 and 128 against a partition and a graphic N,
+    the sizes of the classic-large bench."""
+    for size in (64, 96, 128):
+        rng = random.Random(size)
+        m = connected_graphic(rng, size)
+        yield from ((m, capped_partition(rng, m.ground)), (m, connected_graphic(rng, size)))
+
+
 def test_the_greedy_is_the_length_0_phase(corpus):
     # a phase returns single-element paths exactly when the greedy adds
     # something, and then they are the greedy's additions, in order; the
     # greedy asks each mask once, at most two per element outside the start
-    pairs = [(inst.M, inst.N) for inst in corpus.pairs]
-    for size in (64, 96, 128):
-        rng = random.Random(size)
-        m = connected_graphic(rng, size)
-        pairs += [(m, capped_partition(rng, m.ground)), (m, connected_graphic(rng, size))]
+    pairs = [(inst.M, inst.N) for inst in corpus.pairs] + list(classic_large_pairs())
     rng = random.Random(7)
     grew = stayed = 0
     for m, n in pairs:
@@ -917,21 +922,82 @@ def test_extension_postcondition_fires_on_a_short_common_base(monkeypatch):
         extend_to_nice(state)
 
 
-def test_greedy_among_a_set_is_its_common_independent_part(corpus):
-    # on the pair and on quotients by common independent sets, as the
-    # extension asks it: least element of the set first, one M query per
-    # element and an N query only after an M yes
-    rng = random.Random(9)
+def first_asked_yeses(m, n, mask):
+    """How often the greedy's first-asked matroid says yes over ``mask``
+    from the empty set: M is asked first, and the two swap each time the
+    second says no."""
+    first, second, kept, yeses = m, n, 0, 0
+    for x in bit_indices(mask):
+        if first._indep(kept | 1 << x):
+            yeses += 1
+            if second._indep(kept | 1 << x):
+                kept |= 1 << x
+            else:
+                first, second = second, first
+    return yeses
+
+
+def quotient_samples(corpus, rng):
+    """(pair, s): four quotients of each of the first 200 corpus pairs by
+    random common independent sets, and a random subset s of each
+    quotient's universe, as the extension asks the greedy."""
     for inst in corpus.pairs[:200]:
         ctx = PairContext(inst.M, inst.N)
         for _ in range(4):
             pair = ctx.quotient(_random_common_independent(rng, inst.M, inst.N))
-            pair = PairContext(CountingIndep(pair.M), CountingIndep(pair.N))
             universe = list(bit_indices(pair.universe_mask))
-            s = _mask(rng.sample(universe, rng.randint(0, len(universe))))
-            expected = greedy_common_part(pair.M.inner, pair.N.inner, s)
-            assert _mask(_greedy(pair.M, pair.N, 0, s)) == expected, inst.name
-            assert pair.M.calls == s.bit_count() >= pair.N.calls, inst.name
+            yield pair, _mask(rng.sample(universe, rng.randint(0, len(universe))))
+
+
+def test_greedy_among_a_set_is_its_common_independent_part(corpus):
+    # on the pair and on quotients by common independent sets, as the
+    # extension asks it: least element of the set first, one query per
+    # element, and a second only after the first-asked matroid's yes
+    for pair, s in quotient_samples(corpus, random.Random(9)):
+        expected = greedy_common_part(pair.M, pair.N, s)
+        yeses = first_asked_yeses(pair.M, pair.N, s)
+        gm, gn = CountingIndep(pair.M), CountingIndep(pair.N)
+        assert _mask(_greedy(gm, gn, 0, s)) == expected, s
+        assert gm.calls + gn.calls == s.bit_count() + yeses, s
+        assert s.bit_count() <= gm.calls + gn.calls <= 2 * s.bit_count()
+
+
+def test_greedy_asks_the_matroid_that_last_said_no_first():
+    # M free and N = U(1, n): the first element is added after two yeses,
+    # the second is refused by N, and from then on N is asked first and
+    # refuses each element alone.  M first on every element asks 2n.
+    n = 12
+    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+    m, u = CountingIndep(C.free(ground)), CountingIndep(C.uniform(ground, 1))
+    assert _greedy(m, u, 0) == [0]
+    assert (m.calls, u.calls) == (2, n)
+    old_m, old_n = CountingIndep(C.free(ground)), CountingIndep(C.uniform(ground, 1))
+    assert greedy_common_part(old_m, old_n, m.universe_mask) == 1
+    assert old_m.calls + old_n.calls == 2 * n
+
+
+def test_the_swapping_greedy_adds_the_m_first_set_with_fewer_queries_in_total(corpus):
+    # on quotients of the corpus pairs, and on the classic-large-sized
+    # pairs from the empty set and random starts, the swap changes which
+    # masks are asked, never the set added.  One greedy can ask more than
+    # M first would (after a swap, N may say yes where M would have said
+    # no), but over the cases it asks fewer
+    cases = [(pair.M, pair.N, s, 0) for pair, s in quotient_samples(corpus, random.Random(9))]
+    rng = random.Random(7)
+    for m, n in classic_large_pairs():
+        cases += [(m, n, m.universe_mask, start)
+                  for start in [0] + [_random_common_independent(rng, m, n) for _ in range(2)]]
+    swapped = m_first = fewer = more = 0
+    for m, n, among, start in cases:
+        gm, gn = CountingIndep(m), CountingIndep(n)
+        om, on = CountingIndep(m), CountingIndep(n)
+        added = start | _mask(_greedy(gm, gn, start, among))
+        assert added == greedy_common_part(om, on, among, start)
+        swapped += gm.calls + gn.calls
+        m_first += om.calls + on.calls
+        fewer += gm.calls + gn.calls < om.calls + on.calls
+        more += gm.calls + gn.calls > om.calls + on.calls
+    assert swapped <= m_first and fewer > more, (swapped, m_first, fewer, more)
 
 
 def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypatch):
