@@ -306,25 +306,11 @@ def _classic_run(
     (``_classic_step``).
 
     The first phase is one greedy pass over the start (``_greedy``), the
-    phase with paths of length 0, which it computes exactly:
-
-    - Layer 0 holds the sinks.  When it holds sources, d = 0, and the
-      phase adds, least first, each source s with I + s still common
-      independent.
-    - An element that is not both a source and a sink at the start of the
-      phase never becomes addable, because spans only grow.  So the phase
-      adds exactly the greedy's elements, in the same order.
-    - Distances never shrink, so no later phase has d = 0.
-
-    The greedy's additions are applied as one-element paths, through the
-    same loop as every later phase's paths.  A greedy that adds nothing
-    counts no phase, and the next phase reads its layer-0 source queries
-    from the memo, since the greedy asked N about every M-independent
-    I + x.  Its sink scan reads the memo too, except for an element that
-    N refused while asked first: M was not asked about that one, so the
-    scan asks it.  A resumed run skips the greedy:
-    its search skips the sink scan, so the greedy's queries would be new,
-    and the carried set is already maximum.
+    one phase with paths of length 0: it adds every element that is both
+    a source and a sink, and spans only grow, so no later phase has one.
+    Its additions are applied as one-element paths, through the same
+    loop as every later phase's paths.  A resumed run skips the greedy:
+    the carried set is already maximum.
     """
     universe = m.universe_mask
     imask = start
@@ -354,18 +340,20 @@ def _classic_step(
 ) -> list[list[int]] | IntersectionCertificate:
     """One phase from ``imask``: the checked paths it applied in turn, or the certificate.
 
-    One breadth-first search grows backward from all sinks through
-    ``tails_into``: layer k holds the elements at distance k to the
-    sinks, and only the elements of each new layer are tested as
-    sources.  When a layer Ld holds sources, the shortest paths have
-    length d.  Augmenting along a shortest path shortens neither the
-    distance from the sources nor the distance to the sinks (Cunningham
-    1986).  So the element at position i of a length-d path in a later
-    digraph of the phase was, at the start, at most i from a source and
-    at most d - i from a sink; no path was shorter than d, so it was
-    exactly d - i from the sinks.  It lies in L(d - i), and each later
-    length-d path runs through [sources of Ld, L(d-1), ..., L0].  A
-    lowest-first walk through them (``_walk``) asks the arcs of the
+    ``imask`` must be greedy-filled: no element outside I is both a
+    source and a sink (``_classic_run``), so layer 0, the sinks, holds
+    no source.  One breadth-first search grows backward from all sinks
+    through ``tails_into``: layer k holds the elements at distance k to
+    the sinks, and only the elements of each new layer, from layer 1 on,
+    are tested as sources.  When a layer Ld holds sources, the shortest
+    paths have length d.  Augmenting along a shortest path shortens
+    neither the distance from the sources nor the distance to the sinks
+    (Cunningham 1986).  So the element at position i of a length-d path
+    in a later digraph of the phase was, at the start, at most i from a
+    source and at most d - i from a sink; no path was shorter than d, so
+    it was exactly d - i from the sinks.  It lies in L(d - i), and each
+    later length-d path runs through [sources of Ld, L(d-1), ..., L0].
+    A lowest-first walk through them (``_walk``) asks the arcs of the
     current digraph; used and dead-end elements leave the phase.
 
     A search that meets no source has walked the whole co-reach of the
@@ -383,7 +371,7 @@ def _classic_step(
     dg = ExchangeDigraph(m, n, imask, 0, 0)
     layers = list(carried) or [dg.sinks(universe)]
     seen = sum(layers)  # the layers are disjoint
-    first = 0 if carried else _mask(dg.sources(layers[0]))
+    first = 0
     while not first:
         nxt = dg.tails_into(universe & ~seen, layers[-1])
         if not nxt:
@@ -395,8 +383,8 @@ def _classic_step(
         seen |= nxt
         layers.append(nxt)
         first = _mask(dg.sources(nxt))
-        if first and carried:
-            raise PostconditionFailed("a resumed backward search met a source")
+    if carried:
+        raise PostconditionFailed("a resumed backward search met a source")
     kept = [first, *reversed(layers[:-1])]
     alive = sum(kept)  # the layers are disjoint
     paths = []

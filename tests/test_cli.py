@@ -124,7 +124,7 @@ PINNED_CLI = {
         "4187610e2dfe457caa1cce7fb7f306e1945bc3957f3a14fa84b51270878c8595",
         "8da25f51015742bd4f0b050d5a371049d70ccbfbb01a6bc4bf4b3369f977304b",
     ),
-    "wave": ("56bb04cc2fb0dcef01f613abf24ccdf12e7dc903b54c4d4957db2a9e11d718bc", None),
+    "wave": ("3763a3b3424c822134956f4190c3178c68a441015f466b31684ef9ad3ef48ae4", None),
     "packcov": ("9bdec8cb397f95110de334535401418debbe0d9ff471b7477e7a70179dbe12f5", None),
     "packcov-mixed-e1": ("922ec3ace9151613b93655f1cc3fa3c0adbccafa1fcc7920e234c8fa94bf471f", None),
     "orient-above": ("eed71146884ee32a72890e6ec900a463bed833b7d0a9118ff6198a788a610a1e", None),
@@ -241,7 +241,7 @@ def test_wave_subcommand(files, capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload["output"]) == {"W", "witness", "cond_plus"}
-    assert payload["verification"]["cond_plus_recheck"] is True
+    assert payload["verification"] == {"verified": True}
 
 
 def test_packcov_subcommand(files, capsys):
@@ -507,6 +507,37 @@ def test_fuzz_writes_round_trippable_corpus(files, capsys):
             emitted = matroid_to_json(matroid_from_json(doc[side]))
             again = matroid_to_json(matroid_from_json(emitted))
             assert emitted == again
+
+
+def assert_write_fails(capsys, argv, path):
+    """A write that fails is an input error: exit 2, nothing on stdout."""
+    code, out, err = run(capsys, argv)
+    assert code == 2 and not out, argv
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidDocument", argv
+    assert error["message"].startswith(f"cannot write {path}: "), argv
+
+
+def test_trace_into_a_missing_directory_exits_2(files, capsys):
+    tmp, write = files
+    m, n = write("m.json", UNIFORM), write("n.json", PARTITION)
+    path = str(tmp / "nodir" / "t.json")
+    assert_write_fails(capsys, ["intersect", "--m", m, "--n", n, "--trace", path], path)
+
+
+def test_trace_under_a_file_exits_2(files, capsys):
+    tmp, write = files
+    m, n = write("m.json", UNIFORM), write("n.json", PARTITION)
+    path = str(tmp / "m.json" / "t.json")
+    assert_write_fails(capsys, ["intersect", "--m", m, "--n", n, "--trace", path], path)
+
+
+def test_fuzz_out_onto_a_file_exits_2(files, capsys):
+    tmp, write = files
+    afile = write("afile", {})
+    argv = ["fuzz", "--pairs", "1", "--families", "0", "--graphs", "0", "--out", afile]
+    assert_write_fails(capsys, argv, afile)
+    assert json.loads((tmp / "afile").read_text()) == {}
 
 
 def test_pair_members_may_list_their_labels_in_any_order(files, capsys):

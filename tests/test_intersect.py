@@ -118,24 +118,27 @@ def test_edmonds_step_returns_certificate_at_maximum():
 
 
 def test_edmonds_step_singleton_path_on_free_pair():
-    # every element is a source and a sink, so one phase takes them all
-    step = _classic_step(C.free(G3), C.free(G3), 0)
-    assert step == [[0], [1], [2]]
+    # every element is a source and a sink, so the first phase, the
+    # greedy, takes them all as one-element paths; the next is the last
+    trace = Trace()
+    cert = _classic_run(C.free(G3), C.free(G3), trace)
+    assert [(e["phase"], e["path"]) for e in trace.events] == [(1, (0,)), (1, (1,)), (1, (2,))]
+    assert cert.I.mask == 0b111 and trace.phases == 2
 
 
 def test_edmonds_step_asks_only_about_the_elements_it_reaches():
-    # the phase asks M once per element to find the sinks; with one sink
-    # that is a source itself, N is asked only about that element, where
-    # two full spans would ask about every element
+    # the greedy phase asks M once per element; with one sink that is a
+    # source itself, N is asked only about that element, where two full
+    # spans would ask about every element
     g = GroundSet(tuple(f"e{i}" for i in range(64)))
     m = C.PartitionMatroid(g, ((1, 1), (g.full_mask & ~1, 0)))
     m, n = CountingIndep(m), CountingIndep(C.free(g))
-    assert _classic_step(m, n, 0) == [[0]]
+    assert _greedy(m, n, 0) == [0]
     assert n.asked == {1} and n.calls <= 4 and m.calls <= 64 + 3
     # on a free pair every element is its own path, each checked in a
     # bounded number of queries, where a full digraph has 64 * 64 arcs to ask
     m, n = CountingIndep(C.free(g)), CountingIndep(C.free(g))
-    assert _classic_step(m, n, 0) == [[e] for e in range(64)]
+    assert _greedy(m, n, 0) == list(range(64))
     assert m.calls <= 4 * 64 and n.calls <= 4 * 64
 
 
@@ -696,30 +699,52 @@ def classic_large_pairs():
         yield from ((m, capped_partition(rng, m.ground)), (m, connected_graphic(rng, size)))
 
 
-def test_the_greedy_is_the_length_0_phase(corpus):
-    # a phase returns single-element paths exactly when the greedy adds
-    # something, and then they are the greedy's additions, in order; the
-    # greedy asks each mask once, at most two per element outside the start
+def sinks_hold_no_source(m, n, imask):
+    """Whether no sink of the classic digraph at I is also a source."""
+    dg = ExchangeDigraph(m, n, imask, 0, 0)
+    return next(dg.sources(dg.sinks(m.universe_mask)), None) is None
+
+
+def test_the_greedy_is_the_length_0_phase(corpus, monkeypatch):
+    # the greedy adds every element that is both a source and a sink, and
+    # spans only grow, so no sink is a source after it, nor at the start
+    # of any later phase: no later phase need scan layer 0 for sources.
+    # A run applies the greedy's additions, and only those, as one-element
+    # paths; the greedy asks each mask once, at most two per element
+    # outside the start
+    import matroidkit.classic as classic
+
+    real_step = classic._classic_step
+    phase_starts = []
+
+    def recorded_step(m, n, imask, carried=()):
+        phase_starts.append(imask)
+        return real_step(m, n, imask, carried)
+
+    monkeypatch.setattr(classic, "_classic_step", recorded_step)
     pairs = [(inst.M, inst.N) for inst in corpus.pairs] + list(classic_large_pairs())
     rng = random.Random(7)
-    grew = stayed = 0
+    grew = stayed = later = 0
     for m, n in pairs:
         starts = [0] + [_random_common_independent(rng, m, n) for _ in range(2)]
         for start in starts:
-            step = _classic_step(m, n, start)
             gm, gn = CountingIndep(m), CountingIndep(n)
             added = _greedy(gm, gn, start)
-            singles = not isinstance(step, IntersectionCertificate) and all(
-                len(path) == 1 for path in step
-            )
-            assert singles == bool(added), start
-            if added:
-                assert step == [[x] for x in added]
+            filled = start | _mask(added)
             grew += bool(added)
             stayed += not added
             assert gm.calls == len(gm.asked) and gn.calls == len(gn.asked)
             assert gm.calls + gn.calls <= 2 * (m.universe_mask & ~start).bit_count()
-    assert grew > 500 and stayed > 500, (grew, stayed)
+            phase_starts.clear()
+            trace = Trace()
+            _classic_run(m, n, trace, start)
+            singles = [e["path"] for e in trace.events if len(e["path"]) == 1]
+            assert singles == [(x,) for x in added], start
+            assert phase_starts[0] == filled, start
+            for imask in phase_starts:
+                assert sinks_hold_no_source(m, n, imask), (start, imask)
+            later += len(phase_starts) - 1
+    assert grew > 500 and stayed > 500 and later > 25, (grew, stayed, later)
 
 
 def random_independent(rng, m, among):
@@ -848,26 +873,22 @@ def test_mixed_path_search_matches_classic_augmentations(corpus):
     for inst in corpus.pairs[:120]:
         m, n = inst.M, inst.N
         ctx = PairContext(m, n)
-        imask = 0
-        while True:
-            step = _classic_step(m, n, imask)
-            if isinstance(step, IntersectionCertificate):
-                assert find_aug_path(FeasibleState(ctx, ElementSet(m.ground, imask))) is None
-                states += 1
-                break
-            for classic in step:
-                state = FeasibleState(ctx, ElementSet(m.ground, imask))
-                path = find_aug_path(state)
-                assert path is not None, inst.name
-                shortest = min(
-                    len(found)
-                    for s in state.digraph.sources(ctx.E0.mask)
-                    if (found := _bfs_path(state.digraph, s)) is not None
-                )
-                assert len(classic) == shortest <= len(path), inst.name
-                same += len(path) == shortest
-                paths += 1
-                imask ^= _mask(classic)
+        trace = Trace()
+        cert = _classic_run(m, n, trace)
+        assert find_aug_path(FeasibleState(ctx, cert.I)) is None
+        states += 1
+        for event in trace.events:
+            state = FeasibleState(ctx, ElementSet(m.ground, event["before"]))
+            path = find_aug_path(state)
+            assert path is not None, inst.name
+            shortest = min(
+                len(found)
+                for s in state.digraph.sources(ctx.E0.mask)
+                if (found := _bfs_path(state.digraph, s)) is not None
+            )
+            assert len(event["path"]) == shortest <= len(path), inst.name
+            same += len(path) == shortest
+            paths += 1
     assert states > 100 and paths > 200 and same > 0.9 * paths
 
 
