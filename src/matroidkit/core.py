@@ -108,9 +108,15 @@ class GroundSet:
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        index = {}
+        for i, s in enumerate(self.labels):
+            try:
+                index[s] = i
+            except TypeError:
+                raise MatroidKitError(f"ground set label {s!r} is not hashable") from None
+        if len(index) != len(self.labels):
             raise MatroidKitError("ground set labels must be distinct")
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.labels)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def size(self) -> int:
@@ -123,7 +129,7 @@ class GroundSet:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UniverseMismatch(f"unknown element label {label!r}") from None
 
     def label(self, i: int) -> str:

@@ -21,6 +21,7 @@ from .classic import (
     _augmented,
     _check_chordless,
     _classic_run,
+    _grow,
     _same_span,
     _walk,
     verify_certificate,
@@ -46,22 +47,17 @@ from .waves import PairContext, _wave_run, check_cond_plus, common_base_B, large
 def _bfs_path(dg: ExchangeDigraph, source: int) -> list[int] | None:
     """Shortest path from ``source`` to the least nearest sink, lexicographically least.
 
-    Distance layers grow forward until one holds a sink; only the
-    elements of each layer are tested as sinks.  Every shortest path to
-    the least sink of the last layer runs through the layers in order,
-    so the classic phase's lowest-first walk (``_walk``) through them
-    finds the least one.
+    Distance layers grow forward (``_grow``) until one holds a sink; the
+    source is tested first, then only the elements of each new layer.
+    Every shortest path to the least sink of the last layer runs through
+    the layers in order, so the classic phase's lowest-first walk
+    (``_walk``) through them finds the least one.
     """
     layers = [1 << source]
-    seen = layers[0]
-    while not (hit := dg.sinks(layers[-1])):
-        nxt = dg.heads(layers[-1], dg.universe & ~seen)
-        if not nxt:
-            return None
-        seen |= nxt
-        layers.append(nxt)
+    if not (hit := dg.sinks(layers[0]) or _grow(dg, layers, dg.sinks)):
+        return None
     path = [source]
-    _walk(dg, path, [*layers[:-1], hit & -hit], seen)
+    _walk(dg, path, [*layers[:-1], hit & -hit], sum(layers))
     return path
 
 

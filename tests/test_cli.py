@@ -384,6 +384,23 @@ def test_input_errors_exit_2(files, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "InvalidDocument" and message in error["message"], doc
 
+    # an unhashable label is an input error named in the message, not a crash
+    listed = write("listed.json", [["e0"]])
+    fam = write("fam.json", {"universe": ["e0", "e1"], "members": [{"kind": "uniform", "n": 2, "r": 1}]})
+    bad_universe = write("bad_universe.json", {"universe": [["a"]], "members": [UNIFORM]})
+    for argv, label in (
+        (["intersect", "--m", m, "--n", m, "--solver", "mixed", "--e1", listed], "['e0']"),
+        (["packcov", "--family", fam, "--solver", "mixed", "--e1", listed], "['e0']"),
+        (["orient", "--graph", graph, "--demands", o, "--solver", "mixed",
+          "--e1", write("keyed.json", [{"x": 1}])], "{'x': 1}"),
+        (["packcov", "--family", bad_universe], "['a']"),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and not out, argv
+        error = json.loads(err)["error"]
+        assert error["type"] in ("MatroidKitError", "UniverseMismatch"), argv
+        assert label in error["message"], argv
+
 
 def test_graphic_with_repeated_vertex_name_exits_2(files, capsys):
     # a repeated name would bind every edge at "u" to its last index

@@ -237,8 +237,9 @@ def test_digraph_empty_state_has_no_arcs():
 
 def assert_arcs_match_rules(state, rng):
     """Arcs tail by tail, and the layer-wide forward form on random layers,
-    against the pair-by-pair rule test; the backward form too where E1 is
-    empty, the only digraphs that the classic phase searches backward."""
+    against the pair-by-pair rule test.  Where E1 is empty, the only
+    digraphs that the classic phase searches backward, the tails into a
+    layer are the heads from it in the swapped pair's digraph."""
     universe = state.ctx.universe_mask
     elements = list(bit_indices(universe))
     expected = {(x, y) for x in elements for y in elements if brute_has_arc(state, x, y)}
@@ -251,7 +252,8 @@ def assert_arcs_match_rules(state, rng):
         tails = _mask({x for x, y in expected if among >> x & 1 and layer >> y & 1})
         assert dg.heads(layer, among) == heads
         if not state.ctx.E1.mask:
-            assert dg.tails_into(among, layer) == tails
+            swapped = ExchangeDigraph(state.ctx.N, state.ctx.M, state.I.mask, 0, 0)
+            assert swapped.heads(layer, among) == tails
 
 
 def test_digraph_arcs_match_rule_by_rule_test(corpus):
@@ -493,7 +495,6 @@ class _DeadEndDigraph(DictDigraph):
 
 
 def test_bfs_path_is_least_shortest_path_to_least_nearest_sink():
-    # the digraph has no tails_into: the forward search asks nothing backward
     rng = random.Random(7)
     found = missing = longest = dead_ends = 0
     for _ in range(400):
@@ -533,18 +534,34 @@ def graphic_pair(rng, size, n_vertices):
 
 
 def classic_states_of(m, n):
-    """(M, N, I) for every set the classic solver passes through on (M, N)."""
+    """(M, N, I) for every greedy-filled set of the classic solver on (M, N):
+    the start of each phase after the greedy, and the final I.  Only the
+    greedy's paths have one element, so each later phase starts at the
+    set before its first longer path."""
     trace = Trace()
     cert = _classic_run(m, n, trace)
-    sets = [e["before"] for e in trace.events] + [cert.I.mask]
-    return [(m, n, imask) for imask in sets]
+    starts = {}
+    for event in trace.events:
+        if len(event["path"]) > 1:
+            starts.setdefault(event["phase"], event["before"])
+    return [(m, n, imask) for imask in [*starts.values(), cert.I.mask]]
 
 
 def classic_states(corpus, limit):
-    """(M, N, I) for every set the classic solver passes through on corpus pairs."""
+    """(M, N, I) for every greedy-filled set of the classic solver on corpus pairs."""
     out = []
     for inst in corpus.pairs[:limit]:
         out += classic_states_of(inst.M, inst.N)
+    return out
+
+
+def graphic_states(seeds, size, n_vertices):
+    """(M, N, I) for every greedy-filled set of the classic solver on graphic
+    pairs, one pair per seed.  Nearly every corpus state is a final I, and
+    these give the phases that take paths."""
+    out = []
+    for seed in seeds:
+        out += classic_states_of(*graphic_pair(random.Random(seed), size, n_vertices))
     return out
 
 
@@ -586,7 +603,7 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
     # each arc from the pair-by-pair rule test: the least source that
     # reaches a sink, then the least shortest path to its least nearest sink
     searches = []
-    for m, n, imask in classic_states(corpus, 40):
+    for m, n, imask in classic_states(corpus, 40) + graphic_states(range(120), 16, 8):
         searches.append((m, n, imask, 0))
     mixed = mixed_states(corpus, 40)
     assert sum(1 for state in mixed if state.I.mask & state.ctx.E1.mask) > 50
@@ -621,9 +638,9 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
     # co-reach of the sinks; deleting the sources leaves a state with no
     # path, so every state, small or at n = 48, gets a certificate step;
     # graphic pairs give co-reaches that go past the first I-layer
-    states = classic_states(corpus, 40)
+    states = classic_states(corpus, 150)
     for n_vertices in (16, 24):
-        states += classic_states_of(*graphic_pair(random.Random(n_vertices), 48, n_vertices))
+        states += graphic_states(range(10), 48, n_vertices)
     deep = 0
     for m, n, imask in states:
         sources = ElementSet(m.ground, m.universe_mask & ~n._span(imask))
@@ -671,7 +688,8 @@ def full_build_queries(m, n, imask):
 def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
     # a phase reads the digraph at its start and after each of its paths;
     # it asks fewer distinct masks than full builds of all those digraphs
-    states = classic_states(corpus, 60)
+    states = classic_states(corpus, 200) + graphic_states(range(10), 48, 24)
+    paths = 0
     for m, n, imask in states:
         step_m, step_n = Recording(m), Recording(n)
         step = _classic_step(step_m, step_n, imask)
@@ -684,10 +702,11 @@ def test_classic_step_asks_no_query_a_full_build_would_not(corpus):
             for path in step:
                 imask ^= _mask(path)
                 full_asked += full_build_queries(m, n, imask)
+            paths += len(step)
         # halving asks masks I - S + z that a full build never asks, so
         # the distinct masks are counted, not compared as sets
         assert len(step_m.asked) + len(step_n.asked) < full_asked
-    assert len(states) > 150
+    assert len(states) > 150 and paths > 10
 
 
 def classic_large_pairs():
@@ -827,11 +846,9 @@ def test_augmentation_check_asks_a_path_sized_number_of_queries(corpus):
     # four full spans would ask about 2n queries per matroid; the check
     # asks one per element of the path, and three more at most
     cases = []
-    states = classic_states(corpus, 60)
-    # a phase's paths are shortest over all sources and most are single
-    # elements, so twelve graphic pairs give enough paths past one element
-    for seed in range(12):
-        states += classic_states_of(*graphic_pair(random.Random(seed), 48, 24))
+    # after the greedy a corpus phase rarely takes a path, so the classic
+    # paths come from graphic pairs
+    states = classic_states(corpus, 60) + graphic_states(range(150), 48, 24)
     for m, n, imask in states:
         step = _classic_step(m, n, imask)
         if not isinstance(step, IntersectionCertificate):

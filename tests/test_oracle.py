@@ -186,8 +186,8 @@ def test_exchange_digraph_asks_matroids_through_two_questions():
         if isinstance(node, ast.ClassDef) and node.name == "ExchangeDigraph"
     )
     assert _callers(digraph, "_indep") == {"sources"}
-    assert _callers(digraph, "_spanned") == {"sinks", "heads", "tails_into"}
-    assert _callers(digraph, "_circuits") == {"heads", "tails_into"}
+    assert _callers(digraph, "_spanned") == {"sinks", "heads"}
+    assert _callers(digraph, "_circuits") == {"heads"}
     assert _callers(tree, "_circuit") == set()
 
 
