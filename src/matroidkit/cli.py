@@ -15,6 +15,7 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .classic import Trace
@@ -297,6 +298,7 @@ def _cmd_check(args) -> tuple[dict, int]:
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matroidkit",

@@ -327,6 +327,8 @@ def mixed_solve(
     to a nice state.  No source lies below e: ``_augmented`` checks that
     the N-span on E0 only grows, and an extension only adds to I.  Each
     round grows I, which lies in E - W, so |E - W| rounds bound the solve.
+    A tail set that does not span E1 - I in N - W onto E1 - I leaves E - W
+    unspanned by I & E_N, so the final ``verify_certificate`` refuses it.
     """
     split.validate()
     n = split.N
@@ -362,8 +364,6 @@ def mixed_solve(
     tail_m = mq.contract(state.I).restrict(rest)
     tail_n = nq.onto(rest)
     tail = _classic_run(tail_m, tail_n)  # verified with the whole answer below
-    if not tail_n._spans(tail.I.mask, rest.mask):
-        raise Stuck("cofinitary tail admits no spanning base")
 
     imask = wave.witness.mask | state.I.mask | tail.I.mask
     cert = IntersectionCertificate(

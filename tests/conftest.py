@@ -304,45 +304,37 @@ def full_digraph_coreach(m: C.Matroid, n: C.Matroid, imask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# driving the mixed stack step by step (for replay tests)
+# recording the mixed solver's rounds (for replay tests)
 
 
-def drive_mixed(m: C.Matroid, split, trace=None):
-    """Replay the mixed solver's augmenting loop through the public API.
+def mixed_rounds(m: C.Matroid, split, trace=None) -> list[tuple]:
+    """The rounds ``mixed_solve`` runs on (m, split), each a tuple (state
+    before, path, state after augmenting, state after extending).
 
-    As ``mixed_solve`` does, the first state carries the wave's rest as
-    its warm set, and each path is searched from the E0 floor, the E0
-    elements from the one to be spanned up, so the replayed rounds take
-    the same warm and resumed wave runs.  Returns (wave, context, final
-    state, records); each record is a tuple (state before, path, state
-    after augmenting, state after extending).
+    The solver calls ``augment`` and ``extend_to_nice`` from its module
+    namespace, so for this one solve both are wrapped there and record
+    what they were given and what they returned.
     """
-    from matroidkit.intersect import (
-        FeasibleState,
-        augment,
-        extend_to_nice,
-        find_aug_path,
-    )
-    from matroidkit.waves import PairContext, largest_wave
+    from matroidkit import intersect
 
-    split.validate()
-    wave = largest_wave(PairContext(m, split.N))
-    ground = m.ground
-    e_n = m.universe_mask & ~wave.W.mask
-    mq = m.contract(wave.W)
-    nq = split.N.delete(wave.W)
-    ctx = PairContext(mq, nq, ElementSet(ground, split.E1.mask & e_n))
-    state = FeasibleState(ctx, ground.empty(), wave.rest)
-    records = []
-    for e in bit_indices(ctx.E0.mask):
-        while not ctx.N._span(state.I.mask) >> e & 1:
-            path = find_aug_path(state, ctx.E0.mask & -(1 << e))
-            assert path is not None
-            augmented = augment(state, path, trace=trace)
-            extended = extend_to_nice(augmented, trace=trace)
-            records.append((state, path, augmented, extended))
-            state = extended
-    return wave, ctx, state, records
+    rounds = []
+    real_augment, real_extend = intersect.augment, intersect.extend_to_nice
+
+    def augment(state, path, trace=None):
+        augmented = real_augment(state, path, trace)
+        rounds.append((state, path, augmented))
+        return augmented
+
+    def extend_to_nice(state, trace=None):
+        extended = real_extend(state, trace)
+        rounds[-1] += (extended,)
+        return extended
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intersect, "augment", augment)
+        patch.setattr(intersect, "extend_to_nice", extend_to_nice)
+        intersect.mixed_solve(m, split, trace)
+    return rounds
 
 
 def replay_arc_persistence(record) -> int:

@@ -33,11 +33,11 @@ from matroidkit.waves import PairContext, check_cond_plus, largest_wave
 
 from conftest import (
     brute_common_bases,
-    drive_mixed,
     enumerate_matroids,
     exhaustive_orientation_family,
     family_minmax,
     family_union_max,
+    mixed_rounds,
     oracle_equal,
     replay_arc_persistence,
 )
@@ -245,7 +245,7 @@ def test_criterion_3_augmentation_postconditions(corpus):
         if inst.M.size > 7:
             continue
         for e0, e1 in inst.splits:
-            _w, _ctx, _state, records = drive_mixed(inst.M, SplitInput(inst.N, e0, e1))
+            records = mixed_rounds(inst.M, SplitInput(inst.N, e0, e1))
             augmentations += len(records)
             for record in records:
                 arcs_checked += replay_arc_persistence(record)

@@ -48,9 +48,9 @@ from conftest import (
     brute_heads,
     capped_partition,
     connected_graphic,
-    drive_mixed,
     full_digraph_coreach,
     greedy_common_part,
+    mixed_rounds,
     replay_arc_persistence,
     scan_circuit,
 )
@@ -465,20 +465,24 @@ def test_classic_chord_check_rejects_path_with_jumping_arc():
 
 
 def _least_shortest_path(out, size, source, sinks):
-    """By enumeration: simple paths from ``source`` by length; at the first
-    length that ends in a sink, the least such sink and the least path to it."""
-    paths = [(source,)]
-    while paths:
-        ends = [p for p in paths if sinks >> p[-1] & 1]
+    """By layers from ``source``: at each length, the least path to each
+    element first reached at that length; at the first length that
+    reaches a sink, the least such sink and its path.  A prefix of a least
+    shortest path is the least shortest path to its own end, so no other
+    path needs keeping."""
+    seen = {source}
+    layer = {source: (source,)}
+    while layer:
+        ends = [y for y in layer if sinks >> y & 1]
         if ends:
-            t = min(p[-1] for p in ends)
-            return list(min(p for p in ends if p[-1] == t))
-        paths = [
-            p + (y,)
-            for p in paths
-            for y in range(size)
-            if out.get(p[-1], 0) >> y & 1 and y not in p
-        ]
+            return list(layer[min(ends)])
+        grown = {}
+        for path in sorted(layer.values()):
+            for y in range(size):
+                if out.get(path[-1], 0) >> y & 1 and y not in seen:
+                    grown.setdefault(y, path + (y,))
+        seen |= grown.keys()
+        layer = grown
     return None
 
 
@@ -586,8 +590,8 @@ def mixed_states(corpus, limit):
         for e0, e1 in inst.splits:
             if not e1:
                 continue
-            _wave, _ctx, final, records = drive_mixed(m, SplitInput(n, e0, e1))
-            out += [record[0] for record in records] + [final]
+            rounds = mixed_rounds(m, SplitInput(n, e0, e1))
+            out += [before for before, *_ in rounds] + [extended for *_, extended in rounds[-1:]]
             ctx = PairContext(m, n, e1)
             for _ in range(4):
                 imask = _random_common_independent(rng, m, n)
@@ -603,7 +607,8 @@ def test_lazy_digraph_searches_match_the_full_digraph(corpus):
     # each arc from the pair-by-pair rule test: the least source that
     # reaches a sink, then the least shortest path to its least nearest sink
     searches = []
-    for m, n, imask in classic_states(corpus, 40) + graphic_states(range(120), 16, 8):
+    graphic = graphic_states(range(120), 16, 8) + graphic_states(range(6), 48, 24)
+    for m, n, imask in classic_states(corpus, 40) + graphic:
         searches.append((m, n, imask, 0))
     mixed = mixed_states(corpus, 40)
     assert sum(1 for state in mixed if state.I.mask & state.ctx.E1.mask) > 50
@@ -928,9 +933,8 @@ def test_extend_to_nice_reaches_nice_state(corpus):
         if inst.M.size > 6:
             continue
         split = SplitInput(inst.N, inst.N.elements(), inst.N.ground.empty())
-        _wave, ctx, _state, records = drive_mixed(inst.M, split)
-        for _before, _path, _augmented, extended in records:
-            assert nice_feasible(ctx, extended.I), inst.name
+        for _before, _path, _augmented, extended in mixed_rounds(inst.M, split):
+            assert nice_feasible(extended.ctx, extended.I), inst.name
             checked += 1
         if checked >= 10:
             break
@@ -1062,7 +1066,7 @@ def test_extension_starts_from_the_greedy_part_of_its_warm_set(corpus, monkeypat
     whole = partial = 0
     for inst in corpus.pairs:
         for e0, e1 in inst.splits:
-            for _state, _path, augmented, _extended in drive_mixed(inst.M, SplitInput(inst.N, e0, e1))[3]:
+            for _state, _path, augmented, _extended in mixed_rounds(inst.M, SplitInput(inst.N, e0, e1)):
                 pair = augmented.ctx.quotient(augmented.I.mask)
                 outside = list(bit_indices(pair.universe_mask))
                 for warm in (augmented.warm.mask, _mask(rng.sample(outside, rng.randint(0, len(outside))))):
@@ -1402,50 +1406,40 @@ def test_arc_persistence_across_corpus_sample(corpus):
         if inst.M.size > 7:
             continue
         for e0, e1 in inst.splits:
-            _wave, _ctx, _state, records = drive_mixed(inst.M, SplitInput(inst.N, e0, e1))
-            for record in records:
+            for record in mixed_rounds(inst.M, SplitInput(inst.N, e0, e1)):
                 checked_arcs += replay_arc_persistence(record)
-            # the replay takes the solver's paths, so it checks the loop the solver runs
-            trace = Trace()
-            mixed_solve(inst.M, SplitInput(inst.N, e0, e1), trace)
-            solved = [ev["path"] for ev in trace.events if ev["kind"] == "augment"]
-            assert [path for _before, path, _aug, _ext in records] == solved
         done += 1
         if done == 12:
             break
     assert done == 12
 
 
-def test_replay_records_the_states_and_wave_runs_of_a_traced_mixed_solve(corpus):
-    # drive_mixed starts from the wave's rest and searches from the E0 floor,
-    # as mixed_solve does: each round's augment and extend events name the
-    # sets of its record, and its extensions take the same cold, warm,
-    # resumed and reused wave runs; the solver's two runs before the loop
-    # are its largest wave (cold) and the check from the wave's rest
-    rounds = 0
+def test_trace_names_the_rounds_mixed_solve_runs(corpus):
+    # each round's augment and extend events name the sets of its record;
+    # the wave questions are the largest wave (cold) and the check from
+    # its rest before the loop, then per round the extension's run and
+    # either its postcondition's run or, with B empty, one reused answer
+    total = 0
     for inst in corpus.pairs[:200]:
         for e0, e1 in inst.splits:
-            solved, replayed = Trace(), Trace()
-            mixed_solve(inst.M, SplitInput(inst.N, e0, e1), solved)
-            wave, _ctx, _state, records = drive_mixed(inst.M, SplitInput(inst.N, e0, e1), replayed)
+            trace = Trace()
+            rounds = mixed_rounds(inst.M, SplitInput(inst.N, e0, e1), trace)
             want = []
-            for before, path, augmented, extended in records:
+            for before, path, augmented, extended in rounds:
                 ia = augmented.I.mask
                 want.append(("augment", before.I.mask, path, ia))
                 want.append(("extend", ia, extended.I.mask & ~ia))
             got = [
                 ("augment", ev["before"], ev["path"], ev["after"]) if ev["kind"] == "augment"
                 else ("extend", ev["before"], ev["added"])
-                for ev in solved.events
+                for ev in trace.events
                 if ev["kind"] in ("augment", "extend")
             ]
             assert got == want, inst.name
-            rest = bool(wave.rest)
-            before_loop = {"cold": 2 - rest, "warm": rest, "resumed": 0, "reused": 0}
-            for kind, runs in before_loop.items():
-                assert solved.wave_runs[kind] - runs == replayed.wave_runs[kind], (inst.name, kind)
-            rounds += len(records)
-    assert rounds > 90
+            runs = sum(trace.wave_runs[kind] for kind in ("cold", "warm", "resumed", "reused"))
+            assert runs == 2 + 2 * len(rounds), (inst.name, dict(trace.wave_runs))
+            total += len(rounds)
+    assert total > 90
 
 
 def test_trace_counters():
