@@ -180,6 +180,10 @@ def build_exchange_digraph(state: FeasibleState) -> ExchangeDigraph:
 
 
 def _validate_path(state: FeasibleState, path: tuple[int, ...]) -> None:
+    universe = state.ctx.universe_mask
+    for e in path:  # True is an int, and a negative shift raises
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0 or not universe >> e & 1:
+            raise PreconditionViolated(f"path entry {e!r} names no element")
     if len(path) % 2 == 0 or len(set(path)) != len(path):
         raise PreconditionViolated("path must be an odd sequence of distinct elements")
     dg = state.digraph

@@ -54,14 +54,21 @@ def lift_family(fam: MatroidFamily) -> PairContext:
     """Copies of the members on disjoint slices, against per-element blocks.
 
     Copy i of element e is product element ``e * k + i``, labelled
-    ``"{label}@{i}"``.
+    ``"{label}@{i}"``; two labels that print alike, such as 1 and "1",
+    raise UniverseMismatch.
     """
     k = fam.k
     base = fam.ground
-    labels = tuple(
-        f"{base.label(e)}@{i}" for e in range(base.size) for i in range(k)
-    )
-    ground = GroundSet(labels)
+    owner = {}
+    for e in range(base.size):
+        for i in range(k):
+            label = f"{base.label(e)}@{i}"
+            if label in owner:
+                raise UniverseMismatch(
+                    f"labels {base.label(owner[label])!r} and {base.label(e)!r} both lift to {label!r}"
+                )
+            owner[label] = e
+    ground = GroundSet(tuple(owner))
     copies = []
     for i, member in enumerate(fam.members):
         mapping = {e: e * k + i for e in range(base.size)}

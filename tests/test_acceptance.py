@@ -33,6 +33,7 @@ from matroidkit.waves import PairContext, check_cond_plus, largest_wave
 
 from conftest import (
     brute_common_bases,
+    brute_is_wave,
     enumerate_matroids,
     exhaustive_orientation_family,
     family_minmax,
@@ -139,7 +140,7 @@ def solved(corpus):
     extension_failures = 0
     verified = 0
     for inst in corpus.pairs:
-        best, _ = brute_max_common(inst.M, inst.N)
+        best, witness = brute_max_common(inst.M, inst.N)
         minmax = brute_minmax(inst.M, inst.N)
         classic = edmonds_solve(PairContext(inst.M, inst.N), trace)
         mixed = []
@@ -159,7 +160,7 @@ def solved(corpus):
             verified += 1
         records.append(
             SimpleNamespace(
-                inst=inst, brute=best, minmax=minmax, classic=classic, mixed=mixed
+                inst=inst, brute=best, witness=witness, minmax=minmax, classic=classic, mixed=mixed
             )
         )
     elapsed = time.time() - start
@@ -180,6 +181,9 @@ def test_criterion_1_minmax_equality(solved):
         sizes = {len(rec.classic.I)} | {len(cert.I) for _e1, cert in rec.mixed}
         if sizes != {rec.brute} or rec.brute != rec.minmax:
             violations.append(rec.inst.name)
+        w = rec.witness.mask
+        if not (rec.inst.M._indep(w) and rec.inst.N._indep(w)):
+            violations.append(f"{rec.inst.name}:witness")
     catalog = _catalog_pairs()
     catalog_checked = 0
     for m, n in catalog:
@@ -380,12 +384,13 @@ def test_criterion_8_structural_identities(corpus):
         for lmask in iter_submasks(loops):
             if lmask and n.onto(ElementSet(m.ground, lmask))._rank(lmask) == 0:
                 lset = ElementSet(m.ground, lmask)
+                md, nd = m.delete(lset), n.delete(lset)
                 left = brute_common_bases(m, n, wave.W.mask)
-                right = brute_common_bases(
-                    m.delete(lset), n.delete(lset), wave.W.mask & ~lmask
-                )
+                right = brute_common_bases(md, nd, wave.W.mask & ~lmask)
                 if left != right:
                     violations.append(f"{inst.name}:wave-modify")
+                if right and brute_is_wave(md, nd, wave.W.mask & ~lmask) is None:
+                    violations.append(f"{inst.name}:wave-modify-wave")
                 wave_modify_checks += 1
                 break
     status = "PASS" if not violations else "FAIL"
@@ -394,5 +399,5 @@ def test_criterion_8_structural_identities(corpus):
         f"[instances={len(small)} wave_modify_checks={wave_modify_checks} "
         f"violations={len(violations)}]"
     )
-    assert len(small) == 40
+    assert len(small) == 40 and wave_modify_checks > 0
     assert not violations

@@ -175,6 +175,19 @@ def test_family_universe_of_mixed_label_types_is_compared_as_a_set(tmp_path, cap
     }
 
 
+def test_family_labels_that_print_alike_are_named_as_the_fault(tmp_path, capsys):
+    # copy 0 of 1 and copy 0 of "1" would both be the product element "1@0"
+    member = {"kind": "explicit", "universe": [1, "1"], "bases": [[1]]}
+    (tmp_path / "fam.json").write_text(json.dumps({"universe": [1, "1"], "members": [member]}))
+    code = main(["packcov", "--family", str(tmp_path / "fam.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert json.loads(captured.err)["error"] == {
+        "type": "UniverseMismatch",
+        "message": "labels 1 and '1' both lift to '1@0'",
+    }
+
+
 def test_vertex_names_that_cannot_be_ordered_are_named_as_the_fault(tmp_path, capsys):
     message = "vertex names must be of one orderable type: [1, 'a']"
     with pytest.raises(C.MatroidKitError) as exc:

@@ -69,13 +69,6 @@ def test_brute_minmax_examples():
     assert brute_minmax(C.zero(k4().ground), k4()) == 0
 
 
-def test_minmax_equals_max_common(corpus):
-    for inst in corpus.pairs[:50]:
-        size, witness = brute_max_common(inst.M, inst.N)
-        assert inst.M._indep(witness.mask) and inst.N._indep(witness.mask)
-        assert size == brute_minmax(inst.M, inst.N), inst.name
-
-
 def test_witness_is_smallest_bitmask():
     m, n = C.uniform(G3, 1), C.uniform(G3, 1)
     _size, witness = brute_max_common(m, n)
@@ -529,11 +522,3 @@ def test_fuzz_respects_bounds(corpus):
     for inst in corpus.graphs:
         assert len(inst.graph.edges) <= corpus.spec.max_graph_edges
         assert len(inst.graph.vertices) <= corpus.spec.max_graph_vertices
-
-
-def test_fuzz_splits_respect_components(corpus):
-    from matroidkit.intersect import SplitInput
-
-    for inst in corpus.pairs[:40]:
-        for e0, e1 in inst.splits:
-            SplitInput(inst.N, e0, e1).validate()

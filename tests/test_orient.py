@@ -277,19 +277,3 @@ def test_counting_single_vertex_with_private_edges():
     g = DemandGraph.build(["u", "v"], [("u", "v", "e0"), ("u", "v", "e1")], {"u": 2, "v": 0})
     # demand equals the number of incident edges: no strict excess
     assert not deficiency_counting_check(g, ("u",))
-
-
-def test_verdict_matches_brute_on_fuzzed_sample(corpus):
-    done = 0
-    for inst in corpus.graphs:
-        if len(inst.graph.edges) > 8:
-            continue
-        out = orient_solve(inst.graph)
-        brute = brute_orientations(inst.graph)
-        assert (out.verdict == "above") == (brute is not None), inst.name
-        if out.verdict == "deficient":
-            assert out.counting_ok is True
-        done += 1
-        if done == 40:
-            break
-    assert done == 40

@@ -426,35 +426,6 @@ def test_wave_stacking(corpus):
     assert checked > 0
 
 
-def test_wave_modify_lemma(corpus):
-    # removing a rank-zero set of M-loops from a wave keeps the common
-    # bases of the wave unchanged, computed in the deleted pair
-    checked = 0
-    for inst in small_pairs(corpus, limit=40, max_size=6):
-        m, n = inst.M, inst.N
-        ground = m.ground
-        wave = largest_wave(PairContext(m, n))
-        wmask = wave.W.mask
-        loops = m._loops_mask() & wmask
-        for lmask in iter_submasks(loops):
-            if lmask == 0:
-                continue
-            if n.onto(ElementSet(ground, lmask))._rank(lmask) != 0:
-                continue
-            lset = ElementSet(ground, lmask)
-            md, nd_ = m.delete(lset), n.delete(lset)
-            left = brute_common_bases(m, n, wmask)
-            right = brute_common_bases(md, nd_, wmask & ~lmask)
-            assert left == right, (inst.name, lmask)
-            if right:
-                assert brute_is_wave(md, nd_, wmask & ~lmask) is not None
-            checked += 1
-            break
-        if checked >= 6:
-            break
-    assert checked > 0
-
-
 def test_common_loops_remove(corpus):
     checked = 0
     for inst in small_pairs(corpus, limit=40, max_size=6):
